@@ -24,6 +24,7 @@ from .analysis import (
 )
 from .attacks import intercept_resend_report, tamper_fuzz
 from .ecc import CodeKind
+from .hashing import REDUCTION_POLYS
 from .primitives import Encoding, ProtocolParams
 from .protocol import ReservoirExhausted, run_session
 from .qsim import ChannelKind, ChannelModel
@@ -57,6 +58,57 @@ class UsageError(Exception):
     pass
 
 
+def _finite_float(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _probability(text) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
+    return value
+
+
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
+def _name_of(enum_cls):
+    def convert(text) -> str:
+        try:
+            return enum_cls.parse(text).value
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    convert.metavar = "{" + ",".join(kind.value for kind in enum_cls) + "}"
+    return convert
+
+
+# How each field is read, from a flag or from the config file.
+_FIELD_TYPES = {
+    "n": int,
+    "ell": int,
+    "kappa": int,
+    "lambda": int,
+    "beta": _finite_float,
+    "gamma": _probability,
+    "eta": _probability,
+    "alpha": _finite_float,
+    "q_bits": int,
+    "encoding": _name_of(Encoding),
+    "code": _name_of(CodeKind),
+    "rounds": _positive_int,
+    "seed": int,
+    "out": str,
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     variable: str
@@ -84,13 +136,20 @@ def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
                 config = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"config: cannot read {config_path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise UsageError(f"config: {config_path} must hold a JSON object")
         for key, value in config.items():
             if key not in values:
                 raise UsageError(f"config: unknown field {key!r}")
+            if value is not None or DEFAULTS[key] is not None:
+                try:
+                    value = _FIELD_TYPES[key](value)
+                except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                    raise UsageError(f"config: field {key!r}: {exc}") from exc
             values[key] = value
             explicit.add(key)
     for key in values:
-        flag = getattr(ns, key.replace("-", "_"), None)
+        flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
             explicit.add(key)
@@ -139,6 +198,8 @@ def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolP
                 break
         else:
             raise UsageError(f"n: payload of {k_in} bits cannot host any supported tag length")
+    if lam not in REDUCTION_POLYS:
+        raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
 
     if ell is None and kappa is None:
         kappa_val = max(0, min(_default_kappa(n, alpha), k_in - (2 * lam + 1)))
@@ -153,9 +214,8 @@ def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolP
         ell_val, kappa_val = int(ell), int(kappa)
 
     q_bits = values["q_bits"]
-    q_bits = min_q_bits(n, alpha) if q_bits is None else int(q_bits)
-
     try:
+        q_bits = min_q_bits(n, alpha) if q_bits is None else int(q_bits)
         params = ProtocolParams(
             n=n,
             ell=ell_val,
@@ -199,13 +259,26 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True)
 
 
+def _open_out(path: str):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise UsageError(f"out: cannot write {path}: {exc}") from exc
+
+
+def _emit(text: str, path) -> None:
+    if path:
+        with _open_out(path) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_run(ns: argparse.Namespace) -> int:
     values, explicit = _merged(ns)
     params, code_kind = resolve_params(values, explicit)
     channel = _channel(values)
     rounds = int(values["rounds"])
-    if rounds < 1:
-        raise UsageError("rounds: must be at least 1")
 
     session = run_session(
         params,
@@ -217,7 +290,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     )
 
     out_path = values["out"] or "rounds.jsonl"
-    with open(out_path, "w") as fh:
+    with _open_out(out_path) as fh:
         for result in session.results:
             fh.write(_dump(result.to_json()) + "\n")
 
@@ -290,12 +363,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     for value, columns in _sweep_rows(spec):
         cells = [f"{value:.10g}"] + [f"{c:.10g}" for c in columns]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if values["out"]:
-        with open(values["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", values["out"])
     return 0
 
 
@@ -323,34 +391,25 @@ def cmd_attack(ns: argparse.Namespace) -> int:
             seed=int(values["seed"]),
             flip_rate=float(ns.flip_rate),
         )
-    text = _dump(report) + "\n"
-    if values["out"]:
-        with open(values["out"], "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(_dump(report) + "\n", values["out"])
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--ell", type=int)
-    parser.add_argument("--kappa", type=int)
-    parser.add_argument("--lambda", dest="lambda_", type=int)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--eta", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--q-bits", dest="q_bits", type=int)
-    parser.add_argument("--encoding", choices=["bb84", "six-state"])
-    parser.add_argument("--code", choices=["identity", "repetition3", "oracle"])
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
+    for key, convert in _FIELD_TYPES.items():
+        metavar = getattr(convert, "metavar", None)
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=convert, metavar=metavar)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a single usage-error line."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"usage error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qkr",
         description="Quantum key recycling laboratory: sessions, sweeps, attack demos.",
     )
@@ -364,17 +423,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="tabulate rate, p_corr and bound terms")
     p_sweep.add_argument("variable", choices=["gamma", "n", "q_bits"])
-    p_sweep.add_argument("--start", type=float, required=True)
-    p_sweep.add_argument("--stop", type=float, required=True)
+    p_sweep.add_argument("--start", type=_finite_float, required=True)
+    p_sweep.add_argument("--stop", type=_finite_float, required=True)
     p_sweep.add_argument("--steps", type=int, required=True)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_attack = sub.add_parser("attack", help="run an adversary demo")
     p_attack.add_argument("attack_kind", choices=["intercept_resend", "tamper_fuzz"])
-    p_attack.add_argument("--qubits", type=int, default=100000)
+    p_attack.add_argument("--qubits", type=_positive_int, default=100000)
     p_attack.add_argument("--session-rounds", dest="session_rounds", type=int, default=200)
-    p_attack.add_argument("--flip-rate", dest="flip_rate", type=float, default=0.3)
+    p_attack.add_argument("--flip-rate", dest="flip_rate", type=_probability, default=0.3)
     _add_common(p_attack)
     p_attack.set_defaults(func=cmd_attack)
 
@@ -384,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if hasattr(ns, "lambda_"):
-        setattr(ns, "lambda", ns.lambda_)
     try:
         return ns.func(ns)
     except UsageError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .primitives import BasisString, BitString, RandomSource, TritString
+from .primitives import BasisString, BitString, RandomSource, TritString, _value_array
 
 __all__ = [
     "REDUCTION_POLYS",
@@ -70,16 +70,14 @@ def gf_mul(a: int, b: int, tag_bits: int) -> int:
 
 def _message_blocks(message: BitString, tag_bits: int) -> list[int]:
     """Split into tag_bits-sized blocks (last one zero-padded on the right),
-    then append the bit length as the final block."""
-    blocks = []
+    then append the bit length as the final block. Every pinned tag length
+    is a whole number of bytes."""
     bits = message.bits
-    for start in range(0, len(bits), tag_bits):
-        chunk = bits[start : start + tag_bits]
-        value = 0
-        for b in chunk:
-            value = (value << 1) | int(b)
-        value <<= tag_bits - len(chunk)
-        blocks.append(value)
+    padded = np.zeros(-(-len(bits) // tag_bits) * tag_bits, dtype=np.uint8)
+    padded[: len(bits)] = bits
+    packed = np.packbits(padded).tobytes()
+    width = tag_bits // 8
+    blocks = [int.from_bytes(packed[i : i + width], "big") for i in range(0, len(packed), width)]
     blocks.append(len(bits) & ((1 << tag_bits) - 1))
     return blocks
 
@@ -150,18 +148,12 @@ class ToeplitzSeed:
     def __init__(self, modulus: int, in_len: int, out_len: int, diagonal, offset):
         if modulus not in (2, 3):
             raise ValueError("modulus must be 2 or 3")
-        diag = np.asarray(diagonal, dtype=np.uint8)
-        off = np.asarray(offset, dtype=np.uint8)
+        diag = _value_array(diagonal, modulus, "Toeplitz diagonal")
+        off = _value_array(offset, modulus, "Toeplitz offset")
         if diag.shape != (in_len + out_len - 1,):
             raise ValueError("diagonal length must be in_len + out_len - 1")
         if off.shape != (out_len,):
             raise ValueError("offset length must be out_len")
-        if diag.size and diag.max() >= modulus or off.size and off.max() >= modulus:
-            raise ValueError(f"seed entries must be < {modulus}")
-        diag = diag.copy()
-        off = off.copy()
-        diag.setflags(write=False)
-        off.setflags(write=False)
         self.modulus = modulus
         self.in_len = in_len
         self.out_len = out_len
@@ -231,7 +223,7 @@ def _basis_bits(b: BasisString) -> np.ndarray:
     """Flatten basis symbols to bits: one bit per symbol for a two-letter
     alphabet, two bits (00/01/10) per symbol for the three-letter one."""
     if b.alphabet_size == 2:
-        return b.symbols.copy()
+        return b.symbols
     sym = b.symbols
     return np.column_stack((sym >> 1, sym & 1)).ravel().astype(np.uint8)
 
@@ -283,7 +275,7 @@ def hash_F(
         raise ValueError("basis component seed modulus must equal the basis alphabet size")
     new_mask = seed_mask.apply(_mask_input(x, b, r))
     new_basis = seed_basis.apply(_basis_component_input(x, b, r))
-    return BitString(new_mask), BasisString(new_basis, b.alphabet_size)
+    return BitString._trusted(new_mask, 2), BasisString._trusted(new_basis, b.alphabet_size)
 
 
 def hash_G(v: ToeplitzSeed, b: BasisString, q: BitString) -> BasisString:
@@ -292,4 +284,4 @@ def hash_G(v: ToeplitzSeed, b: BasisString, q: BitString) -> BasisString:
     if v.modulus != b.alphabet_size:
         raise ValueError("seed modulus must equal the basis alphabet size")
     new_basis = v.apply(np.concatenate([b.symbols, q.bits]))
-    return BasisString(new_basis, b.alphabet_size)
+    return BasisString._trusted(new_basis, b.alphabet_size)

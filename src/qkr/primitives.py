@@ -1,18 +1,28 @@
-"""Fixed-length strings over {0,1} and {0,1,2}, protocol parameters, and
-the deterministic randomness supply.
+"""Fixed-length symbol strings, protocol parameters, and the deterministic
+randomness supply.
 
-Every classical protocol value is an immutable fixed-length string. Index 0
-is the leftmost (most significant) position in all serializations. All
-randomness comes from a counter-based generator (Philox) keyed by a seed and
-a role label, so experiments reproduce bit-for-bit and independent protocol
-roles (message padding, channel noise, eavesdropper choices, reservoir) never
-share a stream.
+Every classical protocol value is an immutable fixed-length string over
+{0, ..., modulus-1}: bits, trits, or qubit-basis symbols. One private base
+class holds the symbols in a read-only uint8 array and defines length,
+indexing, slicing, concatenation, equality, hashing and digit text; the
+public `BitString`, `TritString` and `BasisString` are thin subclasses.
+Symbols are range-checked once, where they enter from outside (the public
+constructors, `from_text`, `from_hex`, `from_int`); values derived inside
+the package (xor, concatenation, slices, random draws, hash outputs) are
+valid by construction and skip the check.
+
+Index 0 is the leftmost (most significant) position in all serializations.
+All randomness comes from a counter-based generator (Philox) keyed by a seed
+and a role label, so experiments reproduce bit-for-bit and independent
+protocol roles (message padding, channel noise, eavesdropper choices,
+reservoir) never share a stream.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +41,8 @@ __all__ = [
 
 
 def _value_array(values, modulus, what):
+    """Range-checked read-only uint8 copy of `values`: the one validation of
+    symbols that come from outside the package."""
     if isinstance(values, np.ndarray):
         arr = values
     else:
@@ -44,185 +56,151 @@ def _value_array(values, modulus, what):
     return out
 
 
-class BitString:
+def _check_alphabet(alphabet_size: int) -> int:
+    if alphabet_size not in (2, 3):
+        raise ValueError("alphabet_size must be 2 or 3")
+    return alphabet_size
+
+
+class _SymbolString:
+    """Immutable sequence over {0, ..., modulus-1}.
+
+    Strings of different subclasses or moduli never compare equal, and
+    concatenation requires both.
+    """
+
+    __slots__ = ("_values", "_modulus")
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, modulus: int):
+        """Wrap a uint8 array whose entries are known to lie below `modulus`,
+        without a copy or a range check. The array becomes read-only; the
+        caller must hold no writable view of it."""
+        values.setflags(write=False)
+        out = object.__new__(cls)
+        out._values = values
+        out._modulus = modulus
+        return out
+
+    @classmethod
+    def from_text(cls, text: str, *args, **kwargs):
+        return cls([int(c) for c in text], *args, **kwargs)
+
+    def to_text(self) -> str:
+        return (self._values + ord("0")).tobytes().decode("ascii")
+
+    def __add__(self, other):
+        if type(other) is not type(self) or other._modulus != self._modulus:
+            return NotImplemented
+        return self._trusted(np.concatenate([self._values, other._values]), self._modulus)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._trusted(self._values[index], self._modulus)
+        return int(self._values[index])
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self):
+        return iter(self._values.tolist())
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self._modulus == other._modulus
+            and np.array_equal(self._values, other._values)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self._modulus, self._values.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self.to_text()}')"
+
+
+class BitString(_SymbolString):
     """Immutable sequence over {0,1}. XOR, concatenation, slicing, hex I/O."""
 
-    __slots__ = ("_bits",)
+    __slots__ = ()
 
     def __init__(self, bits):
-        self._bits = _value_array(bits, 2, "bit string")
+        self._values = _value_array(bits, 2, "bit string")
+        self._modulus = 2
 
     @classmethod
     def zeros(cls, length: int) -> "BitString":
-        return cls(np.zeros(length, dtype=np.uint8))
+        return cls._trusted(np.zeros(length, dtype=np.uint8), 2)
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
+        value = operator.index(value)
         if value < 0 or value >> length:
             raise ValueError(f"value does not fit in {length} bits")
-        return cls([(value >> (length - 1 - i)) & 1 for i in range(length)])
+        nbytes = (length + 7) // 8
+        bits = np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))
+        return cls._trusted(bits[8 * nbytes - length :], 2)
 
     @classmethod
     def from_hex(cls, text: str, length: int) -> "BitString":
         return cls.from_int(int(text, 16) if text else 0, length)
 
-    @classmethod
-    def from_text(cls, text: str) -> "BitString":
-        return cls([int(c) for c in text])
-
     @property
     def bits(self) -> np.ndarray:
-        return self._bits
+        return self._values
 
     def to_int(self) -> int:
-        value = 0
-        for b in self._bits:
-            value = (value << 1) | int(b)
-        return value
+        packed = np.packbits(self._values).tobytes()
+        return int.from_bytes(packed, "big") >> (-len(self._values) % 8)
 
     def to_hex(self) -> str:
         digits = max(1, (len(self) + 3) // 4)
         return format(self.to_int(), f"0{digits}x")
 
     def weight(self) -> int:
-        return int(self._bits.sum())
+        return int(np.count_nonzero(self._values))
 
     def __xor__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
         if len(self) != len(other):
             raise ValueError(f"xor of unequal lengths {len(self)} and {len(other)}")
-        return BitString(np.bitwise_xor(self._bits, other._bits))
-
-    def __add__(self, other: "BitString") -> "BitString":
-        if not isinstance(other, BitString):
-            return NotImplemented
-        return BitString(np.concatenate([self._bits, other._bits]))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return BitString(self._bits[index])
-        return int(self._bits[index])
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def __iter__(self):
-        return (int(b) for b in self._bits)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitString)
-            and len(self) == len(other)
-            and np.array_equal(self._bits, other._bits)
-        )
-
-    def __hash__(self) -> int:
-        return hash((len(self._bits), self._bits.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"BitString('{''.join(str(b) for b in self._bits)}')"
+        return BitString._trusted(np.bitwise_xor(self._values, other._values), 2)
 
 
-class TritString:
+class TritString(_SymbolString):
     """Immutable sequence over {0,1,2}; serialized as a string of digits."""
 
-    __slots__ = ("_trits",)
+    __slots__ = ()
 
     def __init__(self, trits):
-        self._trits = _value_array(trits, 3, "trit string")
-
-    @classmethod
-    def from_text(cls, text: str) -> "TritString":
-        return cls([int(c) for c in text])
+        self._values = _value_array(trits, 3, "trit string")
+        self._modulus = 3
 
     @property
     def trits(self) -> np.ndarray:
-        return self._trits
-
-    def to_text(self) -> str:
-        return "".join(str(t) for t in self._trits)
-
-    def __add__(self, other: "TritString") -> "TritString":
-        if not isinstance(other, TritString):
-            return NotImplemented
-        return TritString(np.concatenate([self._trits, other._trits]))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TritString(self._trits[index])
-        return int(self._trits[index])
-
-    def __len__(self) -> int:
-        return len(self._trits)
-
-    def __iter__(self):
-        return (int(t) for t in self._trits)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TritString)
-            and len(self) == len(other)
-            and np.array_equal(self._trits, other._trits)
-        )
-
-    def __hash__(self) -> int:
-        return hash((len(self._trits), self._trits.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"TritString('{self.to_text()}')"
+        return self._values
 
 
-class BasisString:
+class BasisString(_SymbolString):
     """Sequence of qubit-basis choices over an alphabet of size 2 or 3."""
 
-    __slots__ = ("_symbols", "_alphabet_size")
+    __slots__ = ()
 
     def __init__(self, symbols, alphabet_size: int):
-        if alphabet_size not in (2, 3):
-            raise ValueError("alphabet_size must be 2 or 3")
-        self._symbols = _value_array(symbols, alphabet_size, "basis string")
-        self._alphabet_size = alphabet_size
-
-    @classmethod
-    def from_text(cls, text: str, alphabet_size: int) -> "BasisString":
-        return cls([int(c) for c in text], alphabet_size)
+        self._modulus = _check_alphabet(alphabet_size)
+        self._values = _value_array(symbols, alphabet_size, "basis string")
 
     @property
     def symbols(self) -> np.ndarray:
-        return self._symbols
+        return self._values
 
     @property
     def alphabet_size(self) -> int:
-        return self._alphabet_size
-
-    def to_text(self) -> str:
-        return "".join(str(s) for s in self._symbols)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return BasisString(self._symbols[index], self._alphabet_size)
-        return int(self._symbols[index])
-
-    def __len__(self) -> int:
-        return len(self._symbols)
-
-    def __iter__(self):
-        return (int(s) for s in self._symbols)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BasisString)
-            and self._alphabet_size == other._alphabet_size
-            and len(self) == len(other)
-            and np.array_equal(self._symbols, other._symbols)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._alphabet_size, len(self._symbols), self._symbols.tobytes()))
+        return self._modulus
 
     def __repr__(self) -> str:
-        return f"BasisString('{self.to_text()}', alphabet_size={self._alphabet_size})"
+        return f"BasisString('{self.to_text()}', alphabet_size={self._modulus})"
 
 
 def basis_to_trits(b: BasisString) -> TritString:
@@ -231,7 +209,7 @@ def basis_to_trits(b: BasisString) -> TritString:
     Two-symbol alphabets map onto trits 0/1; the three-symbol alphabet is
     the identity.
     """
-    return TritString(b.symbols)
+    return TritString._trusted(b.symbols, 3)
 
 
 class Encoding(Enum):
@@ -335,7 +313,7 @@ class RandomSource:
         return bits[:count]
 
     def bits(self, count: int) -> BitString:
-        return BitString(self.bit_array(count))
+        return BitString._trusted(self.bit_array(count), 2)
 
     def floats(self, count: int) -> np.ndarray:
         return (self.raw_words(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -362,10 +340,11 @@ class RandomSource:
         return out
 
     def trits(self, count: int) -> TritString:
-        return TritString(self.integers_below(3, count))
+        return TritString._trusted(self.integers_below(3, count), 3)
 
     def basis_string(self, alphabet_size: int, count: int) -> BasisString:
-        return BasisString(self.integers_below(alphabet_size, count), alphabet_size)
+        values = self.integers_below(_check_alphabet(alphabet_size), count)
+        return BasisString._trusted(values, alphabet_size)
 
 
 def random_bits(src: RandomSource, count: int) -> BitString:

@@ -13,15 +13,14 @@ conditional distributions on the payload:
   eta * (1 - 1/|B|) / 2: 1/4 for two bases, 1/3 for three.
 
 Density matrices appear only in verification utilities (trace distance and
-the two-qubit Pauli twirl); eigenvalues come from cyclic Jacobi rotations,
-which is ample for dimensions 2 and 4.
+the two-qubit Pauli twirl).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +34,6 @@ __all__ = [
     "transmit",
     "apply_error_pattern",
     "DensityMatrix",
-    "hermitian_eigenvalues",
     "trace_distance",
     "pauli_twirl",
     "PAULIS",
@@ -45,40 +43,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QubitSymbol:
-    """Single-qubit carrier: preparation basis and encoded payload bit.
-
-    The erasure flag exists to mark the channel feature this model does not
-    cover; every channel here leaves it False.
-    """
+    """Single-qubit carrier: preparation basis and encoded payload bit."""
 
     basis: int
     payload: int
-    erased: bool = False
 
 
 class QubitSequence:
-    """Array-backed sequence of qubit symbols sharing one basis alphabet."""
+    """Sequence of qubit symbols: a basis string and a payload bit string of
+    equal length."""
 
-    __slots__ = ("_bases", "_payloads", "alphabet_size")
+    __slots__ = ("_bases", "_payloads")
 
     def __init__(self, bases, payloads, alphabet_size: int):
-        bases = np.asarray(bases, dtype=np.uint8).copy()
-        payloads = np.asarray(payloads, dtype=np.uint8).copy()
-        if bases.shape != payloads.shape or bases.ndim != 1:
+        self._set(BasisString(bases, alphabet_size), BitString(payloads))
+
+    def _set(self, bases: BasisString, payloads: BitString) -> None:
+        if len(bases) != len(payloads):
             raise ValueError("bases and payloads must be equal-length 1-d sequences")
-        if bases.size and bases.max() >= alphabet_size:
-            raise ValueError("basis labels must be below the alphabet size")
-        if payloads.size and payloads.max() > 1:
-            raise ValueError("payloads must be bits")
-        bases.setflags(write=False)
-        payloads.setflags(write=False)
         self._bases = bases
         self._payloads = payloads
-        self.alphabet_size = alphabet_size
 
     @classmethod
     def prepare(cls, bases: BasisString, payloads: BitString) -> "QubitSequence":
-        return cls(bases.symbols, payloads.bits, bases.alphabet_size)
+        seq = object.__new__(cls)
+        seq._set(bases, payloads)
+        return seq
 
     @classmethod
     def from_symbols(cls, symbols: Iterable[QubitSymbol], alphabet_size: int) -> "QubitSequence":
@@ -88,26 +78,30 @@ class QubitSequence:
         )
 
     @property
+    def alphabet_size(self) -> int:
+        return self._bases.alphabet_size
+
+    @property
     def bases(self) -> np.ndarray:
-        return self._bases
+        return self._bases.symbols
 
     @property
     def payloads(self) -> np.ndarray:
-        return self._payloads
+        return self._payloads.bits
 
     def basis_string(self) -> BasisString:
-        return BasisString(self._bases, self.alphabet_size)
+        return self._bases
 
     def payload_bits(self) -> BitString:
-        return BitString(self._payloads)
+        return self._payloads
 
     def __len__(self) -> int:
         return len(self._bases)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return QubitSequence(self._bases[index], self._payloads[index], self.alphabet_size)
-        return QubitSymbol(int(self._bases[index]), int(self._payloads[index]))
+            return QubitSequence.prepare(self._bases[index], self._payloads[index])
+        return QubitSymbol(self._bases[index], self._payloads[index])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -137,50 +131,30 @@ class ChannelModel:
             raise ValueError("eta must lie in [0, 1]")
 
 
-def _as_sequence(qubits: Union[QubitSequence, Iterable[QubitSymbol]], alphabet_size=None):
-    if isinstance(qubits, QubitSequence):
-        return qubits
-    symbols = list(qubits)
-    if alphabet_size is None:
-        alphabet_size = max((s.basis for s in symbols), default=0) + 1
-        alphabet_size = 2 if alphabet_size <= 2 else 3
-    return QubitSequence.from_symbols(symbols, alphabet_size)
-
-
-def transmit(
-    channel: ChannelModel,
-    qubits: Union[QubitSequence, Iterable[QubitSymbol]],
-    src: RandomSource,
-) -> QubitSequence:
+def transmit(channel: ChannelModel, qubits: QubitSequence, src: RandomSource) -> QubitSequence:
     """Send the qubits through the channel; length and basis labels are
     preserved, only payloads are disturbed."""
-    seq = _as_sequence(qubits)
-    n = len(seq)
+    n = len(qubits)
     if channel.kind is ChannelKind.IID_FLIP:
         flips = src.bernoulli(channel.gamma, n)
-        payloads = np.bitwise_xor(seq.payloads, flips.astype(np.uint8))
-        return QubitSequence(seq.bases, payloads, seq.alphabet_size)
+        payloads = np.bitwise_xor(qubits.payloads, flips.astype(np.uint8))
+    else:
+        attacked = src.bernoulli(channel.eta, n)
+        eve_bases = src.integers_below(qubits.alphabet_size, n)
+        coins = src.bit_array(n)
+        same_basis = eve_bases == qubits.bases
+        # Matching basis: the payload survives Eve's measure-and-resend.
+        # Mismatched basis: the receiver's matching-basis outcome is uniform.
+        payloads = np.where(attacked & ~same_basis, coins, qubits.payloads)
+    return QubitSequence.prepare(qubits.basis_string(), BitString._trusted(payloads, 2))
 
-    attacked = src.bernoulli(channel.eta, n)
-    eve_bases = src.integers_below(seq.alphabet_size, n)
-    coins = src.bit_array(n)
-    same_basis = eve_bases == seq.bases
-    # Matching basis: the payload survives Eve's measure-and-resend.
-    # Mismatched basis: the receiver's matching-basis outcome is uniform.
-    payloads = np.where(attacked & ~same_basis, coins, seq.payloads)
-    return QubitSequence(seq.bases, payloads.astype(np.uint8), seq.alphabet_size)
 
-
-def apply_error_pattern(
-    qubits: Union[QubitSequence, Iterable[QubitSymbol]], pattern: BitString
-) -> QubitSequence:
+def apply_error_pattern(qubits: QubitSequence, pattern: BitString) -> QubitSequence:
     """Flip exactly the payload positions set in `pattern` (fault injection
     and permutation-invariance experiments)."""
-    seq = _as_sequence(qubits)
-    if len(pattern) != len(seq):
+    if len(pattern) != len(qubits):
         raise ValueError("pattern length must match the qubit count")
-    payloads = np.bitwise_xor(seq.payloads, pattern.bits)
-    return QubitSequence(seq.bases, payloads, seq.alphabet_size)
+    return QubitSequence.prepare(qubits.basis_string(), qubits.payload_bits() ^ pattern)
 
 
 _I = np.eye(2, dtype=complex)
@@ -203,37 +177,6 @@ BELL_BASIS = np.array(
 _HERMITIAN_TOL = 1e-12
 _TRACE_TOL = 1e-12
 _PSD_TOL = -1e-10
-_JACOBI_TOL = 1e-14
-
-
-def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius mass falls below 1e-14; ascending
-    order.
-    """
-    a = np.array(matrix, dtype=complex)
-    d = a.shape[0]
-    for _ in range(200):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off < _JACOBI_TOL:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                g = a[p, q]
-                mag = abs(g)
-                if mag == 0.0:
-                    continue
-                phase = g / mag
-                theta = 0.5 * np.arctan2(2.0 * mag, (a[q, q] - a[p, p]).real)
-                c, s = np.cos(theta), np.sin(theta)
-                rot = np.eye(d, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                a = rot.conj().T @ a @ rot
-    return np.sort(np.diag(a).real)
 
 
 class DensityMatrix:
@@ -249,7 +192,7 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian within tolerance")
         if abs(np.trace(a).real - 1.0) > _TRACE_TOL or abs(np.trace(a).imag) > _TRACE_TOL:
             raise ValueError("matrix trace must equal 1 within tolerance")
-        if hermitian_eigenvalues(a)[0] < _PSD_TOL:
+        if np.linalg.eigvalsh(a)[0] < _PSD_TOL:
             raise ValueError("matrix is not positive semidefinite within tolerance")
         a.setflags(write=False)
         self._entries = a
@@ -299,7 +242,7 @@ def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Half the sum of absolute eigenvalues of rho - sigma."""
     if rho.dim != sigma.dim:
         raise ValueError("dimension mismatch")
-    eigs = hermitian_eigenvalues(rho.entries - sigma.entries)
+    eigs = np.linalg.eigvalsh(rho.entries - sigma.entries)
     return float(0.5 * np.sum(np.abs(eigs)))
 
 

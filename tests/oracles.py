@@ -142,3 +142,27 @@ def pairwise_counts_extrema(outputs: np.ndarray, range_size: int) -> tuple[int, 
             lo = cmin if lo is None else min(lo, cmin)
             hi = cmax if hi is None else max(hi, cmax)
     return lo, hi
+
+
+def bits_to_int_loop(bits) -> int:
+    """Most-significant-first bits to an integer, one bit at a time."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | int(b)
+    return value
+
+
+def int_to_bits_loop(value: int, length: int) -> list[int]:
+    """The `length` low bits of `value`, most significant first."""
+    return [(value >> (length - 1 - i)) & 1 for i in range(length)]
+
+
+def message_blocks_loop(bits, tag_bits: int) -> list[int]:
+    """MAC message blocks: tag_bits-sized chunks, the last zero-padded on the
+    right, then the bit length as a final block."""
+    blocks = []
+    for start in range(0, len(bits), tag_bits):
+        chunk = bits[start : start + tag_bits]
+        blocks.append(bits_to_int_loop(chunk) << (tag_bits - len(chunk)))
+    blocks.append(len(bits) & ((1 << tag_bits) - 1))
+    return blocks

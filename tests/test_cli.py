@@ -200,3 +200,38 @@ def test_bad_flags_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["sweep", "gamma", "--start", "0"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "config,argv",
+    [
+        ([1, 2], ["run"]),
+        ({"n": "abc"}, ["run"]),
+        (None, ["run", "--gamma", "nan"]),
+        (None, ["run", "--gamma", "inf"]),
+        (None, ["attack", "tamper_fuzz", "--rounds", "0"]),
+        (None, ["attack", "intercept_resend", "--qubits", "0", "--session-rounds", "0"]),
+        (None, ["run", "--rounds", "1", "--out", "{missing}/r.jsonl"]),
+        ({"n": None}, ["run"]),
+        ({"encoding": "8-state"}, ["run"]),
+        (None, ["run", "--lambda", "7", "--rounds", "1", "--out", "{missing}/r.jsonl"]),
+        (None, ["run", "--eta", "2"]),
+        (None, ["run", "--alpha", "-5", "--out", "{missing}/r.jsonl"]),
+    ],
+    ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
+         "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
+         "unsupported-lambda", "eta-above-one", "alpha-below-one"],
+)
+def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
+    argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path), "--out", str(tmp_path / "r.jsonl")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("usage error:")

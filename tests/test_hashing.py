@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkr.hashing import (
     MacKey,
     ToeplitzSeed,
+    _message_blocks,
     gf_mul,
     hash_F,
     hash_G,
@@ -15,7 +18,13 @@ from qkr.hashing import (
 )
 from qkr.primitives import BasisString, BitString, RandomSource
 
-from oracles import pairwise_counts_extrema, toeplitz_outputs_all_seeds
+from oracles import (
+    bits_to_int_loop,
+    int_to_bits_loop,
+    message_blocks_loop,
+    pairwise_counts_extrema,
+    toeplitz_outputs_all_seeds,
+)
 from toys import bb84_f_toy, seed_from_index, six_state_f_toy, six_state_g_toy
 
 
@@ -231,3 +240,28 @@ def test_gf_mul_field_identities():
         assert left == gf_mul(a, b, tag_bits) ^ gf_mul(a, c, tag_bits)
     with pytest.raises(ValueError):
         gf_mul(1, 1, 32)
+
+
+@st.composite
+def _bit_rows(draw):
+    length = draw(st.integers(0, 600))
+    fill = draw(st.sampled_from(["zeros", "ones", "random"]))
+    if fill == "random":
+        raw = draw(st.binary(min_size=(length + 7) // 8, max_size=(length + 7) // 8))
+        return np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:length]
+    return np.full(length, fill == "ones", dtype=np.uint8)
+
+
+@given(_bit_rows(), st.sampled_from([8, 64, 128]))
+@example(np.zeros(0, dtype=np.uint8), 8)
+@example(np.ones(600, dtype=np.uint8), 128)
+@example(np.ones(129, dtype=np.uint8), 64)
+@example(np.zeros(7, dtype=np.uint8), 8)
+@settings(max_examples=200, deadline=None)
+def test_packed_bit_paths_match_per_bit_loops(bits, tag_bits):
+    s = BitString(bits)
+    value = bits_to_int_loop(bits)
+    assert s.to_int() == value
+    assert BitString.from_int(value, len(bits)) == s
+    assert list(BitString.from_int(value, len(bits))) == int_to_bits_loop(value, len(bits))
+    assert _message_blocks(s, tag_bits) == message_blocks_loop(bits, tag_bits)

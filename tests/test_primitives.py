@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkr.hashing import hash_F, hash_G, random_f_seed, random_g_seed
 from qkr.primitives import (
     BasisString,
     BitString,
@@ -15,6 +16,7 @@ from qkr.primitives import (
     basis_to_trits,
     random_bits,
 )
+from qkr.qsim import QubitSequence
 
 
 def test_xor_truth_table_examples():
@@ -71,6 +73,14 @@ def test_concatenation_and_slicing():
     assert s[3:] == BitString.from_text("01")
 
 
+def _symbols(s):
+    if isinstance(s, BasisString):
+        return s.symbols, s.alphabet_size
+    if isinstance(s, TritString):
+        return s.trits, 3
+    return s.bits, 2
+
+
 def test_strings_are_immutable_and_hashable():
     s = BitString.from_text("1100")
     with pytest.raises(ValueError):
@@ -79,6 +89,32 @@ def test_strings_are_immutable_and_hashable():
     t = TritString.from_text("0210")
     with pytest.raises(ValueError):
         t.trits[0] = 1
+
+    # Values derived inside the package skip the range check; they must
+    # still be read-only and in range.
+    src = RandomSource(13).stream("derived")
+    n, kappa, q_bits = 12, 3, 5
+    x, r, q = src.bits(n), src.bits(kappa), src.bits(q_bits)
+    derived = [s ^ BitString.from_text("1010"), s + x, s[1:3], t + t[1:], t[::2],
+               x, src.trits(40)]
+    for alphabet in (2, 3):
+        b = src.basis_string(alphabet, n)
+        mask, basis = hash_F(random_f_seed(src, n, kappa, alphabet), x, b, r)
+        qubits = QubitSequence.prepare(b, x)
+        derived += [b, b[2:7], basis_to_trits(b), mask, basis,
+                    hash_G(random_g_seed(src, n, q_bits, alphabet), b, q),
+                    qubits.payload_bits(), qubits.basis_string()]
+    for value in derived:
+        symbols, modulus = _symbols(value)
+        assert not symbols.flags.writeable
+        assert symbols.dtype == np.uint8
+        assert len(symbols) == 0 or int(symbols.max()) < modulus
+
+    # Equal digits never make strings of different kinds or alphabets equal.
+    assert BitString.from_text("0110") != TritString.from_text("0110")
+    assert TritString.from_text("0110") != BitString.from_text("0110")
+    assert BasisString.from_text("0110", 2) != BasisString.from_text("0110", 3)
+    assert len({BasisString.from_text("01", 2), BasisString.from_text("01", 3)}) == 2
 
 
 def test_value_validation():

@@ -10,7 +10,6 @@ from qkr.qsim import (
     QubitSequence,
     QubitSymbol,
     apply_error_pattern,
-    hermitian_eigenvalues,
     pauli_twirl,
     trace_distance,
     transmit,
@@ -58,7 +57,6 @@ def test_transmit_preserves_length_and_bases():
         out = transmit(ChannelModel(kind, **kwargs), qubits, src)
         assert len(out) == len(qubits)
         assert np.array_equal(out.bases, qubits.bases)
-        assert all(not q.erased for q in out[:5])
 
 
 @pytest.mark.parametrize(
@@ -101,7 +99,7 @@ def test_qubit_sequence_symbol_interface():
     assert seq[0] == QubitSymbol(2, 1)
     out = transmit(
         ChannelModel(ChannelKind.IID_FLIP, gamma=0.0),
-        [QubitSymbol(1, 1), QubitSymbol(0, 0)],
+        QubitSequence.from_symbols([QubitSymbol(1, 1), QubitSymbol(0, 0)], 2),
         RandomSource(8),
     )
     assert isinstance(out, QubitSequence)
@@ -128,16 +126,6 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(3) / 3)  # dimension
-
-
-def test_jacobi_matches_lapack_oracle():
-    src = RandomSource(9).stream("herm")
-    for dim in (2, 4):
-        for _ in range(50):
-            rho = DensityMatrix.random(src, dim)
-            ours = hermitian_eigenvalues(rho.entries)
-            lapack = np.sort(np.linalg.eigvalsh(rho.entries))
-            assert np.allclose(ours, lapack, atol=1e-11)
 
 
 def test_trace_distance_examples():
@@ -185,7 +173,7 @@ def test_twirl_random_states_bell_diagonal_idempotent():
         again = pauli_twirl(twirled)
         assert np.max(np.abs(again.entries - twirled.entries)) < 1e-12
         # positivity is enforced by the DensityMatrix constructor itself
-        assert hermitian_eigenvalues(twirled.entries)[0] > -1e-10
+        assert np.linalg.eigvalsh(twirled.entries)[0] > -1e-10
 
 
 def test_twirl_commutes_with_every_symmetric_pauli_pair():
