@@ -12,14 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .primitives import Encoding
-
 __all__ = [
     "binary_entropy",
     "entropy_multi",
     "p_corr",
     "asymptotic_rate_6state",
-    "asymptotic_rate",
     "rate_threshold_6state",
     "six_state_error_distribution",
     "SecurityBudget",
@@ -97,16 +94,6 @@ def asymptotic_rate_6state(gamma: float) -> float:
     return 1.0 - entropy_multi(six_state_error_distribution(gamma))
 
 
-def asymptotic_rate(gamma: float, encoding: Encoding) -> float:
-    """Rate dispatcher; only the 6-state expression has a closed form here."""
-    if encoding is Encoding.SIX_STATE:
-        return asymptotic_rate_6state(gamma)
-    raise ValueError(
-        "no rate formula is available for bb84 encoding; only the 6-state "
-        "expression is implemented"
-    )
-
-
 def rate_threshold_6state(tol: float = 1e-12) -> float:
     """Zero crossing of the 6-state rate, located by bisection."""
     lo, hi = 0.0, 0.5
@@ -154,7 +141,7 @@ class BoundReport:
 
     The accept term uses the asymptotic privacy-amplification expression
     (no finite-size smoothing); `accept_capped_by_p_corr` records which side
-    of the min was active.
+    of the min was active, and `p_corr` is the value it was compared with.
     """
 
     log2_term_tag: float
@@ -163,6 +150,7 @@ class BoundReport:
     log2_total: float
     total: float
     accept_capped_by_p_corr: bool
+    p_corr: float
 
 
 def _log2_add(values) -> float:
@@ -203,6 +191,7 @@ def diamond_bound(budget: SecurityBudget) -> BoundReport:
         log2_total=log2_total,
         total=min(max(total, 0.0), 1.0),
         accept_capped_by_p_corr=capped,
+        p_corr=pc,
     )
 
 

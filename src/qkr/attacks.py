@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ecc import CodeKind
+from .hashing import REDUCTION_POLYS
 from .primitives import BitString, Encoding, ProtocolParams, RandomSource
 from .protocol import run_session
 from .qsim import ChannelKind, ChannelModel, QubitSequence, transmit
@@ -28,7 +29,7 @@ __all__ = [
     "expected_intercept_error_rate",
 ]
 
-_LOW_POLY64 = np.uint64(0x1B)
+_LOW_POLY64 = np.uint64(REDUCTION_POLYS[64] ^ (1 << 64))
 _ONE = np.uint64(1)
 _ZERO = np.uint64(0)
 

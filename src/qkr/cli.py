@@ -19,7 +19,6 @@ from .analysis import (
     asymptotic_rate_6state,
     diamond_bound,
     min_q_bits,
-    p_corr,
     required_redundancy,
 )
 from .attacks import intercept_resend_report, tamper_fuzz
@@ -72,11 +71,15 @@ def _probability(text) -> float:
     return value
 
 
-def _positive_int(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
+def _int_at_least(low: int):
+    def convert(text) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+        return value
+
+    convert.__name__ = "int"
+    return convert
 
 
 def _name_of(enum_cls):
@@ -103,7 +106,7 @@ _FIELD_TYPES = {
     "q_bits": int,
     "encoding": _name_of(Encoding),
     "code": _name_of(CodeKind),
-    "rounds": _positive_int,
+    "rounds": _int_at_least(1),
     "seed": int,
     "out": str,
 }
@@ -338,14 +341,13 @@ def _sweep_rows(spec: SweepSpec):
         try:
             budget = dataclasses.replace(spec.budget, **budget_kwargs)
             rate = asymptotic_rate_6state(budget.gamma)
-            pc = p_corr(budget.n, budget.beta, budget.gamma)
             report = diamond_bound(budget)
         except (ValueError, RuntimeError) as exc:
             print(f"note: skipping {spec.variable}={value}: {exc}", file=sys.stderr)
             continue
         yield value, [
             rate,
-            pc,
+            report.p_corr,
             report.log2_total,
             report.log2_term_tag,
             report.log2_term_reject,
@@ -355,6 +357,8 @@ def _sweep_rows(spec: SweepSpec):
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     values, _ = _merged(ns)
+    if values["encoding"] == Encoding.BB84.value:
+        raise UsageError("encoding: sweep evaluates the six-state formulas only, got bb84")
     budget = resolve_budget(values)
     spec = SweepSpec(
         variable=ns.variable, start=ns.start, stop=ns.stop, steps=ns.steps, budget=budget
@@ -417,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a simulated session")
     p_run.add_argument("--config", help="JSON file mirroring the flags")
-    p_run.add_argument("--reservoir-capacity", dest="reservoir_capacity", type=int)
+    p_run.add_argument("--reservoir-capacity", dest="reservoir_capacity", type=_int_at_least(0))
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 
@@ -431,8 +435,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_attack = sub.add_parser("attack", help="run an adversary demo")
     p_attack.add_argument("attack_kind", choices=["intercept_resend", "tamper_fuzz"])
-    p_attack.add_argument("--qubits", type=_positive_int, default=100000)
-    p_attack.add_argument("--session-rounds", dest="session_rounds", type=int, default=200)
+    p_attack.add_argument("--qubits", type=_int_at_least(1), default=100000)
+    p_attack.add_argument(
+        "--session-rounds", dest="session_rounds", type=_int_at_least(0), default=200
+    )
     p_attack.add_argument("--flip-rate", dest="flip_rate", type=_probability, default=0.3)
     _add_common(p_attack)
     p_attack.set_defaults(func=cmd_attack)

@@ -119,13 +119,13 @@ class IdentityCode(Code):
 
 class Repetition3Code(Code):
     def _encode(self, payload):
-        return BitString(np.tile(payload.bits, 3))
+        return BitString._trusted(np.tile(payload.bits, 3), 2)
 
     def _decode(self, received):
         k = self.spec.k_in
         copies = received.bits.reshape(3, k)
         majority = (copies.sum(axis=0) >= 2).astype(np.uint8)
-        return DecodeOutcome.success(BitString(majority))
+        return DecodeOutcome.success(BitString._trusted(majority, 2))
 
 
 class OracleBddCode(Code):
@@ -148,7 +148,7 @@ class OracleBddCode(Code):
         # Zero padding keeps the map linear and systematic; the parity
         # content is irrelevant because decoding consults the true codeword.
         padding = np.zeros(self.spec.n_out - self.spec.k_in, dtype=np.uint8)
-        return BitString(np.concatenate([payload.bits, padding]))
+        return BitString._trusted(np.concatenate([payload.bits, padding]), 2)
 
     def _decode(self, received):
         if self._transmitted is None:

@@ -10,6 +10,12 @@ and basis sequence are hashed out of this round's payload (no fresh key
 material); on Reject they are drawn from the shared reservoir, which is the
 only way key material is ever consumed.
 
+Both parties apply the same deterministic key update to the same values, so
+a session keeps one shared key state and updates it once per round from the
+sender's values. The receiver's Accept-path inputs are checked against the
+sender's instead of replayed, and a session stops at the first round whose
+two next states differ.
+
 The simulation binds the receiver's measurement basis to the true b; an
 adversary acts only on the qubit sequence in flight. Her view of a round is
 the post-channel qubits plus the authenticated feedback, captured in
@@ -323,24 +329,25 @@ def run_session(
     reservoir_capacity: Optional[int] = None,
     keep_eve_views: bool = False,
 ) -> SessionResult:
-    """Execute `rounds` protocol rounds with key evolution on both sides.
+    """Execute up to `rounds` protocol rounds on one shared key state.
 
-    Both parties see identical reservoir streams (pre-shared key material),
-    so their key states stay synchronized through Rejects as well. The
-    summary reports the accept rate, total reservoir consumption, and the
-    count of accepted rounds whose recovered plaintext differs from the sent
-    one.
+    The state is updated from Alice's values. On Reject both parties draw the
+    same reservoir bits; on Accept Bob's decoded (x, r, k') are compared with
+    Alice's, and only when they differ is his update computed and compared.
+    The session stops after the first round whose two next states differ,
+    because every later round would run on diverged basis sequences. The
+    summary counts the rounds run and reports the accept rate, total
+    reservoir consumption, the count of accepted rounds whose recovered
+    plaintext differs from the sent one, and whether the keys still agree.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     master = RandomSource(seed)
-    alice_keys = KeyState.random(params, master.stream("keys"))
-    bob_keys = alice_keys
+    keys = KeyState.random(params, master.stream("keys"))
     alice_src = master.stream("alice")
     channel_src = master.stream("channel")
     msg_src = master.stream("messages")
-    alice_reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
-    bob_reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
+    reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
 
     code = make_code(code_kind, params)
     results = []
@@ -353,7 +360,7 @@ def run_session(
     for i in range(rounds):
         mu = message_source(i) if message_source else msg_src.bits(params.mu_bits)
 
-        qubits, secrets = alice_encrypt(params, alice_keys, mu, alice_src, code)
+        qubits, secrets = alice_encrypt(params, keys, mu, alice_src, code)
         if isinstance(code, OracleBddCode):
             code.note_transmitted(secrets.c)
         received = transmit(channel, qubits, channel_src)
@@ -361,37 +368,26 @@ def run_session(
             np.bitwise_xor(qubits.payloads, received.payloads).sum()
         )
 
-        dec = bob_decrypt(params, bob_keys, received, code)
-        tau_fb = feedback_tag(bob_keys, dec.omega)
-        if not alice_check_feedback(alice_keys, dec.omega, tau_fb):
+        dec = bob_decrypt(params, keys, received, code)
+        tau_fb = feedback_tag(keys, dec.omega)
+        if not alice_check_feedback(keys, dec.omega, tau_fb):
             raise FeedbackAuthError(f"feedback tag failed verification in round {i}")
 
-        consumed_before = alice_reservoir.consumed_bits
-        alice_keys = key_update(
-            params,
-            alice_keys,
-            dec.omega,
-            alice_reservoir,
-            x=secrets.x,
-            r=secrets.r,
-            k_next=secrets.k_prime,
+        consumed_before = reservoir.consumed_bits
+        next_keys = key_update(
+            params, keys, dec.omega, reservoir,
+            x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
         )
-        bob_keys = key_update(
-            params,
-            bob_keys,
-            dec.omega,
-            bob_reservoir,
-            x=dec.x_hat,
-            r=dec.r_hat,
-            k_next=dec.k_hat_prime,
-        )
-        consumed = alice_reservoir.consumed_bits - consumed_before
-        key_agreement = key_agreement and alice_keys == bob_keys
-
         if dec.omega:
             accepts += 1
             if dec.mu_hat != mu:
                 mismatches += 1
+            if (dec.x_hat, dec.r_hat, dec.k_hat_prime) != (secrets.x, secrets.r, secrets.k_prime):
+                key_agreement = next_keys == key_update(
+                    params, keys, dec.omega, reservoir,
+                    x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,
+                )
+        keys = next_keys
         errors_total += errors_injected
 
         results.append(
@@ -399,18 +395,20 @@ def run_session(
                 omega=dec.omega,
                 mu_hat=dec.mu_hat if dec.omega else None,
                 tau_fb=tau_fb,
-                consumed_bits=consumed,
+                consumed_bits=reservoir.consumed_bits - consumed_before,
                 errors_injected=errors_injected,
             )
         )
         if eve_views is not None:
             eve_views.append(EveView(qubits=received, omega=dec.omega, tau_fb=tau_fb))
+        if not key_agreement:
+            break
 
     summary = SessionSummary(
-        rounds=rounds,
+        rounds=len(results),
         accepts=accepts,
-        accept_rate=accepts / rounds,
-        consumed_bits=alice_reservoir.consumed_bits,
+        accept_rate=accepts / len(results),
+        consumed_bits=reservoir.consumed_bits,
         mismatches=mismatches,
         errors_injected=errors_total,
         key_agreement=key_agreement,

@@ -166,3 +166,107 @@ def message_blocks_loop(bits, tag_bits: int) -> list[int]:
         blocks.append(bits_to_int_loop(chunk) << (tag_bits - len(chunk)))
     blocks.append(len(bits) & ((1 << tag_bits) - 1))
     return blocks
+
+
+def run_session_two_party(
+    params,
+    channel,
+    code_kind,
+    rounds: int,
+    seed: int,
+    message_source=None,
+    reservoir_capacity=None,
+    keep_eve_views: bool = False,
+):
+    """A session with both parties' key states kept in full: two `KeyState`s,
+    two reservoirs over the same seeded stream, both parties' `key_update`
+    every round and a full state comparison. Stops after the first round
+    whose states differ, because every later round would run on diverged
+    basis sequences."""
+    from qkr.ecc import OracleBddCode, make_code
+    from qkr.primitives import RandomSource
+    from qkr.protocol import (
+        EveView,
+        FeedbackAuthError,
+        KeyState,
+        Reservoir,
+        RoundResult,
+        SessionResult,
+        SessionSummary,
+        alice_check_feedback,
+        alice_encrypt,
+        bob_decrypt,
+        feedback_tag,
+        key_update,
+    )
+    from qkr.qsim import transmit
+
+    master = RandomSource(seed)
+    alice_keys = KeyState.random(params, master.stream("keys"))
+    bob_keys = alice_keys
+    alice_src = master.stream("alice")
+    channel_src = master.stream("channel")
+    msg_src = master.stream("messages")
+    alice_reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
+    bob_reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
+
+    code = make_code(code_kind, params)
+    results = []
+    eve_views = [] if keep_eve_views else None
+    accepts = mismatches = errors_total = 0
+    key_agreement = True
+
+    for i in range(rounds):
+        mu = message_source(i) if message_source else msg_src.bits(params.mu_bits)
+        qubits, secrets = alice_encrypt(params, alice_keys, mu, alice_src, code)
+        if isinstance(code, OracleBddCode):
+            code.note_transmitted(secrets.c)
+        received = transmit(channel, qubits, channel_src)
+        errors_injected = int(np.bitwise_xor(qubits.payloads, received.payloads).sum())
+
+        dec = bob_decrypt(params, bob_keys, received, code)
+        tau_fb = feedback_tag(bob_keys, dec.omega)
+        if not alice_check_feedback(alice_keys, dec.omega, tau_fb):
+            raise FeedbackAuthError(f"feedback tag failed verification in round {i}")
+
+        consumed_before = alice_reservoir.consumed_bits
+        alice_keys = key_update(
+            params, alice_keys, dec.omega, alice_reservoir,
+            x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
+        )
+        bob_keys = key_update(
+            params, bob_keys, dec.omega, bob_reservoir,
+            x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,
+        )
+        consumed = alice_reservoir.consumed_bits - consumed_before
+        key_agreement = alice_keys == bob_keys
+
+        if dec.omega:
+            accepts += 1
+            if dec.mu_hat != mu:
+                mismatches += 1
+        errors_total += errors_injected
+        results.append(
+            RoundResult(
+                omega=dec.omega,
+                mu_hat=dec.mu_hat if dec.omega else None,
+                tau_fb=tau_fb,
+                consumed_bits=consumed,
+                errors_injected=errors_injected,
+            )
+        )
+        if eve_views is not None:
+            eve_views.append(EveView(qubits=received, omega=dec.omega, tau_fb=tau_fb))
+        if not key_agreement:
+            break
+
+    summary = SessionSummary(
+        rounds=len(results),
+        accepts=accepts,
+        accept_rate=accepts / len(results),
+        consumed_bits=alice_reservoir.consumed_bits,
+        mismatches=mismatches,
+        errors_injected=errors_total,
+        key_agreement=key_agreement,
+    )
+    return SessionResult(results=results, summary=summary, eve_views=eve_views)

@@ -4,7 +4,6 @@ import pytest
 
 from qkr.analysis import (
     SecurityBudget,
-    asymptotic_rate,
     asymptotic_rate_6state,
     binary_entropy,
     diamond_bound,
@@ -17,7 +16,6 @@ from qkr.analysis import (
     required_redundancy,
     six_state_error_distribution,
 )
-from qkr.primitives import Encoding
 
 from oracles import (
     binary_entropy_mp,
@@ -114,9 +112,6 @@ def test_rate_uses_the_stated_distribution():
 def test_rate_domain_and_bb84_rejected():
     with pytest.raises(ValueError):
         asymptotic_rate_6state(0.7)
-    with pytest.raises(ValueError):
-        asymptotic_rate(0.05, Encoding.BB84)
-    assert asymptotic_rate(0.05, Encoding.SIX_STATE) == asymptotic_rate_6state(0.05)
 
 
 def test_rate_threshold_bisection_vs_grid_scan():

@@ -103,6 +103,23 @@ def test_run_reservoir_exhaustion_exit_code(tmp_path, capsys):
     assert "reservoir exhausted" in stderr
 
 
+def test_run_stops_at_key_divergence(tmp_path, capsys):
+    """Majority decoding can hand Bob a wrong padding r_hat under a tag that
+    verifies; the parties' next keys then differ and the session ends there
+    with the rounds it ran, not with a traceback."""
+    out = tmp_path / "r.jsonl"
+    code, stdout, stderr = _run(
+        capsys, "run", "--code", "repetition3", "--n", "1023", "--gamma", "0.05",
+        "--out", str(out),
+    )
+    assert code == 0
+    assert "Traceback" not in stderr
+    summary = json.loads(stdout)["summary"]
+    assert summary["key_agreement"] is False
+    assert 1 <= summary["rounds"] < 100
+    assert len(out.read_text().splitlines()) == summary["rounds"]
+
+
 def test_sweep_gamma_header_and_monotone_rate(capsys):
     code, stdout, _ = _run(
         capsys, "sweep", "gamma", "--start", "0", "--stop", "0.12", "--steps", "13"
@@ -217,10 +234,18 @@ def test_bad_flags_exit_two(capsys):
         (None, ["run", "--lambda", "7", "--rounds", "1", "--out", "{missing}/r.jsonl"]),
         (None, ["run", "--eta", "2"]),
         (None, ["run", "--alpha", "-5", "--out", "{missing}/r.jsonl"]),
+        (None, ["run", "--reservoir-capacity", "-5", "--out", "{missing}/r.jsonl"]),
+        (None, ["attack", "intercept_resend", "--session-rounds", "-4", "--qubits", "10"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "3",
+                "--encoding", "bb84"]),
+        ({"encoding": "bb84"}, ["sweep", "gamma", "--start", "0", "--stop", "0.1",
+                                "--steps", "3"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
-         "unsupported-lambda", "eta-above-one", "alpha-below-one"],
+         "unsupported-lambda", "eta-above-one", "alpha-below-one",
+         "negative-reservoir-capacity", "negative-session-rounds", "sweep-bb84",
+         "sweep-config-bb84"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkr.ecc import CodeKind, CodeSpec, OracleBddCode, Repetition3Code
 from qkr.hashing import hash_F, hash_G, random_f_seed, random_g_seed
 from qkr.primitives import (
     BasisString,
@@ -104,6 +105,12 @@ def test_strings_are_immutable_and_hashable():
         derived += [b, b[2:7], basis_to_trits(b), mask, basis,
                     hash_G(random_g_seed(src, n, q_bits, alphabet), b, q),
                     qubits.payload_bits(), qubits.basis_string()]
+    repetition = Repetition3Code(CodeSpec(4, n, 1, CodeKind.REPETITION3))
+    oracle = OracleBddCode(CodeSpec(4, n, 1, CodeKind.ORACLE))
+    codeword = oracle.encode(x[:4])
+    oracle.note_transmitted(codeword)
+    derived += [repetition.encode(x[:4]), repetition.decode(x).payload,
+                codeword, oracle.decode(codeword).payload]
     for value in derived:
         symbols, modulus = _symbols(value)
         assert not symbols.flags.writeable

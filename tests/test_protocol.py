@@ -21,6 +21,8 @@ from qkr.protocol import (
 )
 from qkr.qsim import ChannelKind, ChannelModel, apply_error_pattern
 
+from oracles import run_session_two_party
+
 PARAMS = ProtocolParams(n=64, ell=32, kappa=8, tag_bits=8, beta=0.125, q_bits=32)
 
 
@@ -342,6 +344,74 @@ def test_tampered_feedback_halts_session(monkeypatch):
             PARAMS, ChannelModel(ChannelKind.IID_FLIP, gamma=0.0), CodeKind.ORACLE,
             5, seed=43,
         )
+
+
+# One shared key state against the two-party reference
+
+_CODE_N = {CodeKind.IDENTITY: 40, CodeKind.ORACLE: 64, CodeKind.REPETITION3: 120}
+
+
+def _code_params(code_kind, encoding=Encoding.SIX_STATE):
+    return ProtocolParams(
+        n=_CODE_N[code_kind], ell=32, kappa=8, tag_bits=8, beta=0.125,
+        encoding=encoding, q_bits=32,
+    )
+
+
+def _assert_same_session(one, two):
+    assert [r.to_json() for r in one.results] == [r.to_json() for r in two.results]
+    assert one.summary == two.summary
+    assert len(one.eve_views) == len(two.eve_views) == one.summary.rounds
+    for a, b in zip(one.eve_views, two.eve_views):
+        assert (a.qubits.basis_string(), a.qubits.payload_bits(), a.omega, a.tau_fb) == (
+            b.qubits.basis_string(), b.qubits.payload_bits(), b.omega, b.tau_fb
+        )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "channel",
+    [ChannelModel(ChannelKind.IID_FLIP, gamma=0.05),
+     ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=0.3)],
+    ids=["iid-flip", "intercept-resend"],
+)
+@pytest.mark.parametrize("code_kind", list(CodeKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("encoding", list(Encoding), ids=lambda enc: enc.value)
+def test_session_matches_two_party_reference(encoding, code_kind, channel, seed):
+    """Checking Bob's Accept inputs gives the transcript, summary and
+    adversary views of keeping and comparing both parties' states, including
+    where the reference stops at the first diverged round."""
+    kwargs = dict(
+        params=_code_params(code_kind, encoding), channel=channel, code_kind=code_kind,
+        rounds=30, seed=seed, keep_eve_views=True,
+    )
+    _assert_same_session(run_session(**kwargs), run_session_two_party(**kwargs))
+
+
+def test_session_matches_two_party_reference_with_messages_and_capacity():
+    params = _code_params(CodeKind.REPETITION3)
+    fixed = BitString([1, 0] * (params.mu_bits // 2))
+    kwargs = dict(
+        params=params, channel=ChannelModel(ChannelKind.IID_FLIP, gamma=0.05),
+        code_kind=CodeKind.REPETITION3, rounds=30, seed=1, keep_eve_views=True,
+        message_source=lambda i: fixed,
+    )
+    one = run_session(**kwargs)
+    _assert_same_session(one, run_session_two_party(**kwargs))
+    assert not one.summary.key_agreement and one.summary.rounds < 30
+
+    kwargs.update(
+        channel=ChannelModel(ChannelKind.IID_FLIP, gamma=0.4),
+        reservoir_capacity=3 * (params.n + params.tag_bits + params.q_bits),
+    )
+    last_round = []
+    for session in (run_session, run_session_two_party):
+        begun = []
+        kwargs["message_source"] = lambda i: begun.append(i) or fixed
+        with pytest.raises(ReservoirExhausted):
+            session(**kwargs)
+        last_round.append(begun[-1])
+    assert last_round[0] == last_round[1] >= 3
 
 
 # ---------------------------------------------------------------------------
