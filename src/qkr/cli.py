@@ -71,9 +71,20 @@ def _probability(text) -> float:
     return value
 
 
+def _integer(raw) -> int:
+    """An integer from flag text, or from a config value, where a number
+    must be a JSON integer: int() would truncate 64.9 and accept true."""
+    if not isinstance(raw, str) and (isinstance(raw, bool) or not isinstance(raw, int)):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
+    return int(raw)
+
+
+_integer.__name__ = "int"
+
+
 def _int_at_least(low: int):
     def convert(text) -> int:
-        value = int(text)
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
         return value
@@ -95,19 +106,19 @@ def _name_of(enum_cls):
 
 # How each field is read, from a flag or from the config file.
 _FIELD_TYPES = {
-    "n": int,
-    "ell": int,
-    "kappa": int,
-    "lambda": int,
+    "n": _integer,
+    "ell": _integer,
+    "kappa": _integer,
+    "lambda": _integer,
     "beta": _finite_float,
     "gamma": _probability,
     "eta": _probability,
     "alpha": _finite_float,
-    "q_bits": int,
+    "q_bits": _integer,
     "encoding": _name_of(Encoding),
     "code": _name_of(CodeKind),
     "rounds": _int_at_least(1),
-    "seed": int,
+    "seed": _integer,
     "out": str,
 }
 

@@ -270,3 +270,12 @@ def run_session_two_party(
         key_agreement=key_agreement,
     )
     return SessionResult(results=results, summary=summary, eve_views=eve_views)
+
+
+def toeplitz_apply_int(seed, values) -> np.ndarray:
+    """The exact Toeplitz-affine product: int64 convolution of the diagonal
+    with the input, then the offset, then reduction modulo the field size."""
+    conv = np.convolve(
+        np.asarray(seed.diagonal, dtype=np.int64), np.asarray(values, dtype=np.int64), mode="valid"
+    )
+    return ((conv + seed.offset) % seed.modulus).astype(np.uint8)

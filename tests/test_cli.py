@@ -1,8 +1,13 @@
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qkr
 from qkr.analysis import p_corr
 from qkr.cli import main
 
@@ -118,6 +123,43 @@ def test_run_stops_at_key_divergence(tmp_path, capsys):
     assert summary["key_agreement"] is False
     assert 1 <= summary["rounds"] < 100
     assert len(out.read_text().splitlines()) == summary["rounds"]
+
+
+@pytest.mark.parametrize(
+    "argv,stdout_sha256,rounds_sha256",
+    [
+        (["--rounds", "3"],
+         "11da4e12dc7e962f8831e1e890bfe8252929a4c44402c415d407c3fce9f4604a",
+         "825a7930a93db6cb0524947e6a42b810adaf3a0da0e9e7b6ca58ec7bbf8d286f"),
+        (["--n", "16384", "--rounds", "2"],
+         "883e67e89ec1fada7313a4d787ac78e53ecd3081e9aa51cc3f53672a5c219f30",
+         "7821667247481cd04630e391b3b0f828491ad5ff251d0da30f911d5639f538a5"),
+    ],
+    ids=["n1024", "n16384"],
+)
+def test_run_bytes_pinned_at_fft_sizes(tmp_path, monkeypatch, capsys, argv,
+                                       stdout_sha256, rounds_sha256):
+    """Every Toeplitz product here takes the FFT path; rounds after the
+    first run on keys it produced. The digests were recorded with the exact
+    int64 convolution at every size."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(
+        capsys, "run", "--gamma", "0.05", "--seed", "0", "--out", "r.jsonl", *argv
+    )
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
+
+
+def test_cli_import_leaves_numpy_fft_unloaded():
+    """numpy.fft loads on the first large Toeplitz product, not at start-up."""
+    src = str(Path(qkr.__file__).resolve().parents[1])
+    probe = "import sys, qkr.cli; print('numpy.fft' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={"PYTHONPATH": src}, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_sweep_gamma_header_and_monotone_rate(capsys):
@@ -240,12 +282,14 @@ def test_bad_flags_exit_two(capsys):
                 "--encoding", "bb84"]),
         ({"encoding": "bb84"}, ["sweep", "gamma", "--start", "0", "--stop", "0.1",
                                 "--steps", "3"]),
+        ({"n": 64.9}, ["run"]),
+        ({"rounds": True}, ["run"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
          "unsupported-lambda", "eta-above-one", "alpha-below-one",
          "negative-reservoir-capacity", "negative-session-rounds", "sweep-bb84",
-         "sweep-config-bb84"],
+         "sweep-config-bb84", "config-fractional-n", "config-bool-rounds"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]

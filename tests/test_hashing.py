@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkr.hashing import (
+    FFT_MIN_MUL_ADDS,
     MacKey,
     ToeplitzSeed,
     _message_blocks,
@@ -23,6 +24,7 @@ from oracles import (
     int_to_bits_loop,
     message_blocks_loop,
     pairwise_counts_extrema,
+    toeplitz_apply_int,
     toeplitz_outputs_all_seeds,
 )
 from toys import bb84_f_toy, seed_from_index, six_state_f_toy, six_state_g_toy
@@ -148,6 +150,61 @@ def test_seed_json_roundtrip():
     for modulus in (2, 3):
         seed = ToeplitzSeed.random(src, modulus, 7, 4)
         assert ToeplitzSeed.from_json(seed.to_json()) == seed
+
+
+@st.composite
+def _toeplitz_shapes(draw):
+    """(modulus, in_len, out_len) with in_len <= 6000 and out_len <= 3000,
+    on the int side or the FFT side of FFT_MIN_MUL_ADDS with equal odds."""
+    modulus = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        out_len = draw(st.integers(1, 3000))
+        in_len = draw(st.integers(1, min(6000, (FFT_MIN_MUL_ADDS - 1) // out_len)))
+    else:
+        out_len = draw(st.integers(-(-FFT_MIN_MUL_ADDS // 6000), 3000))
+        in_len = draw(st.integers(-(-FFT_MIN_MUL_ADDS // out_len), 6000))
+    return modulus, in_len, out_len
+
+
+@given(_toeplitz_shapes(), st.integers(0, 2**32 - 1), st.booleans())
+@example((2, 256, 256), 0, True)
+@example((3, 255, 257), 0, True)
+@example((2, 1, 1), 0, False)
+@example((3, 6000, 3000), 1, True)
+@settings(max_examples=150, deadline=None)
+def test_toeplitz_apply_matches_exact_product(shape, seed_value, all_max):
+    modulus, in_len, out_len = shape
+    src = RandomSource(seed_value, "toeplitz-property")
+    seed = ToeplitzSeed.random(src, modulus, in_len, out_len)
+    before, before_json = ToeplitzSeed.from_json(seed.to_json()), seed.to_json()
+    # The largest symbols give the largest sums; the second input reuses
+    # the spectrum cached by the first.
+    first = np.full(in_len, modulus - 1) if all_max else src.integers_below(modulus, in_len)
+    for values in (first, src.integers_below(modulus, in_len)):
+        assert np.array_equal(seed.apply(values), toeplitz_apply_int(seed, values))
+    assert seed == before
+    assert seed.to_json() == before_json
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_toeplitz_fft_guard_falls_back_to_exact_product(monkeypatch, modulus):
+    src = RandomSource(5, "toeplitz-guard")
+    seed = ToeplitzSeed.random(src, modulus, 3000, 1000)
+    values = src.integers_below(modulus, 3000)
+    expected = toeplitz_apply_int(seed, values)
+    irfft = np.fft.irfft
+    calls = []
+
+    def shifted_irfft(*args, **kwargs):
+        # 0.6 rounds to the wrong integer, 0.4 away: only the guard saves it.
+        out = irfft(*args, **kwargs)
+        out[seed.in_len - 1 + 17] += 0.6
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", shifted_irfft)
+    assert np.array_equal(seed.apply(values), expected)
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
