@@ -5,8 +5,19 @@ adversary flips wire bits, decoding hands the receiver a modified message,
 and a false accept requires the modified message to carry a valid tag. Each
 fuzz round uses fresh independent keys (the per-round forgery probability
 does not depend on key evolution), which lets the whole batch run as
-vectorized uint64 word arithmetic; `mac64_words` is cross-checked against
-the scalar MAC in the test suite.
+vectorized uint64 word arithmetic.
+
+`mac64_words` is the polynomial MAC of `hashing` over GF(2^64), one key per
+row, by the same method: the keys' 4-bit tables ``T[v] = key * v`` are built
+once as a (16, rows) uint64 array (seven doublings and seven xors), and
+each Horner step multiplies by the key in 16 nibble steps ``z = (z << 4) ^
+R[z >> 60] ^ T[nibble]``, where R is `hashing.NIBBLE_REDUCTION[64]`. The
+tables are 4-bit, not 8-bit: a row's table is 128 bytes against 2 KB, so a
+12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which would
+dominate its ~70 MB peak memory (and a full 65536-row chunk 8.4 MB against
+134 MB). The bit-serial multiply and the shift-and-sum packer this replaced
+are the references in ``tests/oracles.py``, and the test suite also checks
+`mac64_words` against the scalar MAC.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ecc import CodeKind
-from .hashing import REDUCTION_POLYS
+from .hashing import NIBBLE_REDUCTION
 from .primitives import BitString, Encoding, ProtocolParams, RandomSource
 from .protocol import run_session
 from .qsim import ChannelKind, ChannelModel, QubitSequence, transmit
@@ -29,23 +40,38 @@ __all__ = [
     "expected_intercept_error_rate",
 ]
 
-_LOW_POLY64 = np.uint64(REDUCTION_POLYS[64] ^ (1 << 64))
-_ONE = np.uint64(1)
-_ZERO = np.uint64(0)
+_FOLD64 = np.array(NIBBLE_REDUCTION[64], dtype=np.uint64)
+
+
+def _key_tables(keys: np.ndarray) -> np.ndarray:
+    """Row-wise tables key * v for v = 0..15, as a (16, rows) uint64 array:
+    T[2i] = x * T[i] and T[2i+1] = T[2i] + key."""
+    keys = keys.astype(np.uint64, copy=False)
+    table = np.zeros((16, len(keys)), dtype=np.uint64)
+    table[1] = keys
+    for i in range(2, 16, 2):
+        half = table[i // 2]
+        # _FOLD64[1] is the low terms, which the bit shifted out reduces to.
+        table[i] = (half << 1) ^ _FOLD64[half >> 63]
+        table[i + 1] = table[i] ^ keys
+    return table
+
+
+def _table_mul_words(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row-wise a * key, given the keys' tables, one nibble of `a` per step
+    from the top; uint64 shifts drop the bits that _FOLD64 folds back in."""
+    rows = len(a)
+    flat = table.ravel()
+    cols = np.arange(rows, dtype=np.uint64)
+    z = flat[(a >> 60) * rows + cols]
+    for shift in range(56, -1, -4):
+        z = (z << 4) ^ _FOLD64[z >> 60] ^ flat[((a >> shift) & 15) * rows + cols]
+    return z
 
 
 def gf64_mul_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise GF(2^64) product of two uint64 arrays (shift-and-reduce)."""
-    a = a.astype(np.uint64, copy=True)
-    b = b.astype(np.uint64, copy=True)
-    res = np.zeros_like(a)
-    for _ in range(64):
-        res ^= np.where((b & _ONE).astype(bool), a, _ZERO)
-        b >>= _ONE
-        carry = (a >> np.uint64(63)).astype(bool)
-        a <<= _ONE
-        a ^= np.where(carry, _LOW_POLY64, _ZERO)
-    return res
+    """Elementwise GF(2^64) product of two uint64 arrays."""
+    return _table_mul_words(a.astype(np.uint64, copy=False), _key_tables(b))
 
 
 def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
@@ -55,20 +81,20 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     words = (length + 63) // 64
     padded = np.zeros((rows, words * 64), dtype=np.uint8)
     padded[:, :length] = bits
-    as_bytes = np.packbits(padded, axis=1).reshape(rows, words, 8).astype(np.uint64)
-    shifts = np.arange(56, -1, -8, dtype=np.uint64)
-    return (as_bytes << shifts).sum(axis=2, dtype=np.uint64)
+    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
 
 
 def mac64_words(keys: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
     """Row-wise polynomial MAC over GF(2^64): blocks plus a length block,
-    evaluated by Horner's rule. Matches `hashing.mac_tag` bit for bit."""
+    evaluated by Horner's rule with each row's key table built once. Matches
+    `hashing.mac_tag` bit for bit."""
     rows, length = message_bits.shape
-    blocks = pack_bits_to_words(message_bits) if length else np.zeros((rows, 0), dtype=np.uint64)
+    blocks = pack_bits_to_words(message_bits)
+    table = _key_tables(keys)
     acc = np.full(rows, np.uint64(length), dtype=np.uint64)
     for j in range(blocks.shape[1] - 1, -1, -1):
-        acc = blocks[:, j] ^ gf64_mul_words(acc, keys)
-    return gf64_mul_words(acc, keys)
+        acc = blocks[:, j] ^ _table_mul_words(acc, table)
+    return _table_mul_words(acc, table)
 
 
 def _nonzero_words(src: RandomSource, count: int) -> np.ndarray:

@@ -72,9 +72,9 @@ def _probability(text) -> float:
 
 
 def _integer(raw) -> int:
-    """An integer from flag text, or from a config value, where a number
-    must be a JSON integer: int() would truncate 64.9 and accept true."""
-    if not isinstance(raw, str) and (isinstance(raw, bool) or not isinstance(raw, int)):
+    """An integer from flag text or from a JSON number, which must be
+    integral: int() would truncate 64.9."""
+    if isinstance(raw, float):
         raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
     return int(raw)
 
@@ -122,6 +122,9 @@ _FIELD_TYPES = {
     "out": str,
 }
 
+# Fields whose config value is text; every other field takes a JSON number.
+_TEXT_FIELDS = ("encoding", "code", "out")
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -156,6 +159,10 @@ def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
             if key not in values:
                 raise UsageError(f"config: unknown field {key!r}")
             if value is not None or DEFAULTS[key] is not None:
+                if key not in _TEXT_FIELDS and (
+                    isinstance(value, bool) or not isinstance(value, (int, float))
+                ):
+                    raise UsageError(f"config: field {key!r}: must be a JSON number, got {value!r}")
                 try:
                     value = _FIELD_TYPES[key](value)
                 except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:

@@ -24,11 +24,26 @@ message is split into lambda-bit blocks m_1..m_d, a block holding the bit
 length is appended, and the tag is sum m_i * key^i. A substitution forgery
 must find a root of a nonzero polynomial of degree <= d+1, so at most
 (d+1) * 2^-lambda of the keys accept it.
+
+The tag is evaluated by Horner's rule, and every multiply is by the key, so
+the key's 4-bit table ``T[v] = key * v`` (v = 0..15, seven doublings and seven
+additions) is built once per tag. A product ``a * key`` then takes lambda/4
+steps, one per nibble of ``a`` from the top: ``z = (z << 4) ^ R[top nibble of
+z] ^ T[nibble]``, where ``NIBBLE_REDUCTION[lambda]`` is the 16-entry table
+``R[v] = v * x^lambda`` mod the pinned polynomial, which folds the four bits
+the shift pushes out of the field back in (Shoup's method, as in GHASH). The
+batched MAC of `attacks` uses the same tables on uint64 words, one key per
+row. Tables are 4-bit, not 8-bit: there, 8-bit tables for the 12000 keys of a
+12000-round fuzz take 24.6 MB against 1.5 MB, which would dominate its
+~70 MB peak memory. The bit-serial multiply this replaced is the reference
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 import numpy as np
 
@@ -36,6 +51,7 @@ from .primitives import BasisString, BitString, RandomSource, TritString, _value
 
 __all__ = [
     "REDUCTION_POLYS",
+    "NIBBLE_REDUCTION",
     "gf_mul",
     "polynomial_mac",
     "MacKey",
@@ -60,22 +76,50 @@ REDUCTION_POLYS = {
 }
 
 
-def gf_mul(a: int, b: int, tag_bits: int) -> int:
-    """Carry-less multiply of two field elements modulo the pinned polynomial."""
+def _nibble_reduction(tag_bits: int) -> tuple[int, ...]:
+    """R[v] = v * x^tag_bits mod the pinned polynomial for v = 0..15: with
+    x^tag_bits = low terms, this is the carry-less product v * low, whose
+    degree (at most 3 + 7) stays below every pinned tag length."""
+    low = REDUCTION_POLYS[tag_bits] ^ (1 << tag_bits)
+    return tuple(reduce(xor, (low << i for i in range(4) if v >> i & 1), 0) for v in range(16))
+
+
+# What the four bits shifted out of a field element by `<< 4` reduce to.
+NIBBLE_REDUCTION = {tag_bits: _nibble_reduction(tag_bits) for tag_bits in REDUCTION_POLYS}
+
+
+def _key_table(key: int, tag_bits: int) -> list[int]:
+    """key * v for v = 0..15: T[2i] = x * T[i] and T[2i+1] = T[2i] + key."""
     try:
-        poly = REDUCTION_POLYS[tag_bits]
+        fold = NIBBLE_REDUCTION[tag_bits]
     except KeyError:
         raise ValueError(f"no reduction polynomial pinned for tag_bits={tag_bits}") from None
-    top = 1 << tag_bits
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= poly
-    return res
+    mask = (1 << tag_bits) - 1
+    table = [0] * 16
+    table[1] = key
+    for i in range(2, 16, 2):
+        half = table[i // 2]
+        # fold[1] is the low terms, which the one bit a doubling shifts out
+        # reduces to.
+        table[i] = ((half << 1) & mask) ^ fold[half >> (tag_bits - 1)]
+        table[i + 1] = table[i] ^ key
+    return table
+
+
+def _table_mul(a: int, table: list[int], tag_bits: int) -> int:
+    """a * key, given the key's table, one nibble of `a` per step from the top."""
+    fold = NIBBLE_REDUCTION[tag_bits]
+    mask = (1 << tag_bits) - 1
+    top = tag_bits - 4
+    z = 0
+    for shift in range(top, -1, -4):
+        z = ((z << 4) & mask) ^ fold[z >> top] ^ table[(a >> shift) & 15]
+    return z
+
+
+def gf_mul(a: int, b: int, tag_bits: int) -> int:
+    """Carry-less multiply of two field elements modulo the pinned polynomial."""
+    return _table_mul(a, _key_table(b, tag_bits), tag_bits)
 
 
 def _message_blocks(message: BitString, tag_bits: int) -> list[int]:
@@ -98,10 +142,11 @@ def polynomial_mac(key_value: int, message: BitString, tag_bits: int) -> int:
     Works for any key value including zero; the zero key maps every message
     to the zero tag, which is why protocol keys are kept nonzero.
     """
+    table = _key_table(key_value, tag_bits)
     acc = 0
     for block in reversed(_message_blocks(message, tag_bits)):
-        acc = block ^ gf_mul(acc, key_value, tag_bits)
-    return gf_mul(acc, key_value, tag_bits)
+        acc = _table_mul(acc ^ block, table, tag_bits)
+    return acc
 
 
 @dataclass(frozen=True)

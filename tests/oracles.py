@@ -279,3 +279,81 @@ def toeplitz_apply_int(seed, values) -> np.ndarray:
         np.asarray(seed.diagonal, dtype=np.int64), np.asarray(values, dtype=np.int64), mode="valid"
     )
     return ((conv + seed.offset) % seed.modulus).astype(np.uint8)
+
+
+# The bit-serial GF(2^lambda) multiply, the batched MAC built on it and the
+# shift-and-sum word packer, as `hashing` and `attacks` had them before the
+# 4-bit key-table multiply replaced them.
+
+def gf_mul_bitserial(a: int, b: int, tag_bits: int) -> int:
+    """Carry-less multiply of two field elements modulo the pinned polynomial."""
+    from qkr.hashing import REDUCTION_POLYS
+
+    try:
+        poly = REDUCTION_POLYS[tag_bits]
+    except KeyError:
+        raise ValueError(f"no reduction polynomial pinned for tag_bits={tag_bits}") from None
+    top = 1 << tag_bits
+    res = 0
+    while b:
+        if b & 1:
+            res ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= poly
+    return res
+
+
+def polynomial_mac_bitserial(key_value: int, bits, tag_bits: int) -> int:
+    """sum_i m_i * key^i over the loop-built message blocks, by Horner's rule
+    with the bit-serial multiply."""
+    acc = 0
+    for block in reversed(message_blocks_loop(bits, tag_bits)):
+        acc = block ^ gf_mul_bitserial(acc, key_value, tag_bits)
+    return gf_mul_bitserial(acc, key_value, tag_bits)
+
+
+_LOW_POLY64 = np.uint64(0x1B)  # x^64 + x^4 + x^3 + x + 1 without its x^64 term
+_ONE = np.uint64(1)
+_ZERO = np.uint64(0)
+
+
+def gf64_mul_words_bitserial(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise GF(2^64) product of two uint64 arrays (shift-and-reduce)."""
+    a = a.astype(np.uint64, copy=True)
+    b = b.astype(np.uint64, copy=True)
+    res = np.zeros_like(a)
+    for _ in range(64):
+        res ^= np.where((b & _ONE).astype(bool), a, _ZERO)
+        b >>= _ONE
+        carry = (a >> np.uint64(63)).astype(bool)
+        a <<= _ONE
+        a ^= np.where(carry, _LOW_POLY64, _ZERO)
+    return res
+
+
+def pack_bits_to_words_shift_sum(bits: np.ndarray) -> np.ndarray:
+    """Pack rows of bits into 64-bit words, leftmost bit highest, last word
+    zero-padded on the right."""
+    rows, length = bits.shape
+    words = (length + 63) // 64
+    padded = np.zeros((rows, words * 64), dtype=np.uint8)
+    padded[:, :length] = bits
+    as_bytes = np.packbits(padded, axis=1).reshape(rows, words, 8).astype(np.uint64)
+    shifts = np.arange(56, -1, -8, dtype=np.uint64)
+    return (as_bytes << shifts).sum(axis=2, dtype=np.uint64)
+
+
+def mac64_words_bitserial(keys: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
+    """Row-wise polynomial MAC over GF(2^64): blocks plus a length block,
+    evaluated by Horner's rule. Matches `hashing.mac_tag` bit for bit."""
+    rows, length = message_bits.shape
+    blocks = (
+        pack_bits_to_words_shift_sum(message_bits)
+        if length else np.zeros((rows, 0), dtype=np.uint64)
+    )
+    acc = np.full(rows, np.uint64(length), dtype=np.uint64)
+    for j in range(blocks.shape[1] - 1, -1, -1):
+        acc = blocks[:, j] ^ gf64_mul_words_bitserial(acc, keys)
+    return gf64_mul_words_bitserial(acc, keys)

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkr.attacks import (
     expected_intercept_error_rate,
@@ -17,6 +19,8 @@ from qkr.hashing import MacKey, gf_mul, mac_tag, mac_verify
 from qkr.primitives import BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt
 from qkr.qsim import apply_error_pattern
+
+from oracles import gf64_mul_words_bitserial, mac64_words_bitserial, pack_bits_to_words_shift_sum
 
 
 def test_gf64_words_match_scalar_field():
@@ -50,6 +54,43 @@ def test_mac64_words_match_scalar_mac(length):
         key = MacKey(BitString.from_int(int(keys[i]), 64))
         expected = mac_tag(key, BitString(msgs[i]))
         assert int(tags[i]) == expected.to_int()
+
+
+# 0, 1, all-ones and the top bit alone
+_EDGE_WORDS = [0, 1, (1 << 64) - 1, 1 << 63]
+_WORDS = st.one_of(st.sampled_from(_EDGE_WORDS), st.integers(0, (1 << 64) - 1))
+
+
+def _bit_matrix(draw, rows, length):
+    raw = draw(st.binary(min_size=rows * length, max_size=rows * length))
+    return (np.frombuffer(raw, dtype=np.uint8) & 1).reshape(rows, length)
+
+
+@given(st.lists(st.tuples(_WORDS, _WORDS), max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_gf64_mul_words_match_bitserial_oracle(pairs):
+    edge_pairs = [(a, b) for a in _EDGE_WORDS for b in _EDGE_WORDS]
+    a, b = (np.array(column, dtype=np.uint64) for column in zip(*(edge_pairs + pairs)))
+    assert np.array_equal(gf64_mul_words(a, b), gf64_mul_words_bitserial(a, b))
+
+
+@given(st.data(), st.integers(0, 6), st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_mac64_words_match_bitserial_oracle(data, extra_rows, length):
+    keys = _EDGE_WORDS + data.draw(st.lists(_WORDS, min_size=extra_rows, max_size=extra_rows))
+    keys = np.array(keys, dtype=np.uint64)
+    msgs = _bit_matrix(data.draw, len(keys), length)
+    assert np.array_equal(mac64_words(keys, msgs), mac64_words_bitserial(keys, msgs))
+
+
+@given(st.data(), st.integers(0, 5), st.integers(0, 200))
+@settings(max_examples=100, deadline=None)
+def test_pack_bits_to_words_match_shift_sum_oracle(data, rows, length):
+    bits = _bit_matrix(data.draw, rows, length)
+    words = pack_bits_to_words(bits)
+    expected = pack_bits_to_words_shift_sum(bits)
+    assert words.dtype == expected.dtype and words.shape == expected.shape
+    assert np.array_equal(words, expected)
 
 
 def _draw_fuzz_inputs(seed, batch, mu_bits=16, kappa=8, n=None, flip_rate=0.3):

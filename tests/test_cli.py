@@ -151,6 +151,32 @@ def test_run_bytes_pinned_at_fft_sizes(tmp_path, monkeypatch, capsys, argv,
     assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
 
 
+@pytest.mark.parametrize(
+    "argv,stdout_sha256,rounds_sha256",
+    [
+        (["run", "--lambda", "128", "--gamma", "0.05", "--rounds", "3", "--seed", "0",
+          "--out", "r.jsonl"],
+         "f50771218122a649e6bddf62178133c73ca62f24501ab2bc9fd74c01dafc0dfb",
+         "3c368d3a43f21e3a19739e1e2662adbbb59ecf3acece9094ce6999c239536a17"),
+        (["attack", "tamper_fuzz", "--rounds", "70000", "--seed", "3", "--flip-rate", "0.001"],
+         "742865b10863a2bff63e38c2c61518996d2daece6f5b8ba6f53ca1f1cba9bc7e",
+         None),
+    ],
+    ids=["run-lambda128", "tamper-fuzz-70000"],
+)
+def test_bytes_pinned_across_mac_paths(tmp_path, monkeypatch, capsys, argv,
+                                       stdout_sha256, rounds_sha256):
+    """The lambda=128 run tags and verifies with the scalar MAC; the fuzz
+    crosses its 65536-row chunk boundary and accepts 60618 rounds. The
+    digests were recorded with the bit-serial GF(2^lambda) multiply."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+    if rounds_sha256 is not None:
+        assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
+
+
 def test_cli_import_leaves_numpy_fft_unloaded():
     """numpy.fft loads on the first large Toeplitz product, not at start-up."""
     src = str(Path(qkr.__file__).resolve().parents[1])
@@ -284,12 +310,15 @@ def test_bad_flags_exit_two(capsys):
                                 "--steps", "3"]),
         ({"n": 64.9}, ["run"]),
         ({"rounds": True}, ["run"]),
+        ({"n": "64"}, ["run"]),
+        ({"gamma": "0.05"}, ["run"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
          "unsupported-lambda", "eta-above-one", "alpha-below-one",
          "negative-reservoir-capacity", "negative-session-rounds", "sweep-bb84",
-         "sweep-config-bb84", "config-fractional-n", "config-bool-rounds"],
+         "sweep-config-bb84", "config-fractional-n", "config-bool-rounds",
+         "config-string-n", "config-string-gamma"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]

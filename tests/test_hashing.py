@@ -21,9 +21,11 @@ from qkr.primitives import BasisString, BitString, RandomSource
 
 from oracles import (
     bits_to_int_loop,
+    gf_mul_bitserial,
     int_to_bits_loop,
     message_blocks_loop,
     pairwise_counts_extrema,
+    polynomial_mac_bitserial,
     toeplitz_apply_int,
     toeplitz_outputs_all_seeds,
 )
@@ -297,6 +299,44 @@ def test_gf_mul_field_identities():
         assert left == gf_mul(a, b, tag_bits) ^ gf_mul(a, c, tag_bits)
     with pytest.raises(ValueError):
         gf_mul(1, 1, 32)
+
+
+def _edge_elements(tag_bits):
+    """0, 1, all-ones and the top bit alone."""
+    return [0, 1, (1 << tag_bits) - 1, 1 << (tag_bits - 1)]
+
+
+def _field_elements(tag_bits):
+    return st.one_of(st.sampled_from(_edge_elements(tag_bits)),
+                     st.integers(0, (1 << tag_bits) - 1))
+
+
+@pytest.mark.parametrize("tag_bits", [8, 64, 128])
+def test_gf_mul_edge_operands_match_bitserial_oracle(tag_bits):
+    edges = _edge_elements(tag_bits)
+    for a in edges:
+        for b in edges:
+            assert gf_mul(a, b, tag_bits) == gf_mul_bitserial(a, b, tag_bits)
+    with pytest.raises(ValueError):
+        polynomial_mac(1, BitString([1]), 32)
+
+
+@given(st.data(), st.sampled_from([8, 64, 128]))
+@settings(max_examples=300, deadline=None)
+def test_gf_mul_matches_bitserial_oracle(data, tag_bits):
+    a = data.draw(_field_elements(tag_bits))
+    b = data.draw(_field_elements(tag_bits))
+    assert gf_mul(a, b, tag_bits) == gf_mul_bitserial(a, b, tag_bits)
+
+
+@given(st.data(), st.sampled_from([8, 64, 128]), st.integers(0, 300))
+@settings(max_examples=200, deadline=None)
+def test_mac_tag_matches_bitserial_oracle(data, tag_bits, length):
+    key = data.draw(_field_elements(tag_bits).filter(bool))
+    raw = data.draw(st.binary(min_size=(length + 7) // 8, max_size=(length + 7) // 8))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:length]
+    tag = mac_tag(MacKey(BitString.from_int(key, tag_bits)), BitString(bits))
+    assert tag.to_int() == polynomial_mac_bitserial(key, bits, tag_bits)
 
 
 @st.composite

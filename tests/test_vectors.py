@@ -12,6 +12,8 @@ from qkr.hashing import MacKey, ToeplitzSeed, hash_F, hash_G, mac_tag
 from qkr.primitives import BasisString, BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import KeyState, alice_encrypt
 
+from oracles import polynomial_mac_bitserial
+
 DATA = pathlib.Path(__file__).parent / "data"
 
 
@@ -44,6 +46,18 @@ def test_hash_vectors(vector):
         key = MacKey(BitString.from_hex(vector["key"], vector["tag_bits"]))
         msg = BitString.from_hex(vector["message"], vector["message_bits"])
         assert mac_tag(key, msg).to_hex() == vector["expect_tag"]
+
+
+def test_bitserial_oracle_mac_reproduces_golden_tags():
+    """The oracle the table multiply is checked against is itself pinned to
+    the golden MAC entries."""
+    macs = [v for v in _vectors() if v["op"] == "mac"]
+    assert macs
+    for vector in macs:
+        bits = BitString.from_hex(vector["message"], vector["message_bits"]).bits
+        key = int(vector["key"], 16)
+        tag = polynomial_mac_bitserial(key, bits, vector["tag_bits"])
+        assert BitString.from_int(tag, vector["tag_bits"]).to_hex() == vector["expect_tag"]
 
 
 def test_golden_encryption_round():
