@@ -26,8 +26,6 @@ from .primitives import (
     ProtocolParams,
     RandomSource,
     TritString,
-    basis_to_trits,
-    random_bits,
 )
 from .protocol import (
     KeyState,
@@ -45,11 +43,7 @@ from .protocol import (
 from .qsim import (
     ChannelKind,
     ChannelModel,
-    DensityMatrix,
     QubitSequence,
-    QubitSymbol,
-    pauli_twirl,
-    trace_distance,
     transmit,
 )
 

@@ -24,7 +24,6 @@ __all__ = [
     "diamond_bound",
     "min_q_bits",
     "reject_expenditure",
-    "reject_expenditure_closed_form",
     "required_redundancy",
 ]
 
@@ -94,12 +93,15 @@ def asymptotic_rate_6state(gamma: float) -> float:
     return 1.0 - entropy_multi(six_state_error_distribution(gamma))
 
 
-def rate_threshold_6state(tol: float = 1e-12) -> float:
+_THRESHOLD_TOL = 1e-12
+
+
+def rate_threshold_6state() -> float:
     """Zero crossing of the 6-state rate, located by bisection."""
     lo, hi = 0.0, 0.5
     if asymptotic_rate_6state(hi) >= 0.0:
         raise RuntimeError("rate does not change sign on [0, 0.5]")
-    while hi - lo > tol:
+    while hi - lo > _THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if asymptotic_rate_6state(mid) > 0.0:
             lo = mid
@@ -208,12 +210,6 @@ def reject_expenditure(n: int, tag_bits: int, q_bits: int) -> int:
     """Exact reservoir bits consumed by one Reject: a fresh mask, a fresh
     feedback MAC key, and the basis-refresh input."""
     return n + tag_bits + q_bits
-
-
-def reject_expenditure_closed_form(n: int, tag_bits: int, alpha: float) -> float:
-    """Closed-form expenditure n - 1 + 30*log2(n+1) + lambda + 2*alpha used
-    for sizing comparisons."""
-    return n - 1 + 30.0 * math.log2(n + 1) + tag_bits + 2.0 * alpha
 
 
 def required_redundancy(n: int, gamma: float) -> float:

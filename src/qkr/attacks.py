@@ -88,9 +88,13 @@ def mac64_words(keys: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
     """Row-wise polynomial MAC over GF(2^64): blocks plus a length block,
     evaluated by Horner's rule with each row's key table built once. Matches
     `hashing.mac_tag` bit for bit."""
+    return _mac64_tables(_key_tables(keys), message_bits)
+
+
+def _mac64_tables(table: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
+    """`mac64_words` for keys whose tables are already built."""
     rows, length = message_bits.shape
     blocks = pack_bits_to_words(message_bits)
-    table = _key_tables(keys)
     acc = np.full(rows, np.uint64(length), dtype=np.uint64)
     for j in range(blocks.shape[1] - 1, -1, -1):
         acc = blocks[:, j] ^ _table_mul_words(acc, table)
@@ -115,13 +119,15 @@ def fuzz_batch(
     Rows of the inputs are independent rounds: tag key words `xi`, plaintext
     bits `mu`, next-feedback-key bits `k_prime` (64 columns), padding bits
     `r`, mask bits `z`, and the adversary's wire flips. Returns the per-row
-    verdicts and change flags.
+    verdicts and change flags. Both parties' tags use the same keys, so their
+    tables are built once.
     """
     batch, mu_bits = mu.shape
     tag_bits = 64
     ell = mu_bits + 2 * tag_bits
+    table = _key_tables(xi)
     tagged = np.concatenate([mu, k_prime], axis=1)
-    tau_words = mac64_words(xi, tagged)
+    tau_words = _mac64_tables(table, tagged)
     tau = np.unpackbits(tau_words.astype(">u8").view(np.uint8)).reshape(batch, tag_bits)
     codeword = np.concatenate([tagged, tau, r], axis=1)
 
@@ -131,7 +137,7 @@ def fuzz_batch(
     mu_hat = unmasked[:, :mu_bits]
     k_hat = unmasked[:, mu_bits : mu_bits + tag_bits]
     tau_hat = unmasked[:, mu_bits + tag_bits : ell]
-    check = mac64_words(xi, unmasked[:, : mu_bits + tag_bits])
+    check = _mac64_tables(table, unmasked[:, : mu_bits + tag_bits])
     omega = check == pack_bits_to_words(tau_hat)[:, 0]
 
     message_changed = np.any(np.concatenate([mu_hat, k_hat], axis=1) != tagged, axis=1)
@@ -143,23 +149,26 @@ def fuzz_batch(
     }
 
 
-def tamper_fuzz(
-    rounds: int,
-    seed: int,
-    mu_bits: int = 16,
-    kappa: int = 8,
-    flip_rate: float = 0.3,
-    chunk: int = 1 << 16,
-) -> dict:
-    """Run `rounds` independent tamper rounds at tag length 64 and count
-    false accepts (tag verifies but the recovered plaintext differs).
+# Plaintext and padding bits of a tamper round, and the most rounds drawn
+# and checked as one batch.
+_FUZZ_MU_BITS = 16
+_FUZZ_KAPPA = 8
+_FUZZ_CHUNK = 1 << 16
 
-    Each round draws fresh keys, so the batch vectorizes; the per-round
-    false-accept probability is key-evolution independent.
+
+def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
+    """Run `rounds` independent tamper rounds and count false accepts (tag
+    verifies but the recovered plaintext differs).
+
+    A round sends a fixed-size plaintext and padding over the identity code,
+    and the adversary flips each wire bit with probability `flip_rate`. Each
+    round draws fresh keys, so the rounds run in vectorized batches; the
+    per-round false-accept probability is key-evolution independent.
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
     tag_bits = 64
+    mu_bits, kappa = _FUZZ_MU_BITS, _FUZZ_KAPPA
     n = mu_bits + 2 * tag_bits + kappa
     src = RandomSource(seed).stream("tamper_fuzz")
 
@@ -169,7 +178,7 @@ def tamper_fuzz(
     attempts = 0
     done = 0
     while done < rounds:
-        batch = min(chunk, rounds - done)
+        batch = min(_FUZZ_CHUNK, rounds - done)
         xi = _nonzero_words(src, batch)
         mu = src.bit_array(batch * mu_bits).reshape(batch, mu_bits)
         k_prime = src.bit_array(batch * tag_bits).reshape(batch, tag_bits)

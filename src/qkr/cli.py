@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .analysis import (
     SecurityBudget,
@@ -28,7 +27,7 @@ from .primitives import Encoding, ProtocolParams
 from .protocol import ReservoirExhausted, run_session
 from .qsim import ChannelKind, ChannelModel
 
-__all__ = ["main", "build_parser", "resolve_params", "resolve_budget", "SweepSpec"]
+__all__ = ["main", "build_parser", "resolve_params", "resolve_budget"]
 
 EXIT_USAGE = 2
 EXIT_RESERVOIR = 3
@@ -126,21 +125,6 @@ _FIELD_TYPES = {
 _TEXT_FIELDS = ("encoding", "code", "out")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str
-    start: float
-    stop: float
-    steps: int
-    budget: SecurityBudget
-
-    def __post_init__(self):
-        if self.variable not in ("gamma", "n", "q_bits"):
-            raise UsageError(f"variable must be gamma, n or q_bits, got {self.variable!r}")
-        if self.steps < 2:
-            raise UsageError("steps must be at least 2")
-
-
 def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
     """Layer resolution: built-in defaults, then the config file, then flags.
     Also reports which keys the user set explicitly."""
@@ -179,6 +163,15 @@ def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
 
 def _default_kappa(n: int, alpha: float) -> int:
     return math.ceil(2.0 * (alpha + 15.0 * math.log2(n + 1)))
+
+
+def _sized_by_alpha(size, n: int, alpha: float) -> int:
+    """`size(n, alpha)` for a size derived from alpha (kappa or q_bits); an
+    alpha so large that the size is not a finite number is a usage error."""
+    try:
+        return size(n, alpha)
+    except OverflowError:
+        raise UsageError(f"alpha: too large to derive sizes from, got {alpha:g}") from None
 
 
 def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolParams, CodeKind]:
@@ -223,7 +216,7 @@ def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolP
         raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
 
     if ell is None and kappa is None:
-        kappa_val = max(0, min(_default_kappa(n, alpha), k_in - (2 * lam + 1)))
+        kappa_val = max(0, min(_sized_by_alpha(_default_kappa, n, alpha), k_in - (2 * lam + 1)))
         ell_val = k_in - kappa_val
     elif ell is None:
         kappa_val = int(kappa)
@@ -236,7 +229,7 @@ def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolP
 
     q_bits = values["q_bits"]
     try:
-        q_bits = min_q_bits(n, alpha) if q_bits is None else int(q_bits)
+        q_bits = _sized_by_alpha(min_q_bits, n, alpha) if q_bits is None else int(q_bits)
         params = ProtocolParams(
             n=n,
             ell=ell_val,
@@ -261,10 +254,10 @@ def resolve_budget(values: dict) -> SecurityBudget:
             alpha=alpha,
             tag_bits=int(values["lambda"]),
             n=n,
-            kappa=_default_kappa(n, alpha) if kappa is None else int(kappa),
+            kappa=_sized_by_alpha(_default_kappa, n, alpha) if kappa is None else int(kappa),
             gamma=float(values["gamma"]),
             beta=float(values["beta"]),
-            q_bits=min_q_bits(n, alpha) if q_bits is None else int(q_bits),
+            q_bits=_sized_by_alpha(min_q_bits, n, alpha) if q_bits is None else int(q_bits),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -344,24 +337,24 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_rows(spec: SweepSpec):
-    for i in range(spec.steps):
-        frac = i / (spec.steps - 1)
-        value = spec.start + frac * (spec.stop - spec.start)
-        if spec.variable == "gamma":
+def _sweep_rows(variable: str, start: float, stop: float, steps: int, budget: SecurityBudget):
+    for i in range(steps):
+        frac = i / (steps - 1)
+        value = start + frac * (stop - start)
+        if variable == "gamma":
             budget_kwargs = {"gamma": value}
-        elif spec.variable == "n":
+        elif variable == "n":
             value = int(round(value))
             budget_kwargs = {"n": value}
         else:
             value = int(round(value))
             budget_kwargs = {"q_bits": value}
         try:
-            budget = dataclasses.replace(spec.budget, **budget_kwargs)
-            rate = asymptotic_rate_6state(budget.gamma)
-            report = diamond_bound(budget)
+            point = dataclasses.replace(budget, **budget_kwargs)
+            rate = asymptotic_rate_6state(point.gamma)
+            report = diamond_bound(point)
         except (ValueError, RuntimeError) as exc:
-            print(f"note: skipping {spec.variable}={value}: {exc}", file=sys.stderr)
+            print(f"note: skipping {variable}={value}: {exc}", file=sys.stderr)
             continue
         yield value, [
             rate,
@@ -378,11 +371,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if values["encoding"] == Encoding.BB84.value:
         raise UsageError("encoding: sweep evaluates the six-state formulas only, got bb84")
     budget = resolve_budget(values)
-    spec = SweepSpec(
-        variable=ns.variable, start=ns.start, stop=ns.stop, steps=ns.steps, budget=budget
-    )
-    lines = [",".join([spec.variable] + _SWEEP_COLUMNS)]
-    for value, columns in _sweep_rows(spec):
+    if ns.steps < 2:
+        raise UsageError("steps must be at least 2")
+    lines = [",".join([ns.variable] + _SWEEP_COLUMNS)]
+    for value, columns in _sweep_rows(ns.variable, ns.start, ns.stop, ns.steps, budget):
         cells = [f"{value:.10g}"] + [f"{c:.10g}" for c in columns]
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", values["out"])

@@ -35,8 +35,6 @@ __all__ = [
     "Encoding",
     "ProtocolParams",
     "RandomSource",
-    "basis_to_trits",
-    "random_bits",
 ]
 
 
@@ -203,15 +201,6 @@ class BasisString(_SymbolString):
         return f"BasisString('{self.to_text()}', alphabet_size={self._modulus})"
 
 
-def basis_to_trits(b: BasisString) -> TritString:
-    """Injective embedding of a basis string into trits.
-
-    Two-symbol alphabets map onto trits 0/1; the three-symbol alphabet is
-    the identity.
-    """
-    return TritString._trusted(b.symbols, 3)
-
-
 class Encoding(Enum):
     """Qubit encoding: two mutually unbiased bases (BB84) or three (6-state)."""
 
@@ -345,10 +334,3 @@ class RandomSource:
     def basis_string(self, alphabet_size: int, count: int) -> BasisString:
         values = self.integers_below(_check_alphabet(alphabet_size), count)
         return BasisString._trusted(values, alphabet_size)
-
-
-def random_bits(src: RandomSource, count: int) -> BitString:
-    """Draw `count` uniform bits from the source's stream."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    return src.bits(count)

@@ -5,10 +5,11 @@ Round data flow, sender side: draw padding r and the next feedback key k',
 tag the plaintext, encode, mask with the one-time pad z, and put every
 ciphertext bit into a qubit prepared in the shared basis sequence b. The
 receiver measures in b, unmasks, decodes, and checks the tag; his one-bit
-verdict omega goes back under its own MAC. On Accept the next round's mask
-and basis sequence are hashed out of this round's payload (no fresh key
-material); on Reject they are drawn from the shared reservoir, which is the
-only way key material is ever consumed.
+verdict omega goes back under its own MAC, which the sender checks with
+`alice_check_feedback`. On Accept the next round's mask and basis sequence
+are hashed out of this round's payload (no fresh key material); on Reject
+they are drawn from the shared reservoir, which is the only way key
+material is ever consumed.
 
 Both parties apply the same deterministic key update to the same values, so
 a session keeps one shared key state and updates it once per round from the
@@ -17,9 +18,12 @@ sender's instead of replayed, and a session stops at the first round whose
 two next states differ.
 
 The simulation binds the receiver's measurement basis to the true b; an
-adversary acts only on the qubit sequence in flight. Her view of a round is
-the post-channel qubits plus the authenticated feedback, captured in
-`EveView`; sender-side round secrets never serialize into it.
+adversary acts only on the qubit sequence in flight. Nothing alters the
+feedback on its way back, so `run_session` does not run the sender's
+feedback check: a tag computed with the shared key always verifies. Her
+view of a round is the post-channel qubits plus the authenticated
+feedback, captured in `EveView`; sender-side round secrets never
+serialize into it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ __all__ = [
     "KeyState",
     "Reservoir",
     "ReservoirExhausted",
-    "FeedbackAuthError",
     "AliceRoundSecrets",
     "BobDecryption",
     "RoundResult",
@@ -65,10 +68,6 @@ __all__ = [
 
 class ReservoirExhausted(RuntimeError):
     """Raised when a draw would exceed the reservoir's configured capacity."""
-
-
-class FeedbackAuthError(RuntimeError):
-    """The feedback bit arrived with a tag that does not verify."""
 
 
 @dataclass(frozen=True)
@@ -370,8 +369,6 @@ def run_session(
 
         dec = bob_decrypt(params, keys, received, code)
         tau_fb = feedback_tag(keys, dec.omega)
-        if not alice_check_feedback(keys, dec.omega, tau_fb):
-            raise FeedbackAuthError(f"feedback tag failed verification in round {i}")
 
         consumed_before = reservoir.consumed_bits
         next_keys = key_update(

@@ -30,6 +30,12 @@ def entropy_literal(probabilities) -> float:
     return math.fsum(p * math.log2(1.0 / p) for p in probabilities if p > 0.0)
 
 
+def reject_expenditure_closed_form(n: int, tag_bits: int, alpha: float) -> float:
+    """Closed-form expenditure n - 1 + 30*log2(n+1) + lambda + 2*alpha used
+    for sizing comparisons."""
+    return n - 1 + 30.0 * math.log2(n + 1) + tag_bits + 2.0 * alpha
+
+
 def rate_zero_by_grid_scan(step: float = 1e-5) -> float:
     """Locate the rate's sign change by a dense scan; returns the midpoint of
     the bracketing interval."""
@@ -187,7 +193,6 @@ def run_session_two_party(
     from qkr.primitives import RandomSource
     from qkr.protocol import (
         EveView,
-        FeedbackAuthError,
         KeyState,
         Reservoir,
         RoundResult,
@@ -226,8 +231,7 @@ def run_session_two_party(
 
         dec = bob_decrypt(params, bob_keys, received, code)
         tau_fb = feedback_tag(bob_keys, dec.omega)
-        if not alice_check_feedback(alice_keys, dec.omega, tau_fb):
-            raise FeedbackAuthError(f"feedback tag failed verification in round {i}")
+        assert alice_check_feedback(alice_keys, dec.omega, tau_fb)
 
         consumed_before = alice_reservoir.consumed_bits
         alice_keys = key_update(

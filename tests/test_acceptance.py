@@ -16,27 +16,21 @@ from qkr.analysis import (
     p_corr,
     rate_threshold_6state,
     reject_expenditure,
-    reject_expenditure_closed_form,
 )
 from qkr.attacks import intercept_resend_report
 from qkr.ecc import CodeKind, make_code
 from qkr.hashing import polynomial_mac
 from qkr.primitives import BasisString, BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt, run_session
-from qkr.qsim import (
-    BELL_BASIS,
-    ChannelKind,
-    ChannelModel,
-    DensityMatrix,
-    apply_error_pattern,
-    pauli_twirl,
-)
+from qkr.qsim import ChannelKind, ChannelModel, apply_error_pattern
 
+from density import BELL_BASIS, DensityMatrix, pauli_twirl
 from oracles import (
     diamond_bound_log2_mp,
     p_corr_enumeration,
     pairwise_counts_extrema,
     rate_zero_by_grid_scan,
+    reject_expenditure_closed_form,
     toeplitz_outputs_all_seeds,
 )
 from toys import bb84_f_toy, six_state_f_toy, six_state_g_toy

@@ -12,7 +12,6 @@ from qkr.analysis import (
     p_corr,
     rate_threshold_6state,
     reject_expenditure,
-    reject_expenditure_closed_form,
     required_redundancy,
     six_state_error_distribution,
 )
@@ -23,6 +22,7 @@ from oracles import (
     entropy_literal,
     p_corr_enumeration,
     rate_zero_by_grid_scan,
+    reject_expenditure_closed_form,
 )
 
 

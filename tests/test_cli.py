@@ -312,13 +312,18 @@ def test_bad_flags_exit_two(capsys):
         ({"rounds": True}, ["run"]),
         ({"n": "64"}, ["run"]),
         ({"gamma": "0.05"}, ["run"]),
+        (None, ["run", "--alpha", "1e308", "--out", "{missing}/r.jsonl"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--alpha", "1e308"]),
+        (None, ["attack", "intercept_resend", "--alpha", "1e308", "--qubits", "5"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
          "unsupported-lambda", "eta-above-one", "alpha-below-one",
          "negative-reservoir-capacity", "negative-session-rounds", "sweep-bb84",
          "sweep-config-bb84", "config-fractional-n", "config-bool-rounds",
-         "config-string-n", "config-string-gamma"],
+         "config-string-n", "config-string-gamma", "alpha-overflow-run",
+         "alpha-overflow-sweep", "alpha-overflow-intercept"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +12,6 @@ from qkr.primitives import (
     ProtocolParams,
     RandomSource,
     TritString,
-    basis_to_trits,
-    random_bits,
 )
 from qkr.qsim import QubitSequence
 
@@ -102,7 +98,7 @@ def test_strings_are_immutable_and_hashable():
         b = src.basis_string(alphabet, n)
         mask, basis = hash_F(random_f_seed(src, n, kappa, alphabet), x, b, r)
         qubits = QubitSequence.prepare(b, x)
-        derived += [b, b[2:7], basis_to_trits(b), mask, basis,
+        derived += [b, b[2:7], mask, basis,
                     hash_G(random_g_seed(src, n, q_bits, alphabet), b, q),
                     qubits.payload_bits(), qubits.basis_string()]
     repetition = Repetition3Code(CodeSpec(4, n, 1, CodeKind.REPETITION3))
@@ -135,23 +131,6 @@ def test_value_validation():
         BasisString([0], alphabet_size=4)
 
 
-def test_basis_to_trits_examples():
-    six = BasisString.from_text("012", alphabet_size=3)
-    assert basis_to_trits(six) == TritString.from_text("012")
-    bb = BasisString.from_text("01", alphabet_size=2)
-    assert basis_to_trits(bb) == TritString.from_text("01")
-
-
-@pytest.mark.parametrize("alphabet", [2, 3])
-def test_basis_to_trits_injective_exhaustively(alphabet):
-    for length in range(0, 9):
-        seen = set()
-        for symbols in itertools.product(range(alphabet), repeat=length):
-            image = basis_to_trits(BasisString(symbols, alphabet))
-            assert image not in seen
-            seen.add(image)
-
-
 def test_basis_string_text_roundtrip():
     b = BasisString.from_text("20101", alphabet_size=3)
     assert b.to_text() == "20101"
@@ -159,17 +138,15 @@ def test_basis_string_text_roundtrip():
 
 
 def test_random_bits_degenerate_and_deterministic():
-    assert len(random_bits(RandomSource(9, "role"), 0)) == 0
-    a = random_bits(RandomSource(9).stream("role"), 64)
-    b = random_bits(RandomSource(9).stream("role"), 64)
+    assert len(RandomSource(9, "role").bits(0)) == 0
+    a = RandomSource(9).stream("role").bits(64)
+    b = RandomSource(9).stream("role").bits(64)
     assert a == b
-    with pytest.raises(ValueError):
-        random_bits(RandomSource(9), -1)
 
 
 def test_random_bits_distinct_seeds_hamming_window():
-    a = random_bits(RandomSource(1).stream("x"), 128)
-    b = random_bits(RandomSource(2).stream("x"), 128)
+    a = RandomSource(1).stream("x").bits(128)
+    b = RandomSource(2).stream("x").bits(128)
     distance = (a ^ b).weight()
     # 3 sigma window around Binomial(128, 1/2)
     assert abs(distance - 64) <= 3 * np.sqrt(128 * 0.25)

@@ -327,25 +327,6 @@ def test_bb84_session_full_key_evolution():
     assert clean.summary.consumed_bits == 0
 
 
-def test_tampered_feedback_halts_session(monkeypatch):
-    """A feedback tag that fails verification is a distinct terminal error,
-    not a silent key-update divergence."""
-    import qkr.protocol as protocol_module
-
-    def corrupted(keys, omega):
-        tag = feedback_tag(keys, omega)
-        return tag ^ BitString.from_int(1, len(tag))
-
-    monkeypatch.setattr(protocol_module, "feedback_tag", corrupted)
-    from qkr.protocol import FeedbackAuthError
-
-    with pytest.raises(FeedbackAuthError):
-        run_session(
-            PARAMS, ChannelModel(ChannelKind.IID_FLIP, gamma=0.0), CodeKind.ORACLE,
-            5, seed=43,
-        )
-
-
 # One shared key state against the two-party reference
 
 _CODE_N = {CodeKind.IDENTITY: 40, CodeKind.ORACLE: 64, CodeKind.REPETITION3: 120}

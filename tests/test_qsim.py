@@ -1,24 +1,18 @@
 import numpy as np
 import pytest
 
-from qkr.primitives import BitString, RandomSource
-from qkr.qsim import (
-    BELL_BASIS,
-    ChannelKind,
-    ChannelModel,
-    DensityMatrix,
-    QubitSequence,
-    QubitSymbol,
-    apply_error_pattern,
-    pauli_twirl,
-    trace_distance,
-    transmit,
-)
+from qkr.primitives import BasisString, BitString, RandomSource
+from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, apply_error_pattern, transmit
+
+from density import BELL_BASIS, DensityMatrix, pauli_twirl, trace_distance
 
 
 def _random_qubits(seed, n, alphabet=3):
     src = RandomSource(seed).stream("qubits")
-    return QubitSequence(src.integers_below(alphabet, n), src.bit_array(n), alphabet), src
+    qubits = QubitSequence.prepare(
+        BasisString(src.integers_below(alphabet, n), alphabet), BitString(src.bit_array(n))
+    )
+    return qubits, src
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +85,8 @@ def test_apply_error_pattern_flips_exactly():
     assert np.array_equal(np.bitwise_xor(out.payloads, qubits.payloads), pattern.bits)
 
 
-def test_qubit_sequence_symbol_interface():
-    seq = QubitSequence.from_symbols(
-        [QubitSymbol(2, 1), QubitSymbol(0, 0)], alphabet_size=3
-    )
-    assert len(seq) == 2
-    assert seq[0] == QubitSymbol(2, 1)
-    out = transmit(
-        ChannelModel(ChannelKind.IID_FLIP, gamma=0.0),
-        QubitSequence.from_symbols([QubitSymbol(1, 1), QubitSymbol(0, 0)], 2),
-        RandomSource(8),
-    )
-    assert isinstance(out, QubitSequence)
-    assert out[0].payload == 1
-
-
 # ---------------------------------------------------------------------------
-# Density matrices
+# Density matrices (the engine is tests/density.py)
 
 
 def _ket(*amps):
@@ -177,7 +156,7 @@ def test_twirl_random_states_bell_diagonal_idempotent():
 
 
 def test_twirl_commutes_with_every_symmetric_pauli_pair():
-    from qkr.qsim import PAULIS
+    from density import PAULIS
 
     src = RandomSource(12).stream("comm")
     rho = pauli_twirl(DensityMatrix.random(src, 4))
