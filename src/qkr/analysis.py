@@ -47,12 +47,31 @@ def entropy_multi(probabilities) -> float:
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
+# math.exp(x) is exactly 0.0 for x below about -745.13, so a log-term this
+# far under the largest adds nothing to p_corr's sum. The 55 to spare cover
+# the rounding of computed log-terms, a few ulp of lgamma(n + 1) each.
+_LOG_TERM_WINDOW = 800.0
+
+
 def p_corr(n: int, beta: float, gamma: float) -> float:
     """Probability that an iid flip channel with rate gamma produces at most
     floor(n*beta) errors, i.e. that a code correcting that many succeeds.
 
-    Terms are evaluated in the log domain and combined with compensated
-    summation so the result stays accurate for large n.
+    The binomial terms are evaluated as logs, shifted by the largest and
+    summed with fsum. Only a window around the largest is evaluated, and the
+    result is bit for bit the float that the sum over all floor(n*beta) + 1
+    terms gives:
+
+    - every evaluated log-term is computed by the same float operations, in
+      the same order, as in the full sum;
+    - the terms are log-concave in the error count. Bisection from the mode
+      finds the window of log-terms at most 800 below the mode's. The
+      largest term is inside it. Outside it every log-term, rounding
+      included, is more than 745.14 below the largest, so its
+      exp(lt - peak) is exactly 0.0;
+    - fsum is correctly rounded, so neither the dropped zeros nor the order
+      of the remaining terms changes the sum. Summing largest first keeps
+      fsum's list of partial sums short.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -60,6 +79,8 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
         raise ValueError("beta must be nonnegative")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
+    if beta >= 1.0:
+        return 1.0
     t = math.floor(n * beta)
     if t >= n:
         return 1.0
@@ -67,15 +88,33 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
         return 1.0
     if gamma == 1.0:
         return 0.0
+    lg_n = math.lgamma(n + 1)
     log_g = math.log(gamma)
     log_1g = math.log1p(-gamma)
-    log_terms = [
-        math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-        + c * log_g + (n - c) * log_1g
-        for c in range(t + 1)
-    ]
+
+    def log_term(c: int) -> float:
+        return lg_n - math.lgamma(c + 1) - math.lgamma(n - c + 1) + c * log_g + (n - c) * log_1g
+
+    # The terms rise up to floor((n+1)*gamma) and fall after it.
+    mode = min(t, math.floor((n + 1) * gamma))
+    cutoff = log_term(mode) - _LOG_TERM_WINDOW
+
+    def edge(inside: int, outside: int) -> int:
+        """The last count in the window walking from `inside` towards
+        `outside`, a count known to be outside it or one past the range."""
+        while abs(outside - inside) > 1:
+            mid = (inside + outside) // 2
+            if log_term(mid) >= cutoff:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    low = edge(mode, -1)
+    high = edge(mode, t + 1)
+    log_terms = [log_term(c) for c in range(low, high + 1)]
     peak = max(log_terms)
-    total = math.fsum(math.exp(lt - peak) for lt in log_terms)
+    total = math.fsum(sorted((math.exp(lt - peak) for lt in log_terms), reverse=True))
     return min(1.0, math.exp(peak) * total)
 
 

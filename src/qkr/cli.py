@@ -51,6 +51,10 @@ DEFAULTS = {
 
 _FALLBACK_TAGS = (64, 8)
 
+# Largest kappa or q_bits a run accepts: a session allocates seeds of these
+# lengths, so a size derived from a huge alpha must stop before that.
+MAX_RUN_SIZE = 2**32
+
 
 class UsageError(Exception):
     pass
@@ -230,6 +234,11 @@ def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolP
     q_bits = values["q_bits"]
     try:
         q_bits = _sized_by_alpha(min_q_bits, n, alpha) if q_bits is None else int(q_bits)
+        for field, size in (("kappa", kappa_val), ("q_bits", q_bits)):
+            if size > MAX_RUN_SIZE:
+                raise UsageError(
+                    f"{field}: must be at most 2^32 to run, got a {size.bit_length()}-bit number"
+                )
         params = ProtocolParams(
             n=n,
             ell=ell_val,

@@ -25,6 +25,35 @@ def p_corr_enumeration(n: int, beta: float, gamma: float) -> float:
     return total
 
 
+def p_corr_full(n: int, beta: float, gamma: float) -> float:
+    """p_corr evaluated over every one of its floor(n*beta) + 1 log-terms,
+    peak-shifted and summed with fsum in index order; the production p_corr
+    must return exactly this float."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if not 0.0 <= beta:
+        raise ValueError("beta must be nonnegative")
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError("gamma must lie in [0, 1]")
+    t = math.floor(n * beta)
+    if t >= n:
+        return 1.0
+    if gamma == 0.0:
+        return 1.0
+    if gamma == 1.0:
+        return 0.0
+    log_g = math.log(gamma)
+    log_1g = math.log1p(-gamma)
+    log_terms = [
+        math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+        + c * log_g + (n - c) * log_1g
+        for c in range(t + 1)
+    ]
+    peak = max(log_terms)
+    total = math.fsum(math.exp(lt - peak) for lt in log_terms)
+    return min(1.0, math.exp(peak) * total)
+
+
 def entropy_literal(probabilities) -> float:
     """Sum p_i log2(1/p_i) written out directly."""
     return math.fsum(p * math.log2(1.0 / p) for p in probabilities if p > 0.0)

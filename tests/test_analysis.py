@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkr.analysis import (
     SecurityBudget,
@@ -21,6 +23,7 @@ from oracles import (
     diamond_bound_log2_mp,
     entropy_literal,
     p_corr_enumeration,
+    p_corr_full,
     rate_zero_by_grid_scan,
     reject_expenditure_closed_form,
 )
@@ -80,6 +83,40 @@ def test_p_corr_monotonicity_grid():
         for g1, g2 in zip(gammas, gammas[1:]):
             for b in betas:
                 assert p_corr(n, b, g2) <= p_corr(n, b, g1) + 1e-12
+
+
+@st.composite
+def _p_corr_args(draw):
+    n = draw(st.integers(1, 2**16))
+    beta = draw(st.one_of(
+        st.integers(0, n + n // 2).map(lambda k: k / n),
+        st.floats(0.0, 1.5),
+        st.just(math.inf),
+    ))
+    gamma = draw(st.one_of(
+        st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 1 - 1e-12]),
+        st.floats(0.0, 1.0),
+        # (n+1)*gamma an integer: two equal largest terms, up to rounding
+        st.integers(1, n).map(lambda k: k / (n + 1)),
+    ))
+    return n, beta, gamma
+
+
+@given(_p_corr_args())
+@example((1024 + 63, 0.125, 0.05))
+@example((131_000, 0.125, 0.05))
+@example((2**18 - 1023, 0.125, 0.05))
+@example((10, math.inf, 0.1))
+@example((2, 0.5, 1 / 3))
+@settings(max_examples=150, deadline=None)
+def test_p_corr_equals_full_evaluation(args):
+    """The windowed sum is exactly the float of the sum over every term. The
+    first three examples are the benchmark's sweep-n-large rows; at n = 2
+    and gamma = 1/3 the two largest terms are equal up to rounding."""
+    n, beta, gamma = args
+    # The full evaluation cannot floor n * inf; every beta >= 1 gives 1.0.
+    expected = 1.0 if beta == math.inf else p_corr_full(n, beta, gamma)
+    assert p_corr(n, beta, gamma) == expected
 
 
 def test_p_corr_large_n_stays_finite_and_sane():

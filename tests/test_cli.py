@@ -243,6 +243,25 @@ def test_sweep_output_matches_golden_file(tmp_path):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "stop,steps,csv_sha256",
+    [
+        ("262144", "3", "c96444a26da34ffc312a15c9cd03d78d031606df2cd2da77be5247c29b8155f7"),
+        ("16777216", "2", "7231f77e9197b69511cdfad98ad2c173f35e2ebc97c563da5f4aa1ee42fbef8a"),
+    ],
+    ids=["n2e18", "n2e24"],
+)
+def test_sweep_bytes_pinned_at_large_n(tmp_path, monkeypatch, stop, steps, csv_sha256):
+    """p_corr sums only the terms that can be nonzero; the digests were
+    recorded with the sum over all floor(n*beta) + 1 terms, 2.1 million of
+    them per row at n = 2^24."""
+    monkeypatch.chdir(tmp_path)
+    code = main(["sweep", "n", "--start", "1024", "--stop", stop, "--steps", steps,
+                 "--gamma", "0.05", "--out", "f.csv"])
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "f.csv").read_bytes()).hexdigest() == csv_sha256
+
+
 def test_attack_intercept_resend_report(capsys):
     code, stdout, _ = _run(
         capsys, "attack", "intercept_resend", "--eta", "1", "--qubits", "30000",
@@ -316,6 +335,10 @@ def test_bad_flags_exit_two(capsys):
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
                 "--alpha", "1e308"]),
         (None, ["attack", "intercept_resend", "--alpha", "1e308", "--qubits", "5"]),
+        (None, ["run", "--alpha", "1e300", "--rounds", "1", "--out", "{missing}/r.jsonl"]),
+        (None, ["attack", "intercept_resend", "--alpha", "1e300", "--qubits", "5"]),
+        (None, ["run", "--q-bits", "10000000000000", "--rounds", "1",
+                "--out", "{missing}/r.jsonl"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -323,7 +346,8 @@ def test_bad_flags_exit_two(capsys):
          "negative-reservoir-capacity", "negative-session-rounds", "sweep-bb84",
          "sweep-config-bb84", "config-fractional-n", "config-bool-rounds",
          "config-string-n", "config-string-gamma", "alpha-overflow-run",
-         "alpha-overflow-sweep", "alpha-overflow-intercept"],
+         "alpha-overflow-sweep", "alpha-overflow-intercept", "alpha-huge-run",
+         "alpha-huge-intercept", "q-bits-huge"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
