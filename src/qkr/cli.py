@@ -21,7 +21,7 @@ from .analysis import (
     required_redundancy,
 )
 from .attacks import intercept_resend_report, tamper_fuzz
-from .ecc import CodeKind
+from .ecc import CodeKind, CodeSpec
 from .hashing import REDUCTION_POLYS
 from .primitives import Encoding, ProtocolParams
 from .protocol import ReservoirExhausted, run_session
@@ -51,8 +51,7 @@ DEFAULTS = {
 
 _FALLBACK_TAGS = (64, 8)
 
-# Largest kappa or q_bits a run accepts: a session allocates seeds of these
-# lengths, so a size derived from a huge alpha must stop before that.
+# Largest n, kappa or q_bits a run accepts.
 MAX_RUN_SIZE = 2**32
 
 
@@ -169,104 +168,91 @@ def _default_kappa(n: int, alpha: float) -> int:
     return math.ceil(2.0 * (alpha + 15.0 * math.log2(n + 1)))
 
 
-def _sized_by_alpha(size, n: int, alpha: float) -> int:
-    """`size(n, alpha)` for a size derived from alpha (kappa or q_bits); an
-    alpha so large that the size is not a finite number is a usage error."""
+def _size(values: dict, key: str, rule) -> int:
+    """The field's value if set, else `rule(n, alpha)` (kappa or q_bits); an
+    alpha the rule derives no finite size from is a usage error."""
+    if values[key] is not None:
+        return int(values[key])
+    n, alpha = int(values["n"]), float(values["alpha"])
     try:
-        return size(n, alpha)
-    except OverflowError:
-        raise UsageError(f"alpha: too large to derive sizes from, got {alpha:g}") from None
+        return rule(n, alpha)
+    except (OverflowError, ValueError) as exc:
+        raise UsageError(f"{key}: cannot derive from n={n} and alpha={alpha:g}: {exc}") from None
+
+
+def _run_size(key: str, size: int) -> int:
+    """`size`, or a usage error above MAX_RUN_SIZE: a session allocates
+    strings of this length."""
+    if size > MAX_RUN_SIZE:
+        raise UsageError(
+            f"{key}: must be at most 2^32 to run, got a {size.bit_length()}-bit number"
+        )
+    return size
 
 
 def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolParams, CodeKind]:
-    """Fill in ell, kappa, q_bits and (when not explicitly set) the tag
-    length from the structural constraints of the chosen code."""
+    """Derive, in order, the payload width k_in = ell + kappa, the tag length
+    (lowered when not explicitly set and k_in cannot host it), kappa, ell and
+    q_bits. The code's shape rules are checked by `ecc.CodeSpec`."""
     encoding = Encoding.parse(values["encoding"])
     code_kind = CodeKind.parse(values["code"])
-    n = int(values["n"])
-    gamma = float(values["gamma"])
-    alpha = float(values["alpha"])
+    n = _run_size("n", int(values["n"]))
+    ell, kappa = (None if values[key] is None else int(values[key]) for key in ("ell", "kappa"))
 
-    ell, kappa = values["ell"], values["kappa"]
     if ell is not None and kappa is not None:
-        k_in = int(ell) + int(kappa)
-        if code_kind is CodeKind.IDENTITY and k_in != n:
-            raise UsageError(f"ell/kappa: identity code needs ell + kappa = n, got {k_in} vs {n}")
-        if code_kind is CodeKind.REPETITION3 and 3 * k_in != n:
-            raise UsageError(f"ell/kappa: repetition3 needs 3*(ell + kappa) = n, got {k_in} vs {n}")
+        k_in = ell + kappa
     elif code_kind is CodeKind.IDENTITY:
         k_in = n
     elif code_kind is CodeKind.REPETITION3:
-        if n % 3:
-            raise UsageError(f"n: repetition3 needs n divisible by 3, got {n}")
         k_in = n // 3
     else:
-        k_in = n - math.ceil(required_redundancy(n, min(gamma, 0.5 - 1e-9)))
+        k_in = n - math.ceil(required_redundancy(n, min(float(values["gamma"]), 0.5 - 1e-9)))
 
     lam = int(values["lambda"])
     if "lambda" not in explicit and k_in <= 2 * lam:
-        for candidate in _FALLBACK_TAGS:
-            if k_in > 2 * candidate:
-                if candidate != lam:
-                    print(
-                        f"note: lambda lowered to {candidate} to fit {k_in} payload bits",
-                        file=sys.stderr,
-                    )
-                lam = candidate
-                break
-        else:
+        lam = next((tag for tag in _FALLBACK_TAGS if k_in > 2 * tag), None)
+        if lam is None:
             raise UsageError(f"n: payload of {k_in} bits cannot host any supported tag length")
     if lam not in REDUCTION_POLYS:
         raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
 
-    if ell is None and kappa is None:
-        kappa_val = max(0, min(_sized_by_alpha(_default_kappa, n, alpha), k_in - (2 * lam + 1)))
-        ell_val = k_in - kappa_val
-    elif ell is None:
-        kappa_val = int(kappa)
-        ell_val = k_in - kappa_val
-    elif kappa is None:
-        ell_val = int(ell)
-        kappa_val = k_in - ell_val
-    else:
-        ell_val, kappa_val = int(ell), int(kappa)
+    if kappa is None:
+        kappa = (
+            k_in - ell
+            if ell is not None
+            else max(0, min(_size(values, "kappa", _default_kappa), k_in - (2 * lam + 1)))
+        )
+    if ell is None:
+        ell = k_in - kappa
 
-    q_bits = values["q_bits"]
     try:
-        q_bits = _sized_by_alpha(min_q_bits, n, alpha) if q_bits is None else int(q_bits)
-        for field, size in (("kappa", kappa_val), ("q_bits", q_bits)):
-            if size > MAX_RUN_SIZE:
-                raise UsageError(
-                    f"{field}: must be at most 2^32 to run, got a {size.bit_length()}-bit number"
-                )
         params = ProtocolParams(
             n=n,
-            ell=ell_val,
-            kappa=kappa_val,
+            ell=ell,
+            kappa=_run_size("kappa", kappa),
             tag_bits=lam,
             beta=float(values["beta"]),
             encoding=encoding,
-            q_bits=q_bits,
+            q_bits=_run_size("q_bits", _size(values, "q_bits", min_q_bits)),
         )
+        CodeSpec.for_params(code_kind, params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if lam != int(values["lambda"]):
+        print(f"note: lambda lowered to {lam} to fit {k_in} payload bits", file=sys.stderr)
     return params, code_kind
 
 
 def resolve_budget(values: dict) -> SecurityBudget:
-    n = int(values["n"])
-    alpha = float(values["alpha"])
-    kappa = values["kappa"]
-    q_bits = values["q_bits"]
     try:
         return SecurityBudget(
-            alpha=alpha,
+            alpha=float(values["alpha"]),
             tag_bits=int(values["lambda"]),
-            n=n,
-            kappa=_sized_by_alpha(_default_kappa, n, alpha) if kappa is None else int(kappa),
+            n=int(values["n"]),
+            kappa=_size(values, "kappa", _default_kappa),
             gamma=float(values["gamma"]),
             beta=float(values["beta"]),
-            q_bits=_sized_by_alpha(min_q_bits, n, alpha) if q_bits is None else int(q_bits),
+            q_bits=_size(values, "q_bits", min_q_bits),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -348,18 +334,11 @@ _SWEEP_COLUMNS = [
 
 def _sweep_rows(variable: str, start: float, stop: float, steps: int, budget: SecurityBudget):
     for i in range(steps):
-        frac = i / (steps - 1)
-        value = start + frac * (stop - start)
-        if variable == "gamma":
-            budget_kwargs = {"gamma": value}
-        elif variable == "n":
+        value = start + i / (steps - 1) * (stop - start)
+        if variable != "gamma":
             value = int(round(value))
-            budget_kwargs = {"n": value}
-        else:
-            value = int(round(value))
-            budget_kwargs = {"q_bits": value}
         try:
-            point = dataclasses.replace(budget, **budget_kwargs)
+            point = dataclasses.replace(budget, **{variable: value})
             rate = asymptotic_rate_6state(point.gamma)
             report = diamond_bound(point)
         except (ValueError, RuntimeError) as exc:
@@ -380,8 +359,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if values["encoding"] == Encoding.BB84.value:
         raise UsageError("encoding: sweep evaluates the six-state formulas only, got bb84")
     budget = resolve_budget(values)
-    if ns.steps < 2:
-        raise UsageError("steps must be at least 2")
     lines = [",".join([ns.variable] + _SWEEP_COLUMNS)]
     for value, columns in _sweep_rows(ns.variable, ns.start, ns.stop, ns.steps, budget):
         cells = [f"{value:.10g}"] + [f"{c:.10g}" for c in columns]
@@ -448,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("variable", choices=["gamma", "n", "q_bits"])
     p_sweep.add_argument("--start", type=_finite_float, required=True)
     p_sweep.add_argument("--stop", type=_finite_float, required=True)
-    p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--steps", type=_int_at_least(2), required=True)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -470,8 +447,8 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+    except (UsageError, MemoryError) as exc:
+        print(f"usage error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
     except ReservoirExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,14 +52,15 @@ class CodeSpec:
     kind: CodeKind
 
     def __post_init__(self):
-        if self.k_in > self.n_out:
-            raise ValueError("k_in must not exceed n_out")
-        if self.t > self.n_out // 2:
-            raise ValueError("t must not exceed n_out/2")
-        if self.kind is CodeKind.IDENTITY and (self.t != 0 or self.k_in != self.n_out):
-            raise ValueError("identity code requires t=0 and k_in=n_out")
-        if self.kind is CodeKind.REPETITION3 and self.n_out != 3 * self.k_in:
-            raise ValueError("repetition3 requires n_out = 3*k_in")
+        k_in, n, t = self.k_in, self.n_out, self.t
+        if k_in > n:
+            raise ValueError(f"code needs k_in <= n, got n={n}, k_in={k_in}")
+        if t > n // 2:
+            raise ValueError(f"code needs t <= n/2, got n={n}, t={t}")
+        if self.kind is CodeKind.IDENTITY and (t != 0 or k_in != n):
+            raise ValueError(f"identity needs n = k_in and t = 0, got n={n}, k_in={k_in}, t={t}")
+        if self.kind is CodeKind.REPETITION3 and n != 3 * k_in:
+            raise ValueError(f"repetition3 needs n = 3*k_in, got n={n}, k_in={k_in}")
 
     @classmethod
     def for_params(cls, kind: CodeKind, params: ProtocolParams) -> "CodeSpec":

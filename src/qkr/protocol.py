@@ -28,7 +28,7 @@ serialize into it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -201,15 +201,7 @@ class SessionSummary:
     key_agreement: bool
 
     def to_json(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "accepts": self.accepts,
-            "accept_rate": self.accept_rate,
-            "consumed_bits": self.consumed_bits,
-            "mismatches": self.mismatches,
-            "errors_injected": self.errors_injected,
-            "key_agreement": self.key_agreement,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,16 @@ production code against these, never the other way around.
 from __future__ import annotations
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
+
+from qkr.analysis import SecurityBudget, min_q_bits, required_redundancy
+from qkr.cli import UsageError
+from qkr.ecc import CodeKind
+from qkr.hashing import REDUCTION_POLYS
+from qkr.primitives import Encoding, ProtocolParams
 
 
 def p_corr_enumeration(n: int, beta: float, gamma: float) -> float:
@@ -390,3 +397,119 @@ def mac64_words_bitserial(keys: np.ndarray, message_bits: np.ndarray) -> np.ndar
     for j in range(blocks.shape[1] - 1, -1, -1):
         acc = blocks[:, j] ^ gf64_mul_words_bitserial(acc, keys)
     return gf64_mul_words_bitserial(acc, keys)
+
+
+# The run-parameter resolver as `cli` had it when each size rule lived on its
+# own branch, with the code-shape checks repeated from `ecc.CodeSpec`. The
+# `cli` resolver must return the same parameters or raise `UsageError` alike.
+
+_FALLBACK_TAGS = (64, 8)
+
+MAX_RUN_SIZE = 2**32
+
+
+def _default_kappa(n: int, alpha: float) -> int:
+    return math.ceil(2.0 * (alpha + 15.0 * math.log2(n + 1)))
+
+
+def _sized_by_alpha(size, n: int, alpha: float) -> int:
+    """`size(n, alpha)` for a size derived from alpha (kappa or q_bits); an
+    alpha so large that the size is not a finite number is a usage error."""
+    try:
+        return size(n, alpha)
+    except OverflowError:
+        raise UsageError(f"alpha: too large to derive sizes from, got {alpha:g}") from None
+
+
+def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolParams, CodeKind]:
+    """Fill in ell, kappa, q_bits and (when not explicitly set) the tag
+    length from the structural constraints of the chosen code."""
+    encoding = Encoding.parse(values["encoding"])
+    code_kind = CodeKind.parse(values["code"])
+    n = int(values["n"])
+    gamma = float(values["gamma"])
+    alpha = float(values["alpha"])
+
+    ell, kappa = values["ell"], values["kappa"]
+    if ell is not None and kappa is not None:
+        k_in = int(ell) + int(kappa)
+        if code_kind is CodeKind.IDENTITY and k_in != n:
+            raise UsageError(f"ell/kappa: identity code needs ell + kappa = n, got {k_in} vs {n}")
+        if code_kind is CodeKind.REPETITION3 and 3 * k_in != n:
+            raise UsageError(f"ell/kappa: repetition3 needs 3*(ell + kappa) = n, got {k_in} vs {n}")
+    elif code_kind is CodeKind.IDENTITY:
+        k_in = n
+    elif code_kind is CodeKind.REPETITION3:
+        if n % 3:
+            raise UsageError(f"n: repetition3 needs n divisible by 3, got {n}")
+        k_in = n // 3
+    else:
+        k_in = n - math.ceil(required_redundancy(n, min(gamma, 0.5 - 1e-9)))
+
+    lam = int(values["lambda"])
+    if "lambda" not in explicit and k_in <= 2 * lam:
+        for candidate in _FALLBACK_TAGS:
+            if k_in > 2 * candidate:
+                if candidate != lam:
+                    print(
+                        f"note: lambda lowered to {candidate} to fit {k_in} payload bits",
+                        file=sys.stderr,
+                    )
+                lam = candidate
+                break
+        else:
+            raise UsageError(f"n: payload of {k_in} bits cannot host any supported tag length")
+    if lam not in REDUCTION_POLYS:
+        raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
+
+    if ell is None and kappa is None:
+        kappa_val = max(0, min(_sized_by_alpha(_default_kappa, n, alpha), k_in - (2 * lam + 1)))
+        ell_val = k_in - kappa_val
+    elif ell is None:
+        kappa_val = int(kappa)
+        ell_val = k_in - kappa_val
+    elif kappa is None:
+        ell_val = int(ell)
+        kappa_val = k_in - ell_val
+    else:
+        ell_val, kappa_val = int(ell), int(kappa)
+
+    q_bits = values["q_bits"]
+    try:
+        q_bits = _sized_by_alpha(min_q_bits, n, alpha) if q_bits is None else int(q_bits)
+        for field, size in (("kappa", kappa_val), ("q_bits", q_bits)):
+            if size > MAX_RUN_SIZE:
+                raise UsageError(
+                    f"{field}: must be at most 2^32 to run, got a {size.bit_length()}-bit number"
+                )
+        params = ProtocolParams(
+            n=n,
+            ell=ell_val,
+            kappa=kappa_val,
+            tag_bits=lam,
+            beta=float(values["beta"]),
+            encoding=encoding,
+            q_bits=q_bits,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return params, code_kind
+
+
+def resolve_budget(values: dict) -> SecurityBudget:
+    n = int(values["n"])
+    alpha = float(values["alpha"])
+    kappa = values["kappa"]
+    q_bits = values["q_bits"]
+    try:
+        return SecurityBudget(
+            alpha=alpha,
+            tag_bits=int(values["lambda"]),
+            n=n,
+            kappa=_sized_by_alpha(_default_kappa, n, alpha) if kappa is None else int(kappa),
+            gamma=float(values["gamma"]),
+            beta=float(values["beta"]),
+            q_bits=_sized_by_alpha(min_q_bits, n, alpha) if q_bits is None else int(q_bits),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -6,10 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import qkr
 from qkr.analysis import p_corr
-from qkr.cli import main
+from qkr.cli import DEFAULTS, UsageError, main, resolve_budget, resolve_params
 
 
 def _run(capsys, *argv):
@@ -339,6 +344,12 @@ def test_bad_flags_exit_two(capsys):
         (None, ["attack", "intercept_resend", "--alpha", "1e300", "--qubits", "5"]),
         (None, ["run", "--q-bits", "10000000000000", "--rounds", "1",
                 "--out", "{missing}/r.jsonl"]),
+        (None, ["run", "--n", "64", "--ell", "10", "--out", "{missing}/r.jsonl"]),
+        (None, ["run", "--n", "100", "--code", "repetition3", "--out", "{missing}/r.jsonl"]),
+        (None, ["run", "--code", "identity", "--n", "64", "--ell", "40", "--kappa", "8",
+                "--out", "{missing}/r.jsonl"]),
+        (None, ["run", "--n", "4294967297", "--rounds", "1", "--out", "{missing}/r.jsonl"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "1"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -347,7 +358,9 @@ def test_bad_flags_exit_two(capsys):
          "sweep-config-bb84", "config-fractional-n", "config-bool-rounds",
          "config-string-n", "config-string-gamma", "alpha-overflow-run",
          "alpha-overflow-sweep", "alpha-overflow-intercept", "alpha-huge-run",
-         "alpha-huge-intercept", "q-bits-huge"],
+         "alpha-huge-intercept", "q-bits-huge", "lambda-lowered-then-ell-too-small",
+         "repetition3-n-not-multiple-of-3", "identity-ell-kappa-not-n", "n-huge",
+         "sweep-one-step"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
@@ -362,3 +375,72 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+def test_out_of_memory_is_one_line_usage_error(tmp_path, monkeypatch, capsys):
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(qkr.protocol.KeyState, "random", no_memory)
+    code, stdout, stderr = _run(
+        capsys, "run", "--rounds", "1", "--out", str(tmp_path / "r.jsonl")
+    )
+    assert code == 2
+    assert stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+def _resolved(resolve, *args):
+    """`resolve(*args)`, or UsageError if it raised one, and its stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            result = resolve(*args)
+        except UsageError:
+            result = UsageError
+    return result, err.getvalue().splitlines()
+
+
+@st.composite
+def _run_values(draw):
+    n = draw(st.integers(1, 5000))
+    # Payload widths the codes need (identity n, repetition3 n/3) or any other.
+    k_in = draw(st.sampled_from([n, n // 3]) | st.integers(0, n))
+    kappa = draw(st.none() | st.integers(-1, k_in))
+    ell = draw(st.none() | st.just(k_in - (kappa or 0)) | st.integers(-1, n))
+    lam = draw(st.none() | st.sampled_from([7, 8, 64, 128]))
+    values = dict(
+        DEFAULTS,
+        n=n,
+        ell=ell,
+        kappa=kappa,
+        q_bits=draw(st.none() | st.integers(0, 5000)),
+        code=draw(st.sampled_from(["identity", "repetition3", "oracle"])),
+        encoding=draw(st.sampled_from(["six-state", "bb84"])),
+        gamma=draw(st.floats(0.0, 0.5)),
+        alpha=draw(st.floats(1.0, 200.0)),
+        beta=draw(st.sampled_from([0.0, 0.125, 0.5]) | st.floats(0.0, 0.5)),
+    )
+    if lam is None:
+        return values, set()
+    values["lambda"] = lam
+    return values, {"lambda"}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_run_values())
+def test_resolvers_match_ladder_oracle(case):
+    """Each size rule stated once derives what the per-branch resolver did:
+    the same parameters and notes, or a usage error with nothing else on
+    stderr."""
+    values, explicit = case
+    old, old_lines = _resolved(oracles.resolve_params, values, explicit)
+    new, lines = _resolved(resolve_params, values, explicit)
+    assert new == old
+    assert lines == ([] if new is UsageError else old_lines)
+    assert len(lines) <= 1
+    old_budget, _ = _resolved(oracles.resolve_budget, values)
+    new_budget, budget_lines = _resolved(resolve_budget, values)
+    assert new_budget == old_budget
+    assert budget_lines == []
