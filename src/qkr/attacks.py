@@ -12,12 +12,15 @@ row, by the same method: the keys' 4-bit tables ``T[v] = key * v`` are built
 once as a (16, rows) uint64 array (seven doublings and seven xors), and
 each Horner step multiplies by the key in 16 nibble steps ``z = (z << 4) ^
 R[z >> 60] ^ T[nibble]``, where R is `hashing.NIBBLE_REDUCTION[64]`. The
-tables are 4-bit, not 8-bit: a row's table is 128 bytes against 2 KB, so a
-12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which would
-dominate its ~70 MB peak memory (and a full 65536-row chunk 8.4 MB against
-134 MB). The bit-serial multiply and the shift-and-sum packer this replaced
-are the references in ``tests/oracles.py``, and the test suite also checks
-`mac64_words` against the scalar MAC.
+length block is one small constant for the whole batch, so its product with
+the key starts at the table row of the length's top nibble and costs one
+step per lower nibble: one step for the fuzz's 80-bit messages (0x50), not
+16. The tables are 4-bit, not 8-bit: a row's table is 128 bytes against
+2 KB, so a 12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which
+would dominate its ~57 MB peak memory (and a full 65536-row chunk 8.4 MB
+against 134 MB). The bit-serial multiply and the shift-and-sum packer this
+replaced are the references in ``tests/oracles.py``, and the test suite also
+checks `mac64_words` against the scalar MAC.
 """
 
 from __future__ import annotations
@@ -91,14 +94,28 @@ def mac64_words(keys: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
     return _mac64_tables(_key_tables(keys), message_bits)
 
 
+def _length_times_keys(length: int, table: np.ndarray) -> np.ndarray:
+    """Row-wise length * key from the keys' tables: the row of the length's
+    top nibble, then one nibble step per lower nibble, which xors in a table
+    row only where the nibble is nonzero. A zero length is row 0, all zeros."""
+    top = 4 * max(0, (length.bit_length() - 1) // 4)
+    z = table[length >> top]
+    for shift in range(top - 4, -1, -4):
+        z = (z << 4) ^ _FOLD64[z >> 60]
+        nibble = (length >> shift) & 15
+        if nibble:
+            z ^= table[nibble]
+    return z
+
+
 def _mac64_tables(table: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
     """`mac64_words` for keys whose tables are already built."""
-    rows, length = message_bits.shape
+    length = message_bits.shape[1]
     blocks = pack_bits_to_words(message_bits)
-    acc = np.full(rows, np.uint64(length), dtype=np.uint64)
+    acc = _length_times_keys(length, table)
     for j in range(blocks.shape[1] - 1, -1, -1):
-        acc = blocks[:, j] ^ _table_mul_words(acc, table)
-    return _table_mul_words(acc, table)
+        acc = _table_mul_words(blocks[:, j] ^ acc, table)
+    return acc
 
 
 def _nonzero_words(src: RandomSource, count: int) -> np.ndarray:
@@ -184,7 +201,7 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
         k_prime = src.bit_array(batch * tag_bits).reshape(batch, tag_bits)
         r = src.bit_array(batch * kappa).reshape(batch, kappa)
         z = src.bit_array(batch * n).reshape(batch, n)
-        flips = src.bernoulli(flip_rate, batch * n).reshape(batch, n).astype(np.uint8)
+        flips = src.bernoulli(flip_rate, batch * n).reshape(batch, n).view(np.uint8)
 
         out = fuzz_batch(xi, mu, k_prime, r, z, flips)
         false_accepts += int(np.sum(out["omega"] & out["plaintext_changed"]))

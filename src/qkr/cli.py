@@ -51,7 +51,7 @@ DEFAULTS = {
 
 _FALLBACK_TAGS = (64, 8)
 
-# Largest n, kappa or q_bits a run accepts.
+# Largest n, kappa or q_bits a run accepts, and the largest base n of a sweep.
 MAX_RUN_SIZE = 2**32
 
 
@@ -182,7 +182,7 @@ def _size(values: dict, key: str, rule) -> int:
 
 def _run_size(key: str, size: int) -> int:
     """`size`, or a usage error above MAX_RUN_SIZE: a session allocates
-    strings of this length."""
+    strings of this length, and the bound is evaluated in floats."""
     if size > MAX_RUN_SIZE:
         raise UsageError(
             f"{key}: must be at most 2^32 to run, got a {size.bit_length()}-bit number"
@@ -248,7 +248,7 @@ def resolve_budget(values: dict) -> SecurityBudget:
         return SecurityBudget(
             alpha=float(values["alpha"]),
             tag_bits=int(values["lambda"]),
-            n=int(values["n"]),
+            n=_run_size("n", int(values["n"])),
             kappa=_size(values, "kappa", _default_kappa),
             gamma=float(values["gamma"]),
             beta=float(values["beta"]),

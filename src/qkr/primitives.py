@@ -277,6 +277,15 @@ class RandomSource:
     identical seeds reproduce identical streams and distinct labels give
     independent streams. A source is single-owner; `stream()` forks an
     independent substream under a child label.
+
+    Every draw consumes whole 64-bit words through `raw_words`. `floats`
+    maps a word w to ``(w >> 11) * 2^-53``. `bernoulli(p)` returns
+    ``floats() < p`` by the integer-threshold rule ``w < T << 11`` with
+    ``T = ceil(p * 2^53)``: for p in (0, 1), ``p * 2^53`` is exact (scaling
+    by a power of two does not round, and the result is not subnormal), and
+    the integer ``w >> 11`` is below it exactly when it is below T. p <= 0
+    (or NaN) gives all False and p >= 1 all True, still drawing `count`
+    words.
     """
 
     def __init__(self, seed: int, label: str = ""):
@@ -295,11 +304,9 @@ class RandomSource:
         return np.atleast_1d(np.asarray(self._gen.random_raw(count), dtype=np.uint64))
 
     def bit_array(self, count: int) -> np.ndarray:
-        if count == 0:
-            return np.empty(0, dtype=np.uint8)
+        """`count` bits, each word's bits most significant first."""
         words = self.raw_words((count + 63) // 64)
-        bits = np.unpackbits(np.frombuffer(words.astype(">u8").tobytes(), dtype=np.uint8))
-        return bits[:count]
+        return np.unpackbits(words.astype(">u8").view(np.uint8), count=count)
 
     def bits(self, count: int) -> BitString:
         return BitString._trusted(self.bit_array(count), 2)
@@ -308,7 +315,14 @@ class RandomSource:
         return (self.raw_words(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def bernoulli(self, p: float, count: int) -> np.ndarray:
-        return self.floats(count) < p
+        """`floats(count) < p` by one integer compare per word (see the class
+        docstring)."""
+        words = self.raw_words(count)
+        if not p > 0.0:
+            return np.zeros(words.shape, dtype=bool)
+        if p >= 1.0:
+            return np.ones(words.shape, dtype=bool)
+        return words < np.uint64(math.ceil(p * 2.0**53) << 11)
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
         """Uniform integers in [0, bound) by rejection on minimal bit chunks."""
@@ -319,10 +333,10 @@ class RandomSource:
         filled = 0
         while filled < count:
             need = count - filled
-            raw = self.bit_array(2 * need * width)
-            cand = np.zeros(2 * need, dtype=np.uint8)
-            for k in range(width):
-                cand = (cand << 1) | raw[k::width][: 2 * need]
+            raw = self.bit_array(2 * need * width).reshape(2 * need, width)
+            cand = raw[:, 0]
+            for k in range(1, width):
+                cand = (cand << 1) | raw[:, k]
             accepted = cand[cand < bound][:need]
             out[filled : filled + accepted.size] = accepted
             filled += accepted.size

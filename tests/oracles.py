@@ -17,7 +17,7 @@ from qkr.analysis import SecurityBudget, min_q_bits, required_redundancy
 from qkr.cli import UsageError
 from qkr.ecc import CodeKind
 from qkr.hashing import REDUCTION_POLYS
-from qkr.primitives import Encoding, ProtocolParams
+from qkr.primitives import Encoding, ProtocolParams, RandomSource
 
 
 def p_corr_enumeration(n: int, beta: float, gamma: float) -> float:
@@ -397,6 +397,41 @@ def mac64_words_bitserial(keys: np.ndarray, message_bits: np.ndarray) -> np.ndar
     for j in range(blocks.shape[1] - 1, -1, -1):
         acc = blocks[:, j] ^ gf64_mul_words_bitserial(acc, keys)
     return gf64_mul_words_bitserial(acc, keys)
+
+
+class FloatRandomSource(RandomSource):
+    """`RandomSource` with its draws as they were before the integer forms:
+    `bernoulli` compares floats, `bit_array` unpacks a big-endian byte copy
+    and slices it, and `integers_below` gathers each bit column by a strided
+    slice. Seeded alike, both sources must return the same arrays and stay
+    at the same stream position."""
+
+    def bit_array(self, count: int) -> np.ndarray:
+        if count == 0:
+            return np.empty(0, dtype=np.uint8)
+        words = self.raw_words((count + 63) // 64)
+        bits = np.unpackbits(np.frombuffer(words.astype(">u8").tobytes(), dtype=np.uint8))
+        return bits[:count]
+
+    def bernoulli(self, p: float, count: int) -> np.ndarray:
+        return self.floats(count) < p
+
+    def integers_below(self, bound: int, count: int) -> np.ndarray:
+        if bound < 2:
+            return np.zeros(count, dtype=np.uint8)
+        width = (bound - 1).bit_length()
+        out = np.empty(count, dtype=np.uint8)
+        filled = 0
+        while filled < count:
+            need = count - filled
+            raw = self.bit_array(2 * need * width)
+            cand = np.zeros(2 * need, dtype=np.uint8)
+            for k in range(width):
+                cand = (cand << 1) | raw[k::width][: 2 * need]
+            accepted = cand[cand < bound][:need]
+            out[filled : filled + accepted.size] = accepted
+            filled += accepted.size
+        return out
 
 
 # The run-parameter resolver as `cli` had it when each size rule lived on its

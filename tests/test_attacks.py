@@ -43,7 +43,8 @@ def test_pack_bits_matches_bitstring_ints():
             assert int(words[i, j]) == padded[64 * j : 64 * (j + 1)].to_int()
 
 
-@pytest.mark.parametrize("length", [0, 1, 63, 64, 80, 100, 129])
+# 4096 = 0x1000 and 4097 = 0x1001: a length block with zero nibbles inside.
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 80, 100, 129, 4096, 4097])
 def test_mac64_words_match_scalar_mac(length):
     src = RandomSource(3).stream(f"mac{length}")
     keys = src.raw_words(30)

@@ -350,6 +350,8 @@ def test_bad_flags_exit_two(capsys):
                 "--out", "{missing}/r.jsonl"]),
         (None, ["run", "--n", "4294967297", "--rounds", "1", "--out", "{missing}/r.jsonl"]),
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "1"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--n", "1" + "0" * 400]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -360,7 +362,7 @@ def test_bad_flags_exit_two(capsys):
          "alpha-overflow-sweep", "alpha-overflow-intercept", "alpha-huge-run",
          "alpha-huge-intercept", "q-bits-huge", "lambda-lowered-then-ell-too-small",
          "repetition3-n-not-multiple-of-3", "identity-ell-kappa-not-n", "n-huge",
-         "sweep-one-step"],
+         "sweep-one-step", "sweep-n-huge"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,8 @@ from qkr.primitives import (
     TritString,
 )
 from qkr.qsim import QubitSequence
+
+from oracles import FloatRandomSource
 
 
 def test_xor_truth_table_examples():
@@ -175,6 +180,48 @@ def test_integers_below_bounds_and_determinism():
     # roughly uniform occupancy
     counts = np.bincount(values, minlength=3)
     assert counts.min() > 1400
+
+
+_PINNED_P = [5e-324, 1e-300, 0.001, 0.05, 0.3, 0.999999999]
+_DRAW_COUNTS = st.sampled_from([0, 1, 63, 64, 65]) | st.integers(0, 5000)
+_DRAW_P = st.sampled_from([0.0, *_PINNED_P, 1.0]) | st.floats(0.0, 1.0)
+_DRAW_CALLS = st.one_of(
+    st.tuples(st.just("bit_array"), _DRAW_COUNTS),
+    st.tuples(st.just("bernoulli"), _DRAW_P, _DRAW_COUNTS),
+    st.tuples(st.just("integers_below"), st.sampled_from([0, 1, 2, 3, 4, 5, 200]), _DRAW_COUNTS),
+)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(_DRAW_CALLS, min_size=1, max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_draws_match_float_oracle(seed, calls):
+    """Interleaved draws from two sources seeded alike return the same arrays
+    after every call, so each draw also leaves the stream where the old form
+    did."""
+    new = RandomSource(seed, "draws")
+    old = FloatRandomSource(seed, "draws")
+    for name, *args in calls:
+        got = getattr(new, name)(*args)
+        want = getattr(old, name)(*args)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def _fixed_words(source, words):
+    source.raw_words = lambda count: np.array(words[:count], dtype=np.uint64)
+    return source
+
+
+@given(st.sampled_from(_PINNED_P) | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@settings(max_examples=200, deadline=None)
+def test_bernoulli_threshold_neighbours(p):
+    """The words at T << 11 and either side of it, T = ceil(p * 2^53) taken
+    exactly: only the word below is a success, in both forms."""
+    threshold = math.ceil(Fraction(p) * 2**53) << 11
+    words = [threshold - 1, threshold, threshold + 1]
+    expected = np.array([True, False, False])
+    for cls in (RandomSource, FloatRandomSource):
+        assert np.array_equal(_fixed_words(cls(0), words).bernoulli(p, 3), expected)
 
 
 def test_protocol_params_validation():
