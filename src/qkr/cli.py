@@ -127,6 +127,12 @@ _FIELD_TYPES = {
 # Fields whose config value is text; every other field takes a JSON number.
 _TEXT_FIELDS = ("encoding", "code", "out")
 
+# The fields each command reads besides `run`, which reads them all. A flag
+# its command does not read is a usage error.
+_SWEEP_FIELDS = ("n", "kappa", "lambda", "beta", "gamma", "alpha", "q_bits", "out")
+_INTERCEPT_FIELDS = tuple(key for key in _FIELD_TYPES if key != "rounds")
+_FUZZ_FIELDS = ("rounds", "seed", "out")
+
 
 def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
     """Layer resolution: built-in defaults, then the config file, then flags.
@@ -295,7 +301,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         code_kind,
         rounds,
         int(values["seed"]),
-        reservoir_capacity=getattr(ns, "reservoir_capacity", None),
+        reservoir_capacity=ns.reservoir_capacity,
     )
 
     out_path = values["out"] or "rounds.jsonl"
@@ -333,6 +339,10 @@ _SWEEP_COLUMNS = [
 
 
 def _sweep_rows(variable: str, start: float, stop: float, steps: int, budget: SecurityBudget):
+    if variable == "n":
+        # The grid is monotone, so its largest n is at an end; the last point
+        # is computed as start + (stop - start), which need not equal stop.
+        _run_size("n", int(round(max(start, start + (stop - start)))))
     for i in range(steps):
         value = start + i / (steps - 1) * (stop - start)
         if variable != "gamma":
@@ -356,8 +366,6 @@ def _sweep_rows(variable: str, start: float, stop: float, steps: int, budget: Se
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     values, _ = _merged(ns)
-    if values["encoding"] == Encoding.BB84.value:
-        raise UsageError("encoding: sweep evaluates the six-state formulas only, got bb84")
     budget = resolve_budget(values)
     lines = [",".join([ns.variable] + _SWEEP_COLUMNS)]
     for value, columns in _sweep_rows(ns.variable, ns.start, ns.stop, ns.steps, budget):
@@ -367,36 +375,37 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_attack(ns: argparse.Namespace) -> int:
+def cmd_intercept_resend(ns: argparse.Namespace) -> int:
     values, explicit = _merged(ns)
-    if ns.attack_kind == "intercept_resend":
-        session_rounds = int(ns.session_rounds)
-        params = None
-        code_kind = CodeKind.ORACLE
-        if session_rounds > 0:
-            params, code_kind = resolve_params(values, explicit)
-        report = intercept_resend_report(
-            Encoding.parse(values["encoding"]),
-            float(values["eta"]),
-            int(ns.qubits),
-            int(values["seed"]),
-            params=params,
-            code_kind=code_kind,
-            session_rounds=session_rounds,
-        )
-    else:
-        fuzz_rounds = int(values["rounds"]) if "rounds" in explicit else 1_000_000
-        report = tamper_fuzz(
-            rounds=fuzz_rounds,
-            seed=int(values["seed"]),
-            flip_rate=float(ns.flip_rate),
-        )
+    params = None
+    code_kind = CodeKind.ORACLE
+    if ns.session_rounds > 0:
+        params, code_kind = resolve_params(values, explicit)
+    report = intercept_resend_report(
+        Encoding.parse(values["encoding"]),
+        float(values["eta"]),
+        ns.qubits,
+        int(values["seed"]),
+        params=params,
+        code_kind=code_kind,
+        session_rounds=ns.session_rounds,
+    )
     _emit(_dump(report) + "\n", values["out"])
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    for key, convert in _FIELD_TYPES.items():
+def cmd_tamper_fuzz(ns: argparse.Namespace) -> int:
+    values, _ = _merged(ns)
+    report = tamper_fuzz(
+        rounds=int(values["rounds"]), seed=int(values["seed"]), flip_rate=ns.flip_rate
+    )
+    _emit(_dump(report) + "\n", values["out"])
+    return 0
+
+
+def _add_common(parser: argparse.ArgumentParser, fields) -> None:
+    for key in fields:
+        convert = _FIELD_TYPES[key]
         metavar = getattr(convert, "metavar", None)
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=convert, metavar=metavar)
 
@@ -418,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a simulated session")
     p_run.add_argument("--config", help="JSON file mirroring the flags")
     p_run.add_argument("--reservoir-capacity", dest="reservoir_capacity", type=_int_at_least(0))
-    _add_common(p_run)
+    _add_common(p_run, _FIELD_TYPES)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="tabulate rate, p_corr and bound terms")
@@ -426,18 +435,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--start", type=_finite_float, required=True)
     p_sweep.add_argument("--stop", type=_finite_float, required=True)
     p_sweep.add_argument("--steps", type=_int_at_least(2), required=True)
-    _add_common(p_sweep)
+    _add_common(p_sweep, _SWEEP_FIELDS)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_attack = sub.add_parser("attack", help="run an adversary demo")
-    p_attack.add_argument("attack_kind", choices=["intercept_resend", "tamper_fuzz"])
-    p_attack.add_argument("--qubits", type=_int_at_least(1), default=100000)
-    p_attack.add_argument(
+    kinds = p_attack.add_subparsers(dest="attack_kind", required=True)
+
+    p_intercept = kinds.add_parser("intercept_resend", help="measure induced errors")
+    p_intercept.add_argument("--qubits", type=_int_at_least(1), default=100000)
+    p_intercept.add_argument(
         "--session-rounds", dest="session_rounds", type=_int_at_least(0), default=200
     )
-    p_attack.add_argument("--flip-rate", dest="flip_rate", type=_probability, default=0.3)
-    _add_common(p_attack)
-    p_attack.set_defaults(func=cmd_attack)
+    _add_common(p_intercept, _INTERCEPT_FIELDS)
+    p_intercept.set_defaults(func=cmd_intercept_resend)
+
+    p_fuzz = kinds.add_parser("tamper_fuzz", help="count forged accepts")
+    p_fuzz.add_argument("--flip-rate", dest="flip_rate", type=_probability, default=0.3)
+    _add_common(p_fuzz, _FUZZ_FIELDS)
+    p_fuzz.set_defaults(func=cmd_tamper_fuzz, rounds=1_000_000)
 
     return parser
 

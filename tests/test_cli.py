@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import qkr
 from qkr.analysis import p_corr
-from qkr.cli import DEFAULTS, UsageError, main, resolve_budget, resolve_params
+from qkr.cli import DEFAULTS, UsageError, build_parser, main, resolve_budget, resolve_params
 
 
 def _run(capsys, *argv):
@@ -352,6 +353,13 @@ def test_bad_flags_exit_two(capsys):
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "1"]),
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
                 "--n", "1" + "0" * 400]),
+        (None, ["sweep", "n", "--start", "1024", "--stop", "1e13", "--steps", "2"]),
+        (None, ["sweep", "n", "--start", "1e13", "--stop", "1024", "--steps", "2"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--seed", "4"]),
+        (None, ["attack", "tamper_fuzz", "--rounds", "10", "--lambda", "8"]),
+        (None, ["attack", "intercept_resend", "--qubits", "10", "--session-rounds", "0",
+                "--flip-rate", "0.5"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -362,7 +370,8 @@ def test_bad_flags_exit_two(capsys):
          "alpha-overflow-sweep", "alpha-overflow-intercept", "alpha-huge-run",
          "alpha-huge-intercept", "q-bits-huge", "lambda-lowered-then-ell-too-small",
          "repetition3-n-not-multiple-of-3", "identity-ell-kappa-not-n", "n-huge",
-         "sweep-one-step", "sweep-n-huge"],
+         "sweep-one-step", "sweep-n-huge", "sweep-swept-n-huge", "sweep-swept-n-huge-start",
+         "sweep-seed-unread", "fuzz-lambda-unread", "intercept-flip-rate-unread"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
@@ -446,3 +455,116 @@ def test_resolvers_match_ladder_oracle(case):
     new_budget, budget_lines = _resolved(resolve_budget, values)
     assert new_budget == old_budget
     assert budget_lines == []
+
+
+def _declared_options(parser, command=()):
+    """(command, option) for every option of every subcommand, help aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _declared_options(sub, command + (name,))
+        for option in action.option_strings:
+            if option not in ("-h", "--help"):
+                yield " ".join(command), option
+
+
+_RUN = ["run", "--n", "64", "--rounds", "2", "--out", "r.jsonl"]
+_SWEEP = ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2", "--n", "64"]
+# A gamma sweep overrides the base gamma, so the --gamma case sweeps q_bits.
+_SWEEP_Q = ["sweep", "q_bits", "--start", "100", "--stop", "200", "--steps", "2", "--n", "64"]
+_INTERCEPT = ["attack", "intercept_resend", "--qubits", "200", "--session-rounds", "20",
+              "--n", "64", "--eta", "0.3"]
+_FUZZ = ["attack", "tamper_fuzz", "--rounds", "100"]
+
+# (command, option) -> (base argv, the same argv with that option changed).
+_FLAG_CASES = {
+    ("run", "--config"): (_RUN, _RUN + ["--config", "config.json"]),
+    ("run", "--reservoir-capacity"): (
+        _RUN + ["--eta", "1"], _RUN + ["--eta", "1", "--reservoir-capacity", "0"]),
+    ("run", "--n"): (_RUN, _RUN + ["--n", "48"]),
+    ("run", "--ell"): (_RUN, _RUN + ["--ell", "20"]),
+    ("run", "--kappa"): (_RUN, _RUN + ["--kappa", "10"]),
+    ("run", "--lambda"): (_RUN, _RUN + ["--lambda", "64"]),
+    ("run", "--beta"): (_RUN, _RUN + ["--beta", "0.25"]),
+    ("run", "--gamma"): (_RUN, _RUN + ["--gamma", "0.05"]),
+    ("run", "--eta"): (_RUN, _RUN + ["--eta", "0.5"]),
+    ("run", "--alpha"): (_RUN, _RUN + ["--alpha", "32"]),
+    ("run", "--q-bits"): (_RUN, _RUN + ["--q-bits", "100"]),
+    ("run", "--encoding"): (_RUN, _RUN + ["--encoding", "bb84"]),
+    ("run", "--code"): (_RUN, _RUN + ["--code", "identity"]),
+    ("run", "--rounds"): (_RUN, _RUN + ["--rounds", "3"]),
+    ("run", "--seed"): (_RUN, _RUN + ["--seed", "1"]),
+    ("run", "--out"): (_RUN, _RUN + ["--out", "s.jsonl"]),
+    ("sweep", "--start"): (_SWEEP, _SWEEP + ["--start", "0.01"]),
+    ("sweep", "--stop"): (_SWEEP, _SWEEP + ["--stop", "0.2"]),
+    ("sweep", "--steps"): (_SWEEP, _SWEEP + ["--steps", "3"]),
+    ("sweep", "--n"): (_SWEEP, _SWEEP + ["--n", "256"]),
+    ("sweep", "--kappa"): (_SWEEP, _SWEEP + ["--kappa", "10"]),
+    ("sweep", "--lambda"): (_SWEEP, _SWEEP + ["--lambda", "8"]),
+    ("sweep", "--beta"): (_SWEEP, _SWEEP + ["--beta", "0.25"]),
+    ("sweep", "--gamma"): (_SWEEP_Q, _SWEEP_Q + ["--gamma", "0.05"]),
+    ("sweep", "--alpha"): (_SWEEP, _SWEEP + ["--alpha", "32"]),
+    ("sweep", "--q-bits"): (_SWEEP, _SWEEP + ["--q-bits", "100"]),
+    ("sweep", "--out"): (_SWEEP, _SWEEP + ["--out", "f.csv"]),
+    ("attack intercept_resend", "--qubits"): (_INTERCEPT, _INTERCEPT + ["--qubits", "300"]),
+    ("attack intercept_resend", "--session-rounds"): (
+        _INTERCEPT, _INTERCEPT + ["--session-rounds", "0"]),
+    ("attack intercept_resend", "--n"): (_INTERCEPT, _INTERCEPT + ["--n", "48"]),
+    ("attack intercept_resend", "--ell"): (_INTERCEPT, _INTERCEPT + ["--ell", "20"]),
+    ("attack intercept_resend", "--kappa"): (_INTERCEPT, _INTERCEPT + ["--kappa", "10"]),
+    ("attack intercept_resend", "--lambda"): (_INTERCEPT, _INTERCEPT + ["--lambda", "64"]),
+    ("attack intercept_resend", "--beta"): (_INTERCEPT, _INTERCEPT + ["--beta", "0.25"]),
+    ("attack intercept_resend", "--gamma"): (_INTERCEPT, _INTERCEPT + ["--gamma", "0.3"]),
+    ("attack intercept_resend", "--eta"): (_INTERCEPT, _INTERCEPT + ["--eta", "0.5"]),
+    ("attack intercept_resend", "--alpha"): (_INTERCEPT, _INTERCEPT + ["--alpha", "1e300"]),
+    ("attack intercept_resend", "--q-bits"): (
+        _INTERCEPT, _INTERCEPT + ["--q-bits", "4294967297"]),
+    ("attack intercept_resend", "--encoding"): (
+        _INTERCEPT, _INTERCEPT + ["--encoding", "bb84"]),
+    ("attack intercept_resend", "--code"): (_INTERCEPT, _INTERCEPT + ["--code", "identity"]),
+    ("attack intercept_resend", "--seed"): (_INTERCEPT, _INTERCEPT + ["--seed", "1"]),
+    ("attack intercept_resend", "--out"): (_INTERCEPT, _INTERCEPT + ["--out", "f.json"]),
+    ("attack tamper_fuzz", "--rounds"): (_FUZZ, _FUZZ + ["--rounds", "101"]),
+    ("attack tamper_fuzz", "--seed"): (_FUZZ, _FUZZ + ["--seed", "1"]),
+    ("attack tamper_fuzz", "--flip-rate"): (_FUZZ, _FUZZ + ["--flip-rate", "0.5"]),
+    ("attack tamper_fuzz", "--out"): (_FUZZ, _FUZZ + ["--out", "f.json"]),
+}
+
+
+def _outcome(directory, monkeypatch, capsys, argv):
+    """Exit code, stdout and the files written, for `argv` run in `directory`."""
+    directory.mkdir()
+    # The file the `run --config` case reads; every run directory holds it.
+    (directory / "config.json").write_text(json.dumps({"seed": 1}))
+    monkeypatch.chdir(directory)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("command,option", sorted(_declared_options(build_parser())))
+def test_every_declared_flag_is_read(tmp_path, monkeypatch, capsys, command, option):
+    """Changing any flag a subcommand declares changes what it does: its
+    stdout, its output file or its exit code. A flag without a case here
+    fails, so a flag added without a reader fails too."""
+    assert (command, option) in _FLAG_CASES, f"no case for {command} {option}"
+    base, changed = _FLAG_CASES[command, option]
+    assert base[: len(command.split())] == command.split()
+    before = _outcome(tmp_path / "base", monkeypatch, capsys, base)
+    after = _outcome(tmp_path / "changed", monkeypatch, capsys, changed)
+    assert before[0] in (0, 3)
+    assert after != before
+
+
+def test_readme_command_lines_parse():
+    """Every `qkr ...` line of the README's command-line block parses."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split(">", 1)[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["qkr"]]
+    assert commands
+    for argv in commands:
+        build_parser().parse_args(argv)
