@@ -67,7 +67,10 @@ __all__ = [
 
 
 class ReservoirExhausted(RuntimeError):
-    """Raised when a draw would exceed the reservoir's configured capacity."""
+    """Raised when a draw would exceed the reservoir's configured capacity.
+    `run_session` sets `results` to the rounds that completed before it."""
+
+    results: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -330,6 +333,8 @@ def run_session(
     summary counts the rounds run and reports the accept rate, total
     reservoir consumption, the count of accepted rounds whose recovered
     plaintext differs from the sent one, and whether the keys still agree.
+    When a Reject update exhausts the reservoir, the `ReservoirExhausted` it
+    raises carries the results of the rounds that completed.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -363,10 +368,14 @@ def run_session(
         tau_fb = feedback_tag(keys, dec.omega)
 
         consumed_before = reservoir.consumed_bits
-        next_keys = key_update(
-            params, keys, dec.omega, reservoir,
-            x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
-        )
+        try:
+            next_keys = key_update(
+                params, keys, dec.omega, reservoir,
+                x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
+            )
+        except ReservoirExhausted as exc:
+            exc.results = results
+            raise
         if dec.omega:
             accepts += 1
             if dec.mu_hat != mu:

@@ -3,8 +3,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 import oracles
 import qkr
+from qkr import cli
 from qkr.analysis import p_corr
 from qkr.cli import DEFAULTS, UsageError, build_parser, main, resolve_budget, resolve_params
 
@@ -112,6 +116,27 @@ def test_run_reservoir_exhaustion_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "reservoir exhausted" in stderr
+
+
+def test_run_reservoir_exhaustion_keeps_completed_rounds(tmp_path, capsys):
+    """Exit 3 leaves the rounds that finished, one line each, in place of a
+    longer file that was there before; they are the first rounds of the same
+    session run without a capacity."""
+    out, full = tmp_path / "r.jsonl", tmp_path / "full.jsonl"
+    out.write_text(json.dumps({"stale": True}) + "\n" + "x" * 100_000 + "\n")
+    argv = ["run", "--gamma", "0.45", "--n", "60", "--ell", "17", "--kappa", "3",
+            "--lambda", "8", "--rounds", "100", "--seed", "2"]
+    code, stdout, stderr = _run(capsys, *argv, "--reservoir-capacity", "2000",
+                                "--out", str(out))
+    assert code == 3
+    assert stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: reservoir exhausted")
+    completed = int(lines[0].split("; ")[1].split(" of 100 rounds completed")[0])
+    assert completed >= 1
+    assert _run(capsys, *argv, "--out", str(full))[0] == 0
+    expected = full.read_text().splitlines(keepends=True)[:completed]
+    assert out.read_text() == "".join(expected)
 
 
 def test_run_stops_at_key_divergence(tmp_path, capsys):
@@ -568,3 +593,135 @@ def test_readme_command_lines_parse():
     assert commands
     for argv in commands:
         build_parser().parse_args(argv)
+
+
+# One process, one cached parser: the config sets what the earlier `run`
+# set by flag, the usage error parses --rounds before it fails, and the
+# fuzz without --rounds must still get its own default of 1,000,000.
+_PARSER_SEQUENCE = [
+    ["run", "--n", "64", "--rounds", "2", "--seed", "5", "--out", "r.jsonl"],
+    ["attack", "tamper_fuzz", "--rounds", "7", "--flip-rate", "2", "--out", "f.json"],
+    ["attack", "tamper_fuzz", "--out", "f.json"],
+    ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2", "--n", "64",
+     "--out", "f.csv"],
+    ["run", "--config", "config.json", "--out", "r.jsonl"],
+]
+
+
+def test_cached_parser_parses_each_argv_afresh(tmp_path, monkeypatch, capsys):
+    """`main` parses with one parser per process; every call in a sequence
+    gives the stdout, exit code and files a freshly built parser gives, and
+    the namespace of each parse equals a fresh parse's."""
+    # The fuzz's report is its arguments, so the million rounds never run.
+    monkeypatch.setattr(cli, "tamper_fuzz", lambda **kwargs: kwargs)
+    assert cli._parser() is cli._parser()
+    cached, fresh = [], []
+    for i, argv in enumerate(_PARSER_SEQUENCE):
+        cached.append(_outcome(tmp_path / f"cached{i}", monkeypatch, capsys, argv))
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parser", build_parser)
+        for i, argv in enumerate(_PARSER_SEQUENCE):
+            fresh.append(_outcome(tmp_path / f"fresh{i}", monkeypatch, capsys, argv))
+    assert cached == fresh
+    assert [outcome[0] for outcome in cached] == [0, 2, 0, 0, 0]
+    assert json.loads(cached[2][2]["f.json"])["rounds"] == 1_000_000
+    assert json.loads(cached[4][1])["config"]["seed"] == 1
+    for argv in _PARSER_SEQUENCE[:1] + _PARSER_SEQUENCE[2:]:
+        assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _truncating_emit(text, path):
+    """The writer `_emit` replaced: truncate at open."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_RUN, _SWEEP + ["--out", "r.jsonl"], _FUZZ + ["--out", "r.jsonl"],
+     _INTERCEPT + ["--out", "r.jsonl"]],
+    ids=["run", "sweep", "tamper_fuzz", "intercept_resend"],
+)
+def test_out_rewritten_in_place_matches_truncating_writer(tmp_path, monkeypatch, capsys, argv):
+    """A longer file already at `--out` is overwritten and cut to the new
+    length: the bytes equal those of a writer that truncates at open."""
+    stale = b"stale\n" * 100_000
+
+    def outcome(directory, writer):
+        directory.mkdir()
+        (directory / "r.jsonl").write_bytes(stale)
+        monkeypatch.chdir(directory)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_emit", writer)
+            code = main(list(argv))
+        return code, capsys.readouterr().out, (directory / "r.jsonl").read_bytes()
+
+    calls = []
+    ftruncate = os.ftruncate
+
+    def recording_ftruncate(fd, length):
+        calls.append(length)
+        ftruncate(fd, length)
+
+    monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+    ours = outcome(tmp_path / "in_place", cli._emit)
+    assert ours == outcome(tmp_path / "truncating", _truncating_emit)
+    assert ours[0] == 0
+    assert calls == [len(ours[2])] and 0 < calls[0] < len(stale)
+
+
+def test_out_to_character_device_is_not_truncated(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(os, "ftruncate", lambda fd, length: calls.append(length))
+    code, stdout, _ = _run(capsys, "run", "--n", "64", "--rounds", "2", "--out", os.devnull)
+    assert code == 0
+    assert json.loads(stdout)["config"]["rounds_file"] == os.devnull
+    code, _, _ = _run(capsys, *_SWEEP, "--out", os.devnull)
+    assert code == 0
+    assert calls == []
+
+
+def test_out_to_fifo_streams_the_output(tmp_path, capsys):
+    """A FIFO has no length to cut and cannot seek; what a reader gets is
+    what the command writes to a file."""
+    fifo, reference = tmp_path / "fifo", tmp_path / "f.json"
+    assert _run(capsys, *_FUZZ, "--out", str(reference))[0] == 0
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code, _, stderr = _run(capsys, *_FUZZ, "--out", str(fifo))
+    finally:
+        reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert (code, stderr) == (0, "")
+    assert received == [reference.read_bytes()]
+
+
+@pytest.mark.parametrize(
+    "argv", [["run", "--n", "64", "--lambda", "8", "--rounds", "2"], _FUZZ],
+    ids=["run", "tamper_fuzz"],
+)
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv, target):
+    path = tmp_path if target == "directory" else tmp_path / "missing" / "r.jsonl"
+    code, stdout, stderr = _run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    lines = stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"usage error: out: cannot write {path}")
+    assert "{" not in stdout
+    assert not (tmp_path / "missing").exists()
+
+
+def test_new_out_file_mode_follows_umask(tmp_path, capsys):
+    old_umask = os.umask(0o027)
+    try:
+        code, _, _ = _run(capsys, *_FUZZ, "--out", str(tmp_path / "f.json"))
+    finally:
+        os.umask(old_umask)
+    assert code == 0
+    assert stat.S_IMODE((tmp_path / "f.json").stat().st_mode) == 0o666 & ~0o027

@@ -7,7 +7,9 @@ from qkr.hashing import (
     FFT_MIN_MUL_ADDS,
     MacKey,
     ToeplitzSeed,
+    _fft_length,
     _message_blocks,
+    f_seed_shapes,
     gf_mul,
     hash_F,
     hash_G,
@@ -17,6 +19,7 @@ from qkr.hashing import (
     random_f_seed,
     random_g_seed,
 )
+from qkr.cli import DEFAULTS, resolve_params
 from qkr.primitives import BasisString, BitString, RandomSource
 
 from oracles import (
@@ -173,6 +176,8 @@ def _toeplitz_shapes(draw):
 @example((3, 255, 257), 0, True)
 @example((2, 1, 1), 0, False)
 @example((3, 6000, 3000), 1, True)
+@example((2, 3501, 1024), 0, True)
+@example((3, 2477, 1024), 0, True)
 @settings(max_examples=150, deadline=None)
 def test_toeplitz_apply_matches_exact_product(shape, seed_value, all_max):
     modulus, in_len, out_len = shape
@@ -186,6 +191,39 @@ def test_toeplitz_apply_matches_exact_product(shape, seed_value, all_max):
         assert np.array_equal(seed.apply(values), toeplitz_apply_int(seed, values))
     assert seed == before
     assert seed.to_json() == before_json
+
+
+def test_fft_length_is_smallest_5_smooth_at_least_length():
+    smooth = sorted(
+        2**a * 3**b * 5**c
+        for a in range(17) for b in range(11) for c in range(8)
+        if 2**a * 3**b * 5**c <= 40000
+    )
+    for length in range(1, 20001):
+        assert _fft_length(length) == next(s for s in smooth if s >= length), length
+
+
+def test_fft_lengths_at_cli_defaults(monkeypatch):
+    """At the CLI defaults (gamma 0.05) the Accept update's mask product
+    takes 4608 points and its basis product 3600, not 8192 and 4096."""
+    params, _ = resolve_params(dict(DEFAULTS, gamma=0.05))
+    shapes = f_seed_shapes(params.n, params.kappa, params.alphabet_size)
+    assert shapes == ((3501, 1024), (2477, 1024))
+    rfft = np.fft.rfft
+    sizes = []
+
+    def recording_rfft(a, n=None, *args, **kwargs):
+        sizes.append(n)
+        return rfft(a, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    src = RandomSource(2, "fft-length")
+    for modulus, (in_len, out_len), size in zip((2, 3), shapes, (4608, 3600)):
+        seed = ToeplitzSeed.random(src, modulus, in_len, out_len)
+        values = src.integers_below(modulus, in_len)
+        sizes.clear()
+        assert np.array_equal(seed.apply(values), toeplitz_apply_int(seed, values))
+        assert sizes == [size, size]
 
 
 @pytest.mark.parametrize("modulus", [2, 3])
