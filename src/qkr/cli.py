@@ -12,8 +12,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
-import stat
 import sys
 
 from .analysis import (
@@ -278,27 +276,13 @@ def _dump(obj: dict) -> str:
 
 
 def _emit(text: str, path) -> None:
-    """Write `text` to stdout, or to `path` without truncating it at open:
-    a regular file is overwritten from its start and then cut to the length
-    written, on every exit; a device or FIFO is left as it is. On ext4
-    (`auto_da_alloc`), closing a file that was truncated at open waits for
-    its new blocks to be written back: 0.35 ms against 0.09 ms for a 3 kB
-    rewrite on a 2-vCPU host."""
+    """Write `text` to stdout, or replace the file at `path` with it."""
     if not path:
         sys.stdout.write(text)
         return
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w") as fh:
-            try:
-                fh.write(text)
-            finally:
-                fh.flush()
-                info = os.fstat(fd)
-                if stat.S_ISREG(info.st_mode):
-                    end = os.lseek(fd, 0, os.SEEK_CUR)
-                    if info.st_size > end:
-                        os.ftruncate(fd, end)
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"out: cannot write {path}: {exc}") from exc
 

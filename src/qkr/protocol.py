@@ -374,7 +374,7 @@ def run_session(
                 x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
             )
         except ReservoirExhausted as exc:
-            exc.results = results
+            exc.results = tuple(results)
             raise
         if dec.omega:
             accepts += 1

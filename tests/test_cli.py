@@ -3,11 +3,8 @@ import contextlib
 import hashlib
 import io
 import json
-import os
-import stat
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -630,78 +627,6 @@ def test_cached_parser_parses_each_argv_afresh(tmp_path, monkeypatch, capsys):
         assert vars(cli._parser().parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
-def _truncating_emit(text, path):
-    """The writer `_emit` replaced: truncate at open."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [_RUN, _SWEEP + ["--out", "r.jsonl"], _FUZZ + ["--out", "r.jsonl"],
-     _INTERCEPT + ["--out", "r.jsonl"]],
-    ids=["run", "sweep", "tamper_fuzz", "intercept_resend"],
-)
-def test_out_rewritten_in_place_matches_truncating_writer(tmp_path, monkeypatch, capsys, argv):
-    """A longer file already at `--out` is overwritten and cut to the new
-    length: the bytes equal those of a writer that truncates at open."""
-    stale = b"stale\n" * 100_000
-
-    def outcome(directory, writer):
-        directory.mkdir()
-        (directory / "r.jsonl").write_bytes(stale)
-        monkeypatch.chdir(directory)
-        with monkeypatch.context() as patch:
-            patch.setattr(cli, "_emit", writer)
-            code = main(list(argv))
-        return code, capsys.readouterr().out, (directory / "r.jsonl").read_bytes()
-
-    calls = []
-    ftruncate = os.ftruncate
-
-    def recording_ftruncate(fd, length):
-        calls.append(length)
-        ftruncate(fd, length)
-
-    monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
-    ours = outcome(tmp_path / "in_place", cli._emit)
-    assert ours == outcome(tmp_path / "truncating", _truncating_emit)
-    assert ours[0] == 0
-    assert calls == [len(ours[2])] and 0 < calls[0] < len(stale)
-
-
-def test_out_to_character_device_is_not_truncated(monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(os, "ftruncate", lambda fd, length: calls.append(length))
-    code, stdout, _ = _run(capsys, "run", "--n", "64", "--rounds", "2", "--out", os.devnull)
-    assert code == 0
-    assert json.loads(stdout)["config"]["rounds_file"] == os.devnull
-    code, _, _ = _run(capsys, *_SWEEP, "--out", os.devnull)
-    assert code == 0
-    assert calls == []
-
-
-def test_out_to_fifo_streams_the_output(tmp_path, capsys):
-    """A FIFO has no length to cut and cannot seek; what a reader gets is
-    what the command writes to a file."""
-    fifo, reference = tmp_path / "fifo", tmp_path / "f.json"
-    assert _run(capsys, *_FUZZ, "--out", str(reference))[0] == 0
-    os.mkfifo(fifo)
-    received = []
-    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
-    reader.start()
-    try:
-        code, _, stderr = _run(capsys, *_FUZZ, "--out", str(fifo))
-    finally:
-        reader.join(timeout=60)
-    assert not reader.is_alive()
-    assert (code, stderr) == (0, "")
-    assert received == [reference.read_bytes()]
-
-
 @pytest.mark.parametrize(
     "argv", [["run", "--n", "64", "--lambda", "8", "--rounds", "2"], _FUZZ],
     ids=["run", "tamper_fuzz"],
@@ -716,12 +641,3 @@ def test_unwritable_out_is_one_line_usage_error(tmp_path, capsys, argv, target):
     assert "{" not in stdout
     assert not (tmp_path / "missing").exists()
 
-
-def test_new_out_file_mode_follows_umask(tmp_path, capsys):
-    old_umask = os.umask(0o027)
-    try:
-        code, _, _ = _run(capsys, *_FUZZ, "--out", str(tmp_path / "f.json"))
-    finally:
-        os.umask(old_umask)
-    assert code == 0
-    assert stat.S_IMODE((tmp_path / "f.json").stat().st_mode) == 0o666 & ~0o027
