@@ -197,6 +197,13 @@ def _run_size(key: str, size: int) -> int:
     return size
 
 
+def _tag_bits(lam: int) -> int:
+    """`lam`, or a usage error unless a MAC is defined at that tag length."""
+    if lam not in REDUCTION_POLYS:
+        raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
+    return lam
+
+
 def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolParams, CodeKind]:
     """Derive, in order, the payload width k_in = ell + kappa, the tag length
     (lowered when not explicitly set and k_in cannot host it), kappa, ell and
@@ -215,13 +222,11 @@ def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolP
     else:
         k_in = n - math.ceil(required_redundancy(n, min(float(values["gamma"]), 0.5 - 1e-9)))
 
-    lam = int(values["lambda"])
+    lam = _tag_bits(int(values["lambda"]))
     if "lambda" not in explicit and k_in <= 2 * lam:
         lam = next((tag for tag in _FALLBACK_TAGS if k_in > 2 * tag), None)
         if lam is None:
             raise UsageError(f"n: payload of {k_in} bits cannot host any supported tag length")
-    if lam not in REDUCTION_POLYS:
-        raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
 
     if kappa is None:
         kappa = (
@@ -254,7 +259,7 @@ def resolve_budget(values: dict) -> SecurityBudget:
     try:
         return SecurityBudget(
             alpha=float(values["alpha"]),
-            tag_bits=int(values["lambda"]),
+            tag_bits=_tag_bits(int(values["lambda"])),
             n=_run_size("n", int(values["n"])),
             kappa=_size(values, "kappa", _default_kappa),
             gamma=float(values["gamma"]),

@@ -536,10 +536,13 @@ def resolve_budget(values: dict) -> SecurityBudget:
     alpha = float(values["alpha"])
     kappa = values["kappa"]
     q_bits = values["q_bits"]
+    lam = int(values["lambda"])
+    if lam not in REDUCTION_POLYS:
+        raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
     try:
         return SecurityBudget(
             alpha=alpha,
-            tag_bits=int(values["lambda"]),
+            tag_bits=lam,
             n=n,
             kappa=_sized_by_alpha(_default_kappa, n, alpha) if kappa is None else int(kappa),
             gamma=float(values["gamma"]),

@@ -108,6 +108,11 @@ def _p_corr_args(draw):
 @example((2**18 - 1023, 0.125, 0.05))
 @example((10, math.inf, 0.1))
 @example((2, 0.5, 1 / 3))
+@example((2**20, 0.125, 0.05))  # a window of about 17.9k terms
+@example((2**20, 0.05, 0.05))  # a wide window cut at t, value 0.4997
+@example((2**18, 0.04, 0.05))  # a window cut at t, value 8.5e-131
+@example((2**16, 0.125, 1e-4))  # a window cut at 0
+@example((2**16, 0.0, 0.3))  # one term, which underflows to 0.0
 @settings(max_examples=150, deadline=None)
 def test_p_corr_equals_full_evaluation(args):
     """The windowed sum is exactly the float of the sum over every term. The

@@ -382,6 +382,8 @@ def test_bad_flags_exit_two(capsys):
         (None, ["attack", "tamper_fuzz", "--rounds", "10", "--lambda", "8"]),
         (None, ["attack", "intercept_resend", "--qubits", "10", "--session-rounds", "0",
                 "--flip-rate", "0.5"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--lambda", "7"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -393,7 +395,8 @@ def test_bad_flags_exit_two(capsys):
          "alpha-huge-intercept", "q-bits-huge", "lambda-lowered-then-ell-too-small",
          "repetition3-n-not-multiple-of-3", "identity-ell-kappa-not-n", "n-huge",
          "sweep-one-step", "sweep-n-huge", "sweep-swept-n-huge", "sweep-swept-n-huge-start",
-         "sweep-seed-unread", "fuzz-lambda-unread", "intercept-flip-rate-unread"],
+         "sweep-seed-unread", "fuzz-lambda-unread", "intercept-flip-rate-unread",
+         "sweep-unsupported-lambda"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
