@@ -12,16 +12,21 @@ residue), which is all pairwise independence requires of the encoding.
 
 A Toeplitz product is the "valid" window of the linear convolution of the
 diagonal with the input. Small shapes (``in_len * out_len`` below
-``FFT_MIN_MUL_ADDS``) use the exact int64 ``np.convolve``. Larger ones use a
-real FFT convolution rounded to the nearest integer; every exact value is an
-integer, so when any rounded entry is more than 0.25 away from its float the
-product is recomputed with the exact convolution instead. The FFT length is
-the smallest 5-smooth number ``2^a 3^b 5^c`` of at least ``len(diagonal)``,
-which keeps the valid window free of wrap-around: at the CLI defaults the
-mask product takes 4608 points instead of the next power of two, 8192, and
-the basis product 3600 instead of 4096. The diagonal's spectrum is computed
-on the first FFT product and cached on the seed. Either path gives the same
-bytes.
+``FFT_MIN_MUL_ADDS``) use the direct ``np.convolve`` in float64, with the
+diagonal's float64 copy cached on the seed on first use. This is exact: the
+inputs are residues below the modulus, so every product and every partial
+sum is an integer of at most ``in_len * (modulus - 1)^2``, far below 2^53,
+and no order of summation can round. Larger shapes use a real FFT
+convolution rounded to the nearest integer; every exact value is an
+integer, so when any rounded entry is more than 0.25 away from its float
+the product is recomputed with the direct convolution instead. The FFT
+length is the smallest 5-smooth number ``2^a 3^b 5^c`` of at least
+``len(diagonal)``, which keeps the valid window free of wrap-around: at the
+CLI defaults the mask product takes 4608 points instead of the next power
+of two, 8192, and the basis product 3600 instead of 4096. The diagonal's
+spectrum is computed on the first FFT product and cached on the seed.
+Either path gives the same bytes as the int64 convolution kept in
+``tests/oracles.py``.
 
 Message authentication is a polynomial-evaluation MAC over GF(2^lambda): the
 message is split into lambda-bit blocks m_1..m_d, a block holding the bit
@@ -31,16 +36,17 @@ must find a root of a nonzero polynomial of degree <= d+1, so at most
 
 The tag is evaluated by Horner's rule, and every multiply is by the key, so
 the key's 4-bit table ``T[v] = key * v`` (v = 0..15, seven doublings and seven
-additions) is built once per tag. A product ``a * key`` then takes lambda/4
-steps, one per nibble of ``a`` from the top: ``z = (z << 4) ^ R[top nibble of
-z] ^ T[nibble]``, where ``NIBBLE_REDUCTION[lambda]`` is the 16-entry table
-``R[v] = v * x^lambda`` mod the pinned polynomial, which folds the four bits
-the shift pushes out of the field back in (Shoup's method, as in GHASH). The
+additions) is built once per `MacKey` and reused for every tag under it. A
+product ``a * key`` then takes lambda/4 steps, one per nibble of ``a`` from
+the top: ``z = (z << 4) ^ R[top nibble of z] ^ T[nibble]``, where
+``NIBBLE_REDUCTION[lambda]`` is the 16-entry table ``R[v] = v * x^lambda``
+mod the pinned polynomial, which folds the four bits the shift pushes out
+of the field back in (Shoup's method, as in GHASH). The
 batched MAC of `attacks` uses the same tables on uint64 words, one key per
 row. Tables are 4-bit, not 8-bit: there, 8-bit tables for the 12000 keys of a
-12000-round fuzz take 24.6 MB against 1.5 MB, which would dominate its
-~70 MB peak memory. The bit-serial multiply this replaced is the reference
-in ``tests/oracles.py``.
+12000-round fuzz take 24.6 MB against 1.5 MB, which would dominate its peak
+memory (measured in `attacks`). The bit-serial multiply this replaced is the
+reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -110,31 +116,38 @@ def _key_table(key: int, tag_bits: int) -> list[int]:
     return table
 
 
-def _table_mul(a: int, table: list[int], tag_bits: int) -> int:
-    """a * key, given the key's table, one nibble of `a` per step from the top."""
+def _horner(blocks: list[int], table: list[int], tag_bits: int) -> int:
+    """sum_{i=1..d} blocks[i-1] * key^i by Horner's rule, given the key's
+    table: each step multiplies (acc + block) by the key, one nibble of it
+    per inner step from the top."""
     fold = NIBBLE_REDUCTION[tag_bits]
     mask = (1 << tag_bits) - 1
     top = tag_bits - 4
-    z = 0
-    for shift in range(top, -1, -4):
-        z = ((z << 4) & mask) ^ fold[z >> top] ^ table[(a >> shift) & 15]
-    return z
+    shifts = range(top, -1, -4)
+    acc = 0
+    for block in reversed(blocks):
+        a = acc ^ block
+        acc = 0
+        for shift in shifts:
+            acc = ((acc << 4) & mask) ^ fold[acc >> top] ^ table[(a >> shift) & 15]
+    return acc
 
 
 def gf_mul(a: int, b: int, tag_bits: int) -> int:
-    """Carry-less multiply of two field elements modulo the pinned polynomial."""
-    return _table_mul(a, _key_table(b, tag_bits), tag_bits)
+    """Carry-less multiply of two field elements modulo the pinned polynomial:
+    one Horner step, a * b."""
+    return _horner([a], _key_table(b, tag_bits), tag_bits)
 
 
 def _message_blocks(message: BitString, tag_bits: int) -> list[int]:
     """Split into tag_bits-sized blocks (last one zero-padded on the right),
     then append the bit length as the final block. Every pinned tag length
-    is a whole number of bytes."""
+    is a whole number of bytes, and `packbits` pads the last byte with
+    zeros, so only whole zero bytes are added to fill the last block."""
     bits = message.bits
-    padded = np.zeros(-(-len(bits) // tag_bits) * tag_bits, dtype=np.uint8)
-    padded[: len(bits)] = bits
-    packed = np.packbits(padded).tobytes()
     width = tag_bits // 8
+    packed = np.packbits(bits).tobytes()
+    packed += bytes(-len(packed) % width)
     blocks = [int.from_bytes(packed[i : i + width], "big") for i in range(0, len(packed), width)]
     blocks.append(len(bits) & ((1 << tag_bits) - 1))
     return blocks
@@ -146,28 +159,32 @@ def polynomial_mac(key_value: int, message: BitString, tag_bits: int) -> int:
     Works for any key value including zero; the zero key maps every message
     to the zero tag, which is why protocol keys are kept nonzero.
     """
-    table = _key_table(key_value, tag_bits)
-    acc = 0
-    for block in reversed(_message_blocks(message, tag_bits)):
-        acc = _table_mul(acc ^ block, table, tag_bits)
-    return acc
+    return _horner(_message_blocks(message, tag_bits), _key_table(key_value, tag_bits), tag_bits)
 
 
 @dataclass(frozen=True)
 class MacKey:
-    """Nonzero MAC key of a supported tag length."""
+    """Nonzero MAC key of a supported tag length.
+
+    The key's 4-bit table is built once, here: a session tags with its
+    message key every round and never rotates it.
+    """
 
     key: BitString
 
     def __post_init__(self):
-        if len(self.key) not in REDUCTION_POLYS:
-            raise ValueError(f"unsupported MAC key length {len(self.key)}")
-        if self.key.weight() == 0:
+        tag_bits = len(self.key)
+        if tag_bits not in REDUCTION_POLYS:
+            raise ValueError(f"unsupported MAC key length {tag_bits}")
+        value = self.key.to_int()
+        if value == 0:
             raise ValueError("MAC key must be nonzero")
+        object.__setattr__(self, "_tag_bits", tag_bits)
+        object.__setattr__(self, "_table", _key_table(value, tag_bits))
 
     @property
     def tag_bits(self) -> int:
-        return len(self.key)
+        return self._tag_bits
 
     @classmethod
     def from_draw(cls, bits: BitString) -> "MacKey":
@@ -184,8 +201,9 @@ class MacKey:
 
 def mac_tag(key: MacKey, message: BitString) -> BitString:
     """Authentication tag of `message` under `key`."""
-    value = polynomial_mac(key.key.to_int(), message, key.tag_bits)
-    return BitString.from_int(value, key.tag_bits)
+    tag_bits = key.tag_bits
+    value = _horner(_message_blocks(message, tag_bits), key._table, tag_bits)
+    return BitString.from_int(value, tag_bits)
 
 
 def mac_verify(key: MacKey, message: BitString, tag: BitString) -> bool:
@@ -194,10 +212,12 @@ def mac_verify(key: MacKey, message: BitString, tag: BitString) -> bool:
     return mac_tag(key, message) == tag
 
 
-# Below this many multiply-adds per product, np.convolve beats two FFTs
-# (measured crossover on a 2-vCPU x86-64 host: 40k-60k). All n=64 products
-# stay on the int path; the n=1024 ones (2.5M-3.6M) take the FFT path.
-FFT_MIN_MUL_ADDS = 1 << 16
+# Below this many multiply-adds per product, the float64 np.convolve beats
+# two FFTs with a cached spectrum (measured crossover on a 2-vCPU x86-64
+# host, numpy 2.4: 270k-420k). At the CLI defaults with gamma 0.05, every
+# product up to n=256 (at most 210k) takes the direct path, and the n=1024
+# ones (1.5M-3.6M) take the FFT path.
+FFT_MIN_MUL_ADDS = 1 << 18
 
 # Largest distance from an integer that the FFT product may show before it is
 # recomputed exactly. The float64 error measured up to n=65536 is below 1e-10.
@@ -225,11 +245,13 @@ class ToeplitzSeed:
 
     `diagonal` has in_len + out_len - 1 entries and defines the constant
     descending diagonals of the out_len x in_len matrix; `offset` has
-    out_len entries. Both are read-only, which keeps the cached spectrum of
-    the diagonal valid for the seed's lifetime.
+    out_len entries. Both are read-only, which keeps the diagonal's cached
+    spectrum and float64 copy valid for the seed's lifetime.
     """
 
-    __slots__ = ("modulus", "in_len", "out_len", "diagonal", "offset", "_spectrum")
+    __slots__ = (
+        "modulus", "in_len", "out_len", "diagonal", "offset", "_spectrum", "_diagonal_f64"
+    )
 
     def __init__(self, modulus: int, in_len: int, out_len: int, diagonal, offset):
         if modulus not in (2, 3):
@@ -246,6 +268,7 @@ class ToeplitzSeed:
         self.diagonal = diag
         self.offset = off
         self._spectrum = None
+        self._diagonal_f64 = None
 
     @classmethod
     def random(cls, src: RandomSource, modulus: int, in_len: int, out_len: int) -> "ToeplitzSeed":
@@ -261,19 +284,22 @@ class ToeplitzSeed:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-vector product plus offset, reduced modulo the field size.
 
-        Shapes of at least FFT_MIN_MUL_ADDS multiply-adds go through a real
-        FFT convolution, rounded and checked against _FFT_MAX_RESIDUAL; a
-        failed check, and every smaller shape, uses the exact int64
-        convolution. The result is the same either way.
+        `values` are residues modulo the field size. Shapes of at least
+        FFT_MIN_MUL_ADDS multiply-adds go through a real FFT convolution,
+        rounded and checked against _FFT_MAX_RESIDUAL; a failed check, and
+        every smaller shape, uses the direct float64 convolution, which is
+        exact (see the module docstring). The result is the same either way.
         """
-        values = np.asarray(values, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
         if values.shape != (self.in_len,):
             raise ValueError(f"input length {values.shape} does not match in_len={self.in_len}")
         conv = None
         if self.in_len * self.out_len >= FFT_MIN_MUL_ADDS:
             conv = self._fft_convolve(values)
         if conv is None:
-            conv = np.convolve(self.diagonal.astype(np.int64), values, mode="valid")
+            if self._diagonal_f64 is None:
+                self._diagonal_f64 = self.diagonal.astype(np.float64)
+            conv = np.convolve(self._diagonal_f64, values, mode="valid").astype(np.int64)
         return ((conv + self.offset) % self.modulus).astype(np.uint8)
 
     def _fft_convolve(self, values: np.ndarray) -> np.ndarray | None:
@@ -332,13 +358,16 @@ class ToeplitzSeed:
         return cls(data["modulus"], in_len, out_len, diag, off)
 
 
+# The two bits of each symbol of the three-letter basis alphabet.
+_TRIT_BITS = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.uint8)
+
+
 def _basis_bits(b: BasisString) -> np.ndarray:
     """Flatten basis symbols to bits: one bit per symbol for a two-letter
     alphabet, two bits (00/01/10) per symbol for the three-letter one."""
     if b.alphabet_size == 2:
         return b.symbols
-    sym = b.symbols
-    return np.column_stack((sym >> 1, sym & 1)).ravel().astype(np.uint8)
+    return _TRIT_BITS[b.symbols].ravel()
 
 
 def _mask_input(x: BitString, b: BasisString, r: BitString) -> np.ndarray:

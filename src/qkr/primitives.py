@@ -104,10 +104,12 @@ class _SymbolString:
         return iter(self._values.tolist())
 
     def __eq__(self, other) -> bool:
+        # Equal shapes first, so that only equal-length buffers are compared.
         return (
             type(other) is type(self)
             and self._modulus == other._modulus
-            and np.array_equal(self._values, other._values)
+            and self._values.shape == other._values.shape
+            and self._values.tobytes() == other._values.tobytes()
         )
 
     def __hash__(self) -> int:
@@ -270,6 +272,11 @@ class ProtocolParams:
         return self.encoding.alphabet_size
 
 
+# Place values 2^(width-1), ..., 2, 1 of a chunk of `width` bits, width <= 8:
+# a chunk's row of bits times these is its value, and fits in a uint8.
+_CHUNK_WEIGHTS = [(1 << np.arange(width - 1, -1, -1)).astype(np.uint8) for width in range(9)]
+
+
 class RandomSource:
     """Deterministic labeled bit stream.
 
@@ -301,7 +308,8 @@ class RandomSource:
     def raw_words(self, count: int) -> np.ndarray:
         if count <= 0:
             return np.empty(0, dtype=np.uint64)
-        return np.atleast_1d(np.asarray(self._gen.random_raw(count), dtype=np.uint64))
+        # With a size, random_raw returns a fresh uint64 array of that shape.
+        return self._gen.random_raw(count)
 
     def bit_array(self, count: int) -> np.ndarray:
         """`count` bits, each word's bits most significant first."""
@@ -325,7 +333,12 @@ class RandomSource:
         return words < np.uint64(math.ceil(p * 2.0**53) << 11)
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
-        """Uniform integers in [0, bound) by rejection on minimal bit chunks."""
+        """Uniform integers in [0, bound), bound <= 256, as uint8, by
+        rejection on minimal bit chunks: each pass draws 2 * need chunks of
+        width = bit_length(bound - 1) bits, most significant first, and keeps
+        the first `need` of those below `bound`."""
+        if bound > 256:
+            raise ValueError(f"bound must be at most 256, got {bound}")
         if bound < 2:
             return np.zeros(count, dtype=np.uint8)
         width = (bound - 1).bit_length()
@@ -333,10 +346,9 @@ class RandomSource:
         filled = 0
         while filled < count:
             need = count - filled
-            raw = self.bit_array(2 * need * width).reshape(2 * need, width)
-            cand = raw[:, 0]
-            for k in range(1, width):
-                cand = (cand << 1) | raw[:, k]
+            cand = self.bit_array(2 * need * width)
+            if width > 1:
+                cand = cand.reshape(2 * need, width) @ _CHUNK_WEIGHTS[width]
             accepted = cand[cand < bound][:need]
             out[filled : filled + accepted.size] = accepted
             filled += accepted.size

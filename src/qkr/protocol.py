@@ -230,9 +230,9 @@ def alice_encrypt(
 
     r = src.bits(params.kappa)
     k_prime = src.bits(params.tag_bits)
-    tau = mac_tag(keys.xi, mu + k_prime)
-    m = mu + k_prime + tau
-    c = code.encode(m + r)
+    tagged = mu + k_prime
+    tau = mac_tag(keys.xi, tagged)
+    c = code.encode(tagged + tau + r)
     x = c ^ keys.z
     qubits = QubitSequence.prepare(keys.b, x)
     return qubits, AliceRoundSecrets(r=r, k_prime=k_prime, x=x, c=c, tau=tau)
@@ -251,7 +251,9 @@ def bob_decrypt(
     keys.check_dimensions(params)
     if len(qubits) != params.n:
         raise ValueError(f"expected {params.n} qubits")
-    if not np.array_equal(qubits.bases, keys.b.symbols):
+    # The channel passes the shared basis string on unchanged, so the check
+    # compares symbols only when it was replaced.
+    if qubits.basis_string() is not keys.b and not np.array_equal(qubits.bases, keys.b.symbols):
         raise ValueError("honest simulation requires basis labels equal to the shared b")
 
     x_prime = qubits.payload_bits()
@@ -260,26 +262,39 @@ def bob_decrypt(
     if not outcome.ok:
         return BobDecryption(omega=0, mu_hat=None, k_hat_prime=None, r_hat=None, x_hat=None)
 
+    # payload = mu_hat + k_hat_prime + tau_hat + r_hat; the tag covers the
+    # bits before tau_hat.
     payload = outcome.payload
-    m_hat = payload[: params.ell]
+    tag_start = params.ell - params.tag_bits
+    mu_hat = payload[: params.mu_bits]
+    k_hat_prime = payload[params.mu_bits : tag_start]
+    tau_hat = payload[tag_start : params.ell]
     r_hat = payload[params.ell :]
-    mu_hat = m_hat[: params.mu_bits]
-    k_hat_prime = m_hat[params.mu_bits : params.mu_bits + params.tag_bits]
-    tau_hat = m_hat[params.ell - params.tag_bits :]
-    x_hat = code.encode(m_hat + r_hat) ^ keys.z
-    omega = 1 if mac_verify(keys.xi, mu_hat + k_hat_prime, tau_hat) else 0
+    x_hat = code.encode(payload) ^ keys.z
+    omega = 1 if mac_verify(keys.xi, payload[:tag_start], tau_hat) else 0
     return BobDecryption(
         omega=omega, mu_hat=mu_hat, k_hat_prime=k_hat_prime, r_hat=r_hat, x_hat=x_hat
     )
 
 
+# The two one-bit messages the feedback MAC authenticates, by verdict.
+_VERDICTS = {0: BitString([0]), 1: BitString([1])}
+
+
+def _verdict(omega: int) -> BitString:
+    try:
+        return _VERDICTS[omega]
+    except (KeyError, TypeError):
+        raise ValueError(f"omega must be 0 or 1, got {omega!r}") from None
+
+
 def feedback_tag(keys: KeyState, omega: int) -> BitString:
     """Authenticate the one-bit verdict with the feedback MAC key."""
-    return mac_tag(keys.k, BitString([omega]))
+    return mac_tag(keys.k, _verdict(omega))
 
 
 def alice_check_feedback(keys: KeyState, omega: int, tau_fb: BitString) -> bool:
-    return mac_verify(keys.k, BitString([omega]), tau_fb)
+    return mac_verify(keys.k, _verdict(omega), tau_fb)
 
 
 def key_update(

@@ -314,7 +314,10 @@ def run_session_two_party(
 
 def toeplitz_apply_int(seed, values) -> np.ndarray:
     """The exact Toeplitz-affine product: int64 convolution of the diagonal
-    with the input, then the offset, then reduction modulo the field size."""
+    with the input, then the offset, then reduction modulo the field size.
+    `ToeplitzSeed.apply` computed its small products, and recomputed a
+    product that failed the FFT guard, this way before the float64
+    convolution replaced it."""
     conv = np.convolve(
         np.asarray(seed.diagonal, dtype=np.int64), np.asarray(values, dtype=np.int64), mode="valid"
     )
@@ -432,6 +435,38 @@ class FloatRandomSource(RandomSource):
             out[filled : filled + accepted.size] = accepted
             filled += accepted.size
         return out
+
+
+def integers_below_column_loop(src: RandomSource, bound: int, count: int) -> np.ndarray:
+    """`RandomSource.integers_below` as it was before its candidates became
+    one product of the bit rows with their place values: the drawn bits as
+    rows of `width`, shifted in one column at a time. Bounds above 256 wrap
+    in the uint8 candidates, which is why the production form refuses them."""
+    if bound < 2:
+        return np.zeros(count, dtype=np.uint8)
+    width = (bound - 1).bit_length()
+    out = np.empty(count, dtype=np.uint8)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        raw = src.bit_array(2 * need * width).reshape(2 * need, width)
+        cand = raw[:, 0]
+        for k in range(1, width):
+            cand = (cand << 1) | raw[:, k]
+        accepted = cand[cand < bound][:need]
+        out[filled : filled + accepted.size] = accepted
+        filled += accepted.size
+    return out
+
+
+def symbol_strings_equal(a, b) -> bool:
+    """Symbol-string equality as `np.array_equal` decided it: the same
+    subclass, the same modulus and elementwise equal symbols."""
+    return (
+        type(a) is type(b)
+        and a._modulus == b._modulus
+        and np.array_equal(a._values, b._values)
+    )
 
 
 # The run-parameter resolver as `cli` had it when each size rule lived on its

@@ -205,6 +205,32 @@ def test_bytes_pinned_across_mac_paths(tmp_path, monkeypatch, capsys, argv,
         assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
 
 
+@pytest.mark.parametrize(
+    "argv,stdout_sha256,rounds_sha256",
+    [
+        (["--eta", "0.3", "--rounds", "100", "--seed", "0"],
+         "d84de1b9a4e542c275266c1fe3f083fde1940286b8216ada5a11bdcbeae579cd",
+         "be2767f3af95a4a37efb41211bb073230d683cc3cb25a9a3d3685b0bac4aedb0"),
+        (["--encoding", "bb84", "--eta", "0.3", "--rounds", "50", "--seed", "1"],
+         "3b29a4293cf67284eeea888185da3b39f494264cf5e5b1d5687841d28981b188",
+         "0b9f5b91d22368dfea0b6ee2d3b81df1195c9774bd748124664d1a9088c2fb82"),
+    ],
+    ids=["n64-six-state", "n64-bb84"],
+)
+def test_run_bytes_pinned_at_small_n(tmp_path, monkeypatch, capsys, argv,
+                                     stdout_sha256, rounds_sha256):
+    """At n = 64 (lambda lowered to 8) every Toeplitz product is below
+    FFT_MIN_MUL_ADDS, and intercept-resend makes both the Accept and the
+    Reject key update run. The digests were recorded with the int64
+    convolution, the per-call MAC key table and the per-column candidate
+    loop of `integers_below`."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(capsys, "run", "--n", "64", "--out", "r.jsonl", *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
+
+
 def test_cli_import_leaves_numpy_fft_unloaded():
     """numpy.fft loads on the first large Toeplitz product, not at start-up."""
     src = str(Path(qkr.__file__).resolve().parents[1])

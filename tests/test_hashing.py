@@ -226,6 +226,59 @@ def test_fft_lengths_at_cli_defaults(monkeypatch):
         assert sizes == [size, size]
 
 
+@st.composite
+def _direct_toeplitz_shapes(draw):
+    """(modulus, in_len, out_len) with in_len * out_len below FFT_MIN_MUL_ADDS."""
+    modulus = draw(st.sampled_from([2, 3]))
+    out_len = draw(st.integers(1, 600))
+    in_len = draw(st.integers(1, (FFT_MIN_MUL_ADDS - 1) // out_len))
+    return modulus, in_len, out_len
+
+
+@given(_direct_toeplitz_shapes(), st.integers(0, 2**32 - 1), st.booleans())
+@example((2, FFT_MIN_MUL_ADDS - 1, 1), 0, True)
+@example((3, FFT_MIN_MUL_ADDS - 1, 1), 0, True)
+@example((3, (FFT_MIN_MUL_ADDS - 1) // 64, 64), 1, True)
+@example((2, 239, 64), 2, False)
+@example((3, 1, 1), 0, True)
+@settings(max_examples=150, deadline=None)
+def test_direct_toeplitz_product_matches_int64_convolution(shape, seed_value, all_max):
+    """Below FFT_MIN_MUL_ADDS the float64 convolution gives the int64 bytes,
+    including the longest sums of the largest symbols, and the seed keeps a
+    float64 diagonal but no spectrum."""
+    modulus, in_len, out_len = shape
+    src = RandomSource(seed_value, "toeplitz-direct")
+    seed = ToeplitzSeed.random(src, modulus, in_len, out_len)
+    first = np.full(in_len, modulus - 1) if all_max else src.integers_below(modulus, in_len)
+    for values in (first, src.integers_below(modulus, in_len)):
+        assert np.array_equal(seed.apply(values), toeplitz_apply_int(seed, values))
+    assert seed._spectrum is None
+    assert seed._diagonal_f64 is not None
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_failed_fft_guard_recomputes_with_float64_convolution(monkeypatch, modulus):
+    """An FFT product keeps no float64 diagonal; a product that fails the
+    guard is recomputed by the direct convolution, which builds it."""
+    src = RandomSource(6, "toeplitz-guard-float")
+    seed = ToeplitzSeed.random(src, modulus, 2000, 600)
+    assert seed.in_len * seed.out_len >= FFT_MIN_MUL_ADDS
+    values = np.full(2000, modulus - 1)
+    expected = toeplitz_apply_int(seed, values)
+    assert np.array_equal(seed.apply(values), expected)
+    assert seed._diagonal_f64 is None
+    irfft = np.fft.irfft
+
+    def shifted_irfft(*args, **kwargs):
+        out = irfft(*args, **kwargs)
+        out[seed.in_len - 1] += 0.5
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", shifted_irfft)
+    assert np.array_equal(seed.apply(values), expected)
+    assert seed._diagonal_f64 is not None
+
+
 @pytest.mark.parametrize("modulus", [2, 3])
 def test_toeplitz_fft_guard_falls_back_to_exact_product(monkeypatch, modulus):
     src = RandomSource(5, "toeplitz-guard")
@@ -400,3 +453,31 @@ def test_packed_bit_paths_match_per_bit_loops(bits, tag_bits):
     assert BitString.from_int(value, len(bits)) == s
     assert list(BitString.from_int(value, len(bits))) == int_to_bits_loop(value, len(bits))
     assert _message_blocks(s, tag_bits) == message_blocks_loop(bits, tag_bits)
+
+
+@given(st.data(), st.sampled_from([8, 64, 128]))
+@settings(max_examples=100, deadline=None)
+def test_mac_key_reused_over_messages_matches_bitserial_oracle(data, tag_bits):
+    """One MacKey, its table built once, tags several messages as the
+    bit-serial MAC does, and verifies each tag."""
+    key_value = data.draw(_field_elements(tag_bits).filter(bool))
+    key = MacKey(BitString.from_int(key_value, tag_bits))
+    for _ in range(4):
+        length = data.draw(st.integers(0, 300))
+        raw = data.draw(st.binary(min_size=(length + 7) // 8, max_size=(length + 7) // 8))
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:length]
+        expected = polynomial_mac_bitserial(key_value, bits, tag_bits)
+        assert mac_tag(key, BitString(bits)).to_int() == expected
+        assert mac_verify(key, BitString(bits), BitString.from_int(expected, tag_bits))
+        assert polynomial_mac(key_value, BitString(bits), tag_bits) == expected
+    assert key == MacKey(BitString.from_int(key_value, tag_bits))
+
+
+@pytest.mark.parametrize("tag_bits", [8, 64, 128])
+def test_message_blocks_at_block_boundaries(tag_bits):
+    """Lengths around each block edge, where the last block is whole, one
+    bit long or one bit short."""
+    src = RandomSource(9, "blocks")
+    for length in (0, 1, 7, 8, 9, tag_bits - 1, tag_bits, tag_bits + 1, 2 * tag_bits + 3):
+        bits = src.bits(length)
+        assert _message_blocks(bits, tag_bits) == message_blocks_loop(bits.bits, tag_bits)

@@ -18,7 +18,7 @@ from qkr.primitives import (
 )
 from qkr.qsim import QubitSequence
 
-from oracles import FloatRandomSource
+from oracles import FloatRandomSource, integers_below_column_loop, symbol_strings_equal
 
 
 def test_xor_truth_table_examples():
@@ -244,3 +244,82 @@ def test_encoding_parse():
     assert Encoding.parse("six-state").alphabet_size == 3
     with pytest.raises(ValueError):
         Encoding.parse("8-state")
+
+
+def test_integers_below_refuses_bounds_above_256():
+    """Candidates are uint8, so a wider bound would wrap them: a bound of
+    1000 once returned 10-bit candidates cut to 8 bits, none above 255."""
+    for bound in (257, 1000):
+        with pytest.raises(ValueError):
+            RandomSource(1).integers_below(bound, 8)
+    values = RandomSource(1).integers_below(256, 4000)
+    assert values.dtype == np.uint8
+    assert values.min() == 0 and values.max() == 255
+
+
+_BOUNDS = (st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 128, 129, 255, 256])
+           | st.integers(0, 256))
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.lists(st.tuples(_BOUNDS, _DRAW_COUNTS), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_integers_below_matches_column_loop(seed, calls):
+    """The same integers as the per-column loop, and the same next words:
+    both forms consume the stream alike."""
+    new = RandomSource(seed, "chunks")
+    old = RandomSource(seed, "chunks")
+    for bound, count in calls:
+        got = new.integers_below(bound, count)
+        want = integers_below_column_loop(old, bound, count)
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
+        assert np.array_equal(new.raw_words(2), old.raw_words(2))
+
+
+def test_raw_words_shape_and_dtype():
+    src = RandomSource(3, "raw")
+    for count in (-1, 0, 1, 5):
+        words = src.raw_words(count)
+        assert words.dtype == np.uint64
+        assert words.shape == (max(count, 0),)
+
+
+def _symbol_strings():
+    bits = BitString.from_text("0110")
+    trits = TritString.from_text("0110")
+    return [
+        bits, BitString.from_text("0111"), BitString.from_text("011"), BitString.zeros(0),
+        BitString.from_text("00110")[1:], BitString.from_text("01011010")[::2],
+        trits, TritString.from_text("0210"), TritString.from_text("001120")[::2],
+        BasisString.from_text("0110", 2), BasisString.from_text("0110", 3),
+        BasisString.from_text("01102", 3), BasisString.from_text("", 3),
+    ]
+
+
+def test_symbol_string_equality_matches_array_equal():
+    """Equality across subclasses, moduli and lengths, and on strided
+    slices, decides as the elementwise comparison did."""
+    strings = _symbol_strings()
+    for a in strings:
+        assert a != "0110" and a != None  # noqa: E711
+        for b in strings:
+            assert (a == b) is symbol_strings_equal(a, b)
+            assert (a != b) is not symbol_strings_equal(a, b)
+
+
+@given(st.sampled_from(["bits", "trits", "basis2", "basis3"]),
+       st.sampled_from(["bits", "trits", "basis2", "basis3"]),
+       st.lists(st.integers(0, 1), max_size=8), st.lists(st.integers(0, 1), max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_symbol_string_equality_property(kind_a, kind_b, digits_a, digits_b):
+    make = {
+        "bits": BitString,
+        "trits": TritString,
+        "basis2": lambda d: BasisString(d, 2),
+        "basis3": lambda d: BasisString(d, 3),
+    }
+    a, b = make[kind_a](digits_a), make[kind_b](digits_b)
+    assert (a == b) is symbol_strings_equal(a, b)
+    if a == b:
+        assert hash(a) == hash(b)

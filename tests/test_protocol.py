@@ -128,6 +128,30 @@ def test_bob_rejects_wrong_basis_labels():
         bob_decrypt(PARAMS, wrong, qubits, code)
 
 
+def test_bob_accepts_an_equal_copy_of_the_basis_string():
+    """The basis check compares symbols when the received string is not the
+    shared object itself."""
+    keys = _keys(11)
+    code = make_code(CodeKind.ORACLE, PARAMS)
+    mu = _mu()
+    qubits, secrets = alice_encrypt(PARAMS, keys, mu, RandomSource(12).stream("a"), code)
+    code.note_transmitted(secrets.c)
+    copy = replace(keys, b=BasisString(keys.b.symbols.copy(), 3))
+    assert copy.b is not qubits.basis_string()
+    dec = bob_decrypt(PARAMS, copy, qubits, code)
+    assert dec.omega == 1 and dec.mu_hat == mu
+
+
+def test_feedback_refuses_a_verdict_other_than_zero_or_one():
+    keys = _keys(13)
+    for omega in (2, -1, None, "1"):
+        with pytest.raises(ValueError):
+            feedback_tag(keys, omega)
+        with pytest.raises(ValueError):
+            alice_check_feedback(keys, omega, feedback_tag(keys, 1))
+    assert feedback_tag(keys, True) == feedback_tag(keys, 1)
+
+
 def test_feedback_roundtrip_and_binding():
     keys = _keys(13)
     for omega in (0, 1):
