@@ -11,19 +11,30 @@ vectorized uint64 word arithmetic.
 row, by the same method: the keys' 4-bit tables ``T[v] = key * v`` are built
 once as a (16, rows) uint64 array (seven doublings and seven xors), and
 each Horner step multiplies by the key in 16 nibble steps ``z = (z << 4) ^
-R[z >> 60] ^ T[nibble]``, where R is `hashing.NIBBLE_REDUCTION[64]`. The
+R[z >> 60] ^ T[nibble]``, where R is `hashing.NIBBLE_REDUCTION[64]`. Both
+lookups gather with `take` on int64 views of the shifted words. The
 length block is one small constant for the whole batch, so its product with
 the key starts at the table row of the length's top nibble and costs one
 step per lower nibble: one step for the fuzz's 80-bit messages (0x50), not
-16. The tables are 4-bit, not 8-bit: a row's table is 128 bytes against
-2 KB, so a 12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which
-would dominate its peak memory: a 12000-round `qkr attack tamper_fuzz`
-peaks at 53 MB RSS, of which 32 MB is the interpreter with numpy and qkr
-imported and 19 MB the arrays the fuzz allocates (measured on x86-64 Linux,
-Python 3.11, numpy 2.4). A full 65536-row chunk holds 8.4 MB of tables
-against 134 MB. The bit-serial multiply and the shift-and-sum packer this
-replaced are the references in ``tests/oracles.py``, and the test suite also
-checks `mac64_words` against the scalar MAC.
+16.
+
+The fuzz holds its rows packed, eight bits to a byte: a round's 152-bit
+codeword (mu 16, k' 64, tau 64, r 8) is 19 bytes, every field whole bytes,
+drawn by `RandomSource.packed_bits` from the words `bit_array` would use.
+Both MACs run on word blocks built from those bytes. The flips cost one
+Philox word per bit, so they are drawn a slice of rows at a time rather
+than 80 MB of words for a whole 65536-row chunk.
+
+The tables are 4-bit, not 8-bit: a row's table is 128 bytes against 2 KB,
+so a 12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which would
+dominate its peak memory: a 12000-round `qkr attack tamper_fuzz` peaks at
+39 MB RSS, of which 32.5 MB is the interpreter with numpy and qkr imported
+and 6.5 MB the arrays the fuzz allocates; the default 1M rounds peak at
+59 MB (measured on x86-64 Linux, Python 3.11, numpy 2.4). A full 65536-row
+chunk holds 8.4 MB of tables against 134 MB. The bit-serial multiply and
+the shift-and-sum packer this replaced are the references in
+``tests/oracles.py``, and the test suite also checks `mac64_words` against
+the scalar MAC.
 """
 
 from __future__ import annotations
@@ -58,20 +69,25 @@ def _key_tables(keys: np.ndarray) -> np.ndarray:
     for i in range(2, 16, 2):
         half = table[i // 2]
         # _FOLD64[1] is the low terms, which the bit shifted out reduces to.
-        table[i] = (half << 1) ^ _FOLD64[half >> 63]
+        table[i] = (half << 1) ^ _FOLD64.take((half >> 63).view(np.int64))
         table[i + 1] = table[i] ^ keys
     return table
 
 
 def _table_mul_words(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Row-wise a * key, given the keys' tables, one nibble of `a` per step
-    from the top; uint64 shifts drop the bits that _FOLD64 folds back in."""
+    from the top; uint64 shifts drop the bits that _FOLD64 folds back in.
+
+    Every gather index is below 16 * rows, so it is read as an int64 view
+    of the uint64 shift, which `take` uses as is; indexing with the uint64
+    array would convert it first, about doubling the cost of each gather."""
     rows = len(a)
     flat = table.ravel()
-    cols = np.arange(rows, dtype=np.uint64)
-    z = flat[(a >> 60) * rows + cols]
+    cols = np.arange(rows, dtype=np.int64)
+    z = flat.take((a >> 60).view(np.int64) * rows + cols)
     for shift in range(56, -1, -4):
-        z = (z << 4) ^ _FOLD64[z >> 60] ^ flat[((a >> shift) & 15) * rows + cols]
+        nibbles = ((a >> shift) & 15).view(np.int64)
+        z = (z << 4) ^ _FOLD64.take((z >> 60).view(np.int64)) ^ flat.take(nibbles * rows + cols)
     return z
 
 
@@ -80,21 +96,27 @@ def gf64_mul_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _table_mul_words(a.astype(np.uint64, copy=False), _key_tables(b))
 
 
+def _bytes_to_words(packed: np.ndarray) -> np.ndarray:
+    """Rows of bytes as 64-bit words, the first byte highest, the last word
+    zero-padded on the right."""
+    rows, length = packed.shape
+    padded = np.zeros((rows, -(-length // 8) * 8), dtype=np.uint8)
+    padded[:, :length] = packed
+    return padded.view(">u8").astype(np.uint64)
+
+
 def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     """Pack rows of bits into 64-bit words, leftmost bit highest, last word
     zero-padded on the right."""
-    rows, length = bits.shape
-    words = (length + 63) // 64
-    padded = np.zeros((rows, words * 64), dtype=np.uint8)
-    padded[:, :length] = bits
-    return np.packbits(padded, axis=1).view(">u8").astype(np.uint64)
+    return _bytes_to_words(np.packbits(bits, axis=1))
 
 
 def mac64_words(keys: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
     """Row-wise polynomial MAC over GF(2^64): blocks plus a length block,
     evaluated by Horner's rule with each row's key table built once. Matches
     `hashing.mac_tag` bit for bit."""
-    return _mac64_tables(_key_tables(keys), message_bits)
+    blocks = pack_bits_to_words(message_bits)
+    return _mac64_tables(_key_tables(keys), blocks, message_bits.shape[1])
 
 
 def _length_times_keys(length: int, table: np.ndarray) -> np.ndarray:
@@ -104,17 +126,16 @@ def _length_times_keys(length: int, table: np.ndarray) -> np.ndarray:
     top = 4 * max(0, (length.bit_length() - 1) // 4)
     z = table[length >> top]
     for shift in range(top - 4, -1, -4):
-        z = (z << 4) ^ _FOLD64[z >> 60]
+        z = (z << 4) ^ _FOLD64.take((z >> 60).view(np.int64))
         nibble = (length >> shift) & 15
         if nibble:
             z ^= table[nibble]
     return z
 
 
-def _mac64_tables(table: np.ndarray, message_bits: np.ndarray) -> np.ndarray:
-    """`mac64_words` for keys whose tables are already built."""
-    length = message_bits.shape[1]
-    blocks = pack_bits_to_words(message_bits)
+def _mac64_tables(table: np.ndarray, blocks: np.ndarray, length: int) -> np.ndarray:
+    """`mac64_words` for keys whose tables are already built, on a message
+    of `length` bits given as its zero-padded word blocks."""
     acc = _length_times_keys(length, table)
     for j in range(blocks.shape[1] - 1, -1, -1):
         acc = _table_mul_words(blocks[:, j] ^ acc, table)
@@ -136,32 +157,33 @@ def fuzz_batch(
 ) -> dict:
     """One vectorized batch of tamper rounds over the identity code.
 
-    Rows of the inputs are independent rounds: tag key words `xi`, plaintext
-    bits `mu`, next-feedback-key bits `k_prime` (64 columns), padding bits
-    `r`, mask bits `z`, and the adversary's wire flips. Returns the per-row
-    verdicts and change flags. Both parties' tags use the same keys, so their
-    tables are built once.
+    Rows of the inputs are independent rounds: tag key words `xi`, then
+    bit rows packed into uint8 bytes, most significant bit first (as
+    `np.packbits(axis=1)` packs them): plaintext `mu`, next feedback key
+    `k_prime` (8 bytes), padding `r`, mask `z`, and the adversary's wire
+    flips. Every field is whole bytes. Returns the per-row verdicts and
+    change flags. Both parties' tags use the same keys, so their tables
+    are built once.
     """
-    batch, mu_bits = mu.shape
-    tag_bits = 64
-    ell = mu_bits + 2 * tag_bits
+    batch, mu_bytes = mu.shape
+    tag_bytes = 8
+    message_bytes = mu_bytes + tag_bytes
     table = _key_tables(xi)
     tagged = np.concatenate([mu, k_prime], axis=1)
-    tau_words = _mac64_tables(table, tagged)
-    tau = np.unpackbits(tau_words.astype(">u8").view(np.uint8)).reshape(batch, tag_bits)
+    tau_words = _mac64_tables(table, _bytes_to_words(tagged), 8 * message_bytes)
+    tau = tau_words.astype(">u8").view(np.uint8).reshape(batch, tag_bytes)
     codeword = np.concatenate([tagged, tau, r], axis=1)
 
     wire = codeword ^ z
     unmasked = (wire ^ flips) ^ z
 
-    mu_hat = unmasked[:, :mu_bits]
-    k_hat = unmasked[:, mu_bits : mu_bits + tag_bits]
-    tau_hat = unmasked[:, mu_bits + tag_bits : ell]
-    check = _mac64_tables(table, unmasked[:, : mu_bits + tag_bits])
-    omega = check == pack_bits_to_words(tau_hat)[:, 0]
+    message_hat = unmasked[:, :message_bytes]
+    tau_hat = unmasked[:, message_bytes : message_bytes + tag_bytes]
+    check = _mac64_tables(table, _bytes_to_words(message_hat), 8 * message_bytes)
+    omega = check == _bytes_to_words(tau_hat)[:, 0]
 
-    message_changed = np.any(np.concatenate([mu_hat, k_hat], axis=1) != tagged, axis=1)
-    plaintext_changed = np.any(mu_hat != mu, axis=1)
+    message_changed = np.any(message_hat != tagged, axis=1)
+    plaintext_changed = np.any(message_hat[:, :mu_bytes] != mu, axis=1)
     return {
         "omega": omega,
         "message_changed": message_changed,
@@ -169,11 +191,24 @@ def fuzz_batch(
     }
 
 
-# Plaintext and padding bits of a tamper round, and the most rounds drawn
-# and checked as one batch.
+# Plaintext and padding bits of a tamper round, the most rounds drawn and
+# checked as one batch, and the rows of flips drawn at a time within one:
+# a flip costs a Philox word, so a whole chunk's would be 80 MB.
 _FUZZ_MU_BITS = 16
 _FUZZ_KAPPA = 8
 _FUZZ_CHUNK = 1 << 16
+_FLIP_ROWS = 2048
+
+
+def _packed_flips(src: RandomSource, flip_rate: float, rows: int, n: int) -> np.ndarray:
+    """`np.packbits(src.bernoulli(flip_rate, rows * n).reshape(rows, n),
+    axis=1)`, drawn `_FLIP_ROWS` rows at a time."""
+    flips = np.empty((rows, -(-n // 8)), dtype=np.uint8)
+    for start in range(0, rows, _FLIP_ROWS):
+        stop = min(start + _FLIP_ROWS, rows)
+        drawn = src.bernoulli(flip_rate, (stop - start) * n).reshape(stop - start, n)
+        flips[start:stop] = np.packbits(drawn, axis=1)
+    return flips
 
 
 def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
@@ -200,11 +235,11 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
     while done < rounds:
         batch = min(_FUZZ_CHUNK, rounds - done)
         xi = _nonzero_words(src, batch)
-        mu = src.bit_array(batch * mu_bits).reshape(batch, mu_bits)
-        k_prime = src.bit_array(batch * tag_bits).reshape(batch, tag_bits)
-        r = src.bit_array(batch * kappa).reshape(batch, kappa)
-        z = src.bit_array(batch * n).reshape(batch, n)
-        flips = src.bernoulli(flip_rate, batch * n).reshape(batch, n).view(np.uint8)
+        mu = src.packed_bits(batch * mu_bits).reshape(batch, mu_bits // 8)
+        k_prime = src.packed_bits(batch * tag_bits).reshape(batch, tag_bits // 8)
+        r = src.packed_bits(batch * kappa).reshape(batch, kappa // 8)
+        z = src.packed_bits(batch * n).reshape(batch, n // 8)
+        flips = _packed_flips(src, flip_rate, batch, n)
 
         out = fuzz_batch(xi, mu, k_prime, r, z, flips)
         false_accepts += int(np.sum(out["omega"] & out["plaintext_changed"]))

@@ -44,8 +44,8 @@ mod the pinned polynomial, which folds the four bits the shift pushes out
 of the field back in (Shoup's method, as in GHASH). The
 batched MAC of `attacks` uses the same tables on uint64 words, one key per
 row. Tables are 4-bit, not 8-bit: there, 8-bit tables for the 12000 keys of a
-12000-round fuzz take 24.6 MB against 1.5 MB, which would dominate its peak
-memory (measured in `attacks`). The bit-serial multiply this replaced is the
+12000-round fuzz take 24.6 MB against 1.5 MB, which would dominate its 39 MB
+peak memory (measured in `attacks`). The bit-serial multiply this replaced is the
 reference in ``tests/oracles.py``.
 """
 

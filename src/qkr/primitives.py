@@ -316,6 +316,16 @@ class RandomSource:
         words = self.raw_words((count + 63) // 64)
         return np.unpackbits(words.astype(">u8").view(np.uint8), count=count)
 
+    def packed_bits(self, count: int) -> np.ndarray:
+        """`np.packbits(bit_array(count))` from the same words: their
+        big-endian bytes, cut to ceil(count / 8), the bits past `count` in
+        the last byte zeroed."""
+        packed = self.raw_words((count + 63) // 64).astype(">u8").view(np.uint8)
+        packed = packed[: (count + 7) // 8]
+        if count % 8:
+            packed[-1] &= (0xFF << (8 - count % 8)) & 0xFF
+        return packed
+
     def bits(self, count: int) -> BitString:
         return BitString._trusted(self.bit_array(count), 2)
 

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkr.attacks import (
+    _FLIP_ROWS,
+    _bytes_to_words,
+    _packed_flips,
     expected_intercept_error_rate,
     fuzz_batch,
     gf64_mul_words,
@@ -94,6 +97,33 @@ def test_pack_bits_to_words_match_shift_sum_oracle(data, rows, length):
     assert np.array_equal(words, expected)
 
 
+@given(st.data(), st.integers(0, 5), st.integers(0, 30))
+@settings(max_examples=100, deadline=None)
+def test_bytes_to_words_match_shift_sum_oracle(data, rows, length):
+    raw = data.draw(st.binary(min_size=rows * length, max_size=rows * length))
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(rows, length)
+    words = _bytes_to_words(packed)
+    expected = pack_bits_to_words_shift_sum(np.unpackbits(packed, axis=1))
+    assert words.dtype == expected.dtype and words.shape == expected.shape
+    assert np.array_equal(words, expected)
+
+
+@given(st.integers(0, 2**64 - 1),
+       st.sampled_from([0.0, 0.001, 0.3, 1.0]),
+       st.sampled_from([_FLIP_ROWS - 1, _FLIP_ROWS, _FLIP_ROWS + 1, 3 * _FLIP_ROWS + 5]),
+       st.sampled_from([152, 13]))
+@settings(max_examples=20, deadline=None)
+def test_packed_flips_match_one_bernoulli_draw(seed, flip_rate, rows, n):
+    """Flips drawn a slice of rows at a time are the packed rows of one
+    draw of the whole batch, and leave the stream at the same word."""
+    sliced = RandomSource(seed, "flips")
+    whole = RandomSource(seed, "flips")
+    got = _packed_flips(sliced, flip_rate, rows, n)
+    want = np.packbits(whole.bernoulli(flip_rate, rows * n).reshape(rows, n), axis=1)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(sliced.raw_words(2), whole.raw_words(2))
+
+
 def _draw_fuzz_inputs(seed, batch, mu_bits=16, kappa=8, n=None, flip_rate=0.3):
     n = n or (mu_bits + 128 + kappa)
     src = RandomSource(seed).stream("xcheck")
@@ -107,10 +137,23 @@ def _draw_fuzz_inputs(seed, batch, mu_bits=16, kappa=8, n=None, flip_rate=0.3):
     return xi, mu, k_prime, r, z, flips
 
 
-def test_fuzz_batch_matches_scalar_reference():
-    xi, mu, k_prime, r, z, flips = _draw_fuzz_inputs(4, 200)
-    out = fuzz_batch(xi, mu, k_prime, r, z, flips)
-    for i in range(200):
+def _fuzz_batch_packed(xi, mu, k_prime, r, z, flips):
+    packed = (np.packbits(bits, axis=1) for bits in (mu, k_prime, r, z, flips))
+    return fuzz_batch(xi, *packed)
+
+
+def _assert_every_class(out, flips, message_bits=16 + 64):
+    """An Accept, a changed r or tau under an unchanged message, and a
+    changed k' under an unchanged plaintext each occur."""
+    assert np.any(out["omega"])
+    assert np.any(~out["message_changed"] & np.any(flips[:, message_bits:], axis=1))
+    assert np.any(out["message_changed"] & ~out["plaintext_changed"])
+
+
+def _check_scalar_reference(seed, batch, flip_rate):
+    xi, mu, k_prime, r, z, flips = _draw_fuzz_inputs(seed, batch, flip_rate=flip_rate)
+    out = _fuzz_batch_packed(xi, mu, k_prime, r, z, flips)
+    for i in range(batch):
         key = MacKey(BitString.from_int(int(xi[i]), 64))
         mu_i, kp_i = BitString(mu[i]), BitString(k_prime[i])
         codeword = mu_i + kp_i + mac_tag(key, mu_i + kp_i) + BitString(r[i])
@@ -121,11 +164,21 @@ def test_fuzz_batch_matches_scalar_reference():
         assert bool(out["omega"][i]) == mac_verify(key, mu_hat + k_hat, tau_hat)
         assert bool(out["message_changed"][i]) == (mu_hat + k_hat != mu_i + kp_i)
         assert bool(out["plaintext_changed"][i]) == (mu_hat != mu_i)
+    return out, flips
 
 
-def test_fuzz_batch_matches_full_protocol_round():
-    """Drive the real encrypt/tamper/decrypt pipeline with the same inputs
-    the batch saw and compare verdicts round by round."""
+def test_fuzz_batch_matches_scalar_reference():
+    _check_scalar_reference(4, 200, 0.3)
+
+
+@pytest.mark.parametrize("flip_rate", [0.002, 0.01])
+def test_fuzz_batch_matches_scalar_reference_at_low_flip_rates(flip_rate):
+    """At flip rate 0.3 no row accepts and every message changes; these
+    rates reach the Accept branch and the partly changed rows."""
+    _assert_every_class(*_check_scalar_reference(4, 200, flip_rate))
+
+
+def _check_full_protocol_round(seed, batch, flip_rate):
     params = ProtocolParams(n=152, ell=144, kappa=8, tag_bits=64, beta=0.0, q_bits=32)
 
     class _Replay:
@@ -137,11 +190,11 @@ def test_fuzz_batch_matches_full_protocol_round():
             assert len(value) == count
             return value
 
-    xi, mu, k_prime, r, z, flips = _draw_fuzz_inputs(5, 40)
-    out = fuzz_batch(xi, mu, k_prime, r, z, flips)
+    xi, mu, k_prime, r, z, flips = _draw_fuzz_inputs(seed, batch, flip_rate=flip_rate)
+    out = _fuzz_batch_packed(xi, mu, k_prime, r, z, flips)
     template = KeyState.random(params, RandomSource(6).stream("keys"))
     code = make_code(CodeKind.IDENTITY, params)
-    for i in range(40):
+    for i in range(batch):
         keys = replace(
             template,
             xi=MacKey(BitString.from_int(int(xi[i]), 64)),
@@ -154,6 +207,20 @@ def test_fuzz_batch_matches_full_protocol_round():
         assert dec.omega == int(out["omega"][i])
         if dec.omega:
             assert (dec.mu_hat != BitString(mu[i])) == bool(out["plaintext_changed"][i])
+    return out, flips
+
+
+def test_fuzz_batch_matches_full_protocol_round():
+    """Drive the real encrypt/tamper/decrypt pipeline with the same inputs
+    the batch saw and compare verdicts round by round."""
+    _check_full_protocol_round(5, 40, 0.3)
+
+
+@pytest.mark.parametrize("flip_rate", [0.002, 0.01])
+def test_fuzz_batch_matches_full_protocol_round_at_low_flip_rates(flip_rate):
+    """Rows that Bob accepts, where the protocol's `dec.omega` arm compares
+    the recovered plaintext too."""
+    _assert_every_class(*_check_full_protocol_round(5, 120, flip_rate))
 
 
 def test_tamper_fuzz_million_rounds_no_false_accepts():

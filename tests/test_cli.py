@@ -189,14 +189,31 @@ def test_run_bytes_pinned_at_fft_sizes(tmp_path, monkeypatch, capsys, argv,
         (["attack", "tamper_fuzz", "--rounds", "70000", "--seed", "3", "--flip-rate", "0.001"],
          "742865b10863a2bff63e38c2c61518996d2daece6f5b8ba6f53ca1f1cba9bc7e",
          None),
+        (["attack", "tamper_fuzz", "--rounds", "5001", "--seed", "2", "--flip-rate", "0.001"],
+         "01c5f9dbc7d8b32e6088086c29693655cb9d8b51c99f21c0112751ca7872f510",
+         None),
+        (["attack", "tamper_fuzz", "--rounds", "3000", "--flip-rate", "0"],
+         "f443fcfd85f6a2970d74d22ec498aa9e6040d177dae8a07b8b55ade199f400a4",
+         None),
+        (["attack", "tamper_fuzz", "--rounds", "3000", "--flip-rate", "1"],
+         "feade8aa1f558e53c41e6dd76c88197253c6a278e14bc04252ac5044e55bd3f1",
+         None),
     ],
-    ids=["run-lambda128", "tamper-fuzz-70000"],
+    ids=["run-lambda128", "tamper-fuzz-70000", "tamper-fuzz-5001", "tamper-fuzz-rate0",
+         "tamper-fuzz-rate1"],
 )
 def test_bytes_pinned_across_mac_paths(tmp_path, monkeypatch, capsys, argv,
                                        stdout_sha256, rounds_sha256):
     """The lambda=128 run tags and verifies with the scalar MAC; the fuzz
     crosses its 65536-row chunk boundary and accepts 60618 rounds. The
-    digests were recorded with the bit-serial GF(2^lambda) multiply."""
+    digests were recorded with the bit-serial GF(2^lambda) multiply.
+
+    The 70000-round fuzz's last chunk (4464 rows) draws whole Philox words
+    in every field. 5001 rows end the mu, r and z draws inside a word and
+    the flips in a short slice of rows. Flip rates 0 and 1 take
+    `bernoulli`'s constant branches, which still draw a word per bit.
+    These three digests were recorded with the fuzz on unpacked bit rows,
+    before its rows were packed into bytes."""
     monkeypatch.chdir(tmp_path)
     code, stdout, _ = _run(capsys, *argv)
     assert code == 0

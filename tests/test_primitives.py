@@ -277,6 +277,24 @@ def test_integers_below_matches_column_loop(seed, calls):
         assert np.array_equal(new.raw_words(2), old.raw_words(2))
 
 
+_PACKED_COUNTS = st.sampled_from([0, 1, 7, 9, 63, 65, 129, 152]) | st.integers(0, 5000)
+
+
+@given(st.integers(0, 2**64 - 1), st.lists(_PACKED_COUNTS, min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_packed_bits_match_packed_bit_array(seed, counts):
+    """The bytes `np.packbits` makes of the same draw by `bit_array`, and
+    the same next words."""
+    new = RandomSource(seed, "packed")
+    old = RandomSource(seed, "packed")
+    for count in counts:
+        got = new.packed_bits(count)
+        want = np.packbits(old.bit_array(count))
+        assert got.dtype == want.dtype == np.uint8
+        assert np.array_equal(got, want)
+        assert np.array_equal(new.raw_words(2), old.raw_words(2))
+
+
 def test_raw_words_shape_and_dtype():
     src = RandomSource(3, "raw")
     for count in (-1, 0, 1, 5):
