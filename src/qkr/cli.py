@@ -125,7 +125,7 @@ _FIELD_TYPES = {
     "out": str,
 }
 
-# Fields whose config value is text; every other field takes a JSON number.
+# Fields whose config value is a JSON string; every other field takes a JSON number.
 _TEXT_FIELDS = ("encoding", "code", "out")
 
 # The fields each command reads besides `run`, which reads them all. A flag
@@ -153,10 +153,9 @@ def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
             if key not in values:
                 raise UsageError(f"config: unknown field {key!r}")
             if value is not None or DEFAULTS[key] is not None:
-                if key not in _TEXT_FIELDS and (
-                    isinstance(value, bool) or not isinstance(value, (int, float))
-                ):
-                    raise UsageError(f"config: field {key!r}: must be a JSON number, got {value!r}")
+                kind, types = ("string", str) if key in _TEXT_FIELDS else ("number", (int, float))
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise UsageError(f"config: field {key!r}: must be a JSON {kind}, got {value!r}")
                 try:
                     value = _FIELD_TYPES[key](value)
                 except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:

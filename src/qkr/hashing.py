@@ -41,12 +41,33 @@ product ``a * key`` then takes lambda/4 steps, one per nibble of ``a`` from
 the top: ``z = (z << 4) ^ R[top nibble of z] ^ T[nibble]``, where
 ``NIBBLE_REDUCTION[lambda]`` is the 16-entry table ``R[v] = v * x^lambda``
 mod the pinned polynomial, which folds the four bits the shift pushes out
-of the field back in (Shoup's method, as in GHASH). The
-batched MAC of `attacks` uses the same tables on uint64 words, one key per
-row. Tables are 4-bit, not 8-bit: there, 8-bit tables for the 12000 keys of a
-12000-round fuzz take 24.6 MB against 1.5 MB, which would dominate its 39 MB
-peak memory (measured in `attacks`). The bit-serial multiply this replaced is the
-reference in ``tests/oracles.py``.
+of the field back in (Shoup's method, as in GHASH). The bit-serial multiply
+this replaced is the reference in ``tests/oracles.py``.
+
+The MAC's row form, `mac64_rows`, tags many messages at once over
+GF(2^64), one key per row; the tamper fuzz of `attacks` runs on it. It
+takes its messages packed eight bits to a byte, as ``np.packbits(axis=1)``
+packs them, and `bytes_to_words` cuts them into the same zero-padded
+blocks as the scalar form; `nonzero_key_words` is `MacKey.from_draw`'s
+zero-key rule for a column of drawn words. `gf64_key_tables` builds the
+keys' tables once as a (16, rows) uint64 array, and `gf64_mul_rows` runs
+the nibble steps on uint64 words, starting at the top nonzero nibble of
+the batch's largest operand, so the length block (0x50 for an 80-bit
+message) costs one step, not 16. Both lookups gather with `take` on int64
+views of the shifted words; indexing with the uint64 arrays would make
+numpy convert each index array first, about doubling the cost of each
+gather. On one row the row form is more than ten times slower than
+`mac_tag`, so a single session tags with the scalar form.
+
+The row tables are 4-bit, not 8-bit: a row's table is 128 bytes against
+2 KB, so a 12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which
+would dominate its peak memory: a 12000-round `qkr attack tamper_fuzz`
+peaks at 39 MB RSS, of which 32.5 MB is the interpreter with numpy and qkr
+imported and 6.5 MB the arrays the fuzz allocates; the default 1M rounds
+peak at 59 MB (measured on x86-64 Linux, Python 3.11, numpy 2.4). A full
+65536-row chunk holds 8.4 MB of tables against 134 MB. The shift-and-sum
+packer and the bit-serial row MAC are the references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,6 +88,11 @@ __all__ = [
     "MacKey",
     "mac_tag",
     "mac_verify",
+    "gf64_key_tables",
+    "gf64_mul_rows",
+    "bytes_to_words",
+    "mac64_rows",
+    "nonzero_key_words",
     "FFT_MIN_MUL_ADDS",
     "ToeplitzSeed",
     "f_seed_shapes",
@@ -210,6 +236,66 @@ def mac_verify(key: MacKey, message: BitString, tag: BitString) -> bool:
     if len(tag) != key.tag_bits:
         raise ValueError(f"tag must have length {key.tag_bits}")
     return mac_tag(key, message) == tag
+
+
+# The row form of the MAC, over GF(2^64), one key per uint64 row.
+_FOLD64 = np.array(NIBBLE_REDUCTION[64], dtype=np.uint64)
+
+
+def nonzero_key_words(words: np.ndarray) -> np.ndarray:
+    """Keys from uniform 64-bit draws: `MacKey.from_draw`'s rule, the
+    all-zero draw remapped to all-ones, on every row."""
+    return np.where(words == 0, np.uint64(0xFFFFFFFFFFFFFFFF), words)
+
+
+def gf64_key_tables(keys: np.ndarray) -> np.ndarray:
+    """Row-wise tables key * v for v = 0..15, as a (16, rows) uint64 array:
+    T[2i] = x * T[i] and T[2i+1] = T[2i] + key."""
+    keys = keys.astype(np.uint64, copy=False)
+    table = np.zeros((16, len(keys)), dtype=np.uint64)
+    table[1] = keys
+    for i in range(2, 16, 2):
+        half = table[i // 2]
+        # _FOLD64[1] is the low terms, which the bit shifted out reduces to.
+        table[i] = (half << 1) ^ _FOLD64.take((half >> 63).view(np.int64))
+        table[i + 1] = table[i] ^ keys
+    return table
+
+
+def gf64_mul_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Row-wise a * key, given the keys' tables, one nibble of `a` per step
+    from the top nonzero nibble of the largest `a`; uint64 shifts drop the
+    bits that _FOLD64 folds back in. Every gather index is below 16 * rows,
+    so it is read as an int64 view of the uint64 shift."""
+    rows = len(a)
+    flat = table.ravel()
+    cols = np.arange(rows, dtype=np.int64)
+    top = max(0, (int(a.max(initial=0)).bit_length() - 1) // 4 * 4)
+    z = flat.take((a >> top).view(np.int64) * rows + cols)
+    for shift in range(top - 4, -1, -4):
+        nibbles = ((a >> shift) & 15).view(np.int64)
+        z = (z << 4) ^ _FOLD64.take((z >> 60).view(np.int64)) ^ flat.take(nibbles * rows + cols)
+    return z
+
+
+def bytes_to_words(packed: np.ndarray) -> np.ndarray:
+    """Rows of bytes as 64-bit words, the first byte highest, the last word
+    zero-padded on the right."""
+    rows, length = packed.shape
+    padded = np.zeros((rows, -(-length // 8) * 8), dtype=np.uint8)
+    padded[:, :length] = packed
+    return padded.view(">u8").astype(np.uint64)
+
+
+def mac64_rows(table: np.ndarray, packed: np.ndarray, length: int) -> np.ndarray:
+    """Row-wise polynomial MAC over GF(2^64) of `length`-bit messages packed
+    into bytes, given the keys' tables: Horner's rule over the blocks plus
+    the length block. Matches `mac_tag` bit for bit."""
+    blocks = [*bytes_to_words(packed).T, np.uint64(length)]
+    acc = np.zeros(len(packed), dtype=np.uint64)
+    for block in reversed(blocks):
+        acc = gf64_mul_rows(acc ^ block, table)
+    return acc
 
 
 # Below this many multiply-adds per product, the float64 np.convolve beats

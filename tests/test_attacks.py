@@ -7,18 +7,25 @@ from hypothesis import strategies as st
 
 from qkr.attacks import (
     _FLIP_ROWS,
-    _bytes_to_words,
     _packed_flips,
     expected_intercept_error_rate,
     fuzz_batch,
     gf64_mul_words,
     intercept_resend_report,
-    mac64_words,
     pack_bits_to_words,
     tamper_fuzz,
 )
 from qkr.ecc import CodeKind, make_code
-from qkr.hashing import MacKey, gf_mul, mac_tag, mac_verify
+from qkr.hashing import (
+    MacKey,
+    bytes_to_words,
+    gf64_key_tables,
+    gf_mul,
+    mac64_rows,
+    mac_tag,
+    mac_verify,
+    nonzero_key_words,
+)
 from qkr.primitives import BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt
 from qkr.qsim import apply_error_pattern
@@ -53,7 +60,7 @@ def test_mac64_words_match_scalar_mac(length):
     keys = src.raw_words(30)
     keys = np.where(keys == 0, np.uint64(1), keys)
     msgs = src.bit_array(30 * length).reshape(30, length) if length else np.zeros((30, 0), np.uint8)
-    tags = mac64_words(keys, msgs)
+    tags = mac64_rows(gf64_key_tables(keys), np.packbits(msgs, axis=1), length)
     for i in range(30):
         key = MacKey(BitString.from_int(int(keys[i]), 64))
         expected = mac_tag(key, BitString(msgs[i]))
@@ -78,13 +85,36 @@ def test_gf64_mul_words_match_bitserial_oracle(pairs):
     assert np.array_equal(gf64_mul_words(a, b), gf64_mul_words_bitserial(a, b))
 
 
+@pytest.mark.parametrize(
+    "a",
+    [np.zeros(9, dtype=np.uint64), np.arange(16, dtype=np.uint64), np.zeros(0, dtype=np.uint64)],
+    ids=["all-zero", "below-16", "empty"],
+)
+def test_gf64_mul_words_small_operands_match_bitserial_oracle(a):
+    """Batches whose largest operand has its top nonzero nibble at the
+    bottom, so the multiply starts at nibble 0."""
+    b = np.resize(np.array(_EDGE_WORDS + [0x123456789ABCDEF0], dtype=np.uint64), len(a))
+    assert np.array_equal(gf64_mul_words(a, b), gf64_mul_words_bitserial(a, b))
+
+
+def test_nonzero_key_words_match_mac_key_from_draw():
+    words = np.concatenate([np.array(_EDGE_WORDS, dtype=np.uint64),
+                            RandomSource(11).stream("keys").raw_words(20)])
+    keys = nonzero_key_words(words)
+    assert keys.dtype == np.uint64
+    for w, key in zip(words, keys):
+        expected = MacKey.from_draw(BitString.from_int(int(w), 64))
+        assert int(key) == expected.key.to_int()
+
+
 @given(st.data(), st.integers(0, 6), st.integers(0, 300))
 @settings(max_examples=100, deadline=None)
 def test_mac64_words_match_bitserial_oracle(data, extra_rows, length):
     keys = _EDGE_WORDS + data.draw(st.lists(_WORDS, min_size=extra_rows, max_size=extra_rows))
     keys = np.array(keys, dtype=np.uint64)
     msgs = _bit_matrix(data.draw, len(keys), length)
-    assert np.array_equal(mac64_words(keys, msgs), mac64_words_bitserial(keys, msgs))
+    tags = mac64_rows(gf64_key_tables(keys), np.packbits(msgs, axis=1), length)
+    assert np.array_equal(tags, mac64_words_bitserial(keys, msgs))
 
 
 @given(st.data(), st.integers(0, 5), st.integers(0, 200))
@@ -102,7 +132,7 @@ def test_pack_bits_to_words_match_shift_sum_oracle(data, rows, length):
 def test_bytes_to_words_match_shift_sum_oracle(data, rows, length):
     raw = data.draw(st.binary(min_size=rows * length, max_size=rows * length))
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(rows, length)
-    words = _bytes_to_words(packed)
+    words = bytes_to_words(packed)
     expected = pack_bits_to_words_shift_sum(np.unpackbits(packed, axis=1))
     assert words.dtype == expected.dtype and words.shape == expected.shape
     assert np.array_equal(words, expected)

@@ -402,6 +402,8 @@ def test_bad_flags_exit_two(capsys):
         ({"rounds": True}, ["run"]),
         ({"n": "64"}, ["run"]),
         ({"gamma": "0.05"}, ["run"]),
+        ({"out": True}, ["run"]),
+        ({"out": ["a"]}, ["run"]),
         (None, ["run", "--alpha", "1e308", "--out", "{missing}/r.jsonl"]),
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
                 "--alpha", "1e308"]),
@@ -433,8 +435,8 @@ def test_bad_flags_exit_two(capsys):
          "unsupported-lambda", "eta-above-one", "alpha-below-one",
          "negative-reservoir-capacity", "negative-session-rounds", "sweep-bb84",
          "sweep-config-bb84", "config-fractional-n", "config-bool-rounds",
-         "config-string-n", "config-string-gamma", "alpha-overflow-run",
-         "alpha-overflow-sweep", "alpha-overflow-intercept", "alpha-huge-run",
+         "config-string-n", "config-string-gamma", "config-bool-out", "config-list-out",
+         "alpha-overflow-run", "alpha-overflow-sweep", "alpha-overflow-intercept", "alpha-huge-run",
          "alpha-huge-intercept", "q-bits-huge", "lambda-lowered-then-ell-too-small",
          "repetition3-n-not-multiple-of-3", "identity-ell-kappa-not-n", "n-huge",
          "sweep-one-step", "sweep-n-huge", "sweep-swept-n-huge", "sweep-swept-n-huge-start",
