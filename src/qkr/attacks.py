@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ecc import CodeKind
 from .hashing import bytes_to_words, gf64_key_tables, gf64_mul_rows, mac64_rows, nonzero_key_words
-from .primitives import BitString, Encoding, ProtocolParams, RandomSource
-from .protocol import run_session
+from .primitives import Encoding, RandomSource
 from .qsim import ChannelKind, ChannelModel, QubitSequence, transmit
 
 __all__ = [
@@ -170,18 +168,9 @@ def expected_intercept_error_rate(eta: float, encoding: Encoding) -> float:
     return eta * (1.0 - 1.0 / encoding.alphabet_size) / 2.0
 
 
-def intercept_resend_report(
-    encoding: Encoding,
-    eta: float,
-    num_qubits: int,
-    seed: int,
-    params: ProtocolParams | None = None,
-    code_kind: CodeKind = CodeKind.ORACLE,
-    session_rounds: int = 0,
-) -> dict:
-    """Measure the induced payload error rate over `num_qubits` random
-    qubits, and optionally the reject rate of a session run under the same
-    attack."""
+def intercept_resend_report(encoding: Encoding, eta: float, num_qubits: int, seed: int) -> dict:
+    """Measure the payload error rate that measure-and-resend at rate `eta`
+    induces over `num_qubits` random qubits."""
     src = RandomSource(seed).stream("intercept")
     bases = src.basis_string(encoding.alphabet_size, num_qubits)
     payloads = src.bits(num_qubits)
@@ -189,8 +178,7 @@ def intercept_resend_report(
     channel = ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=eta)
     received = transmit(channel, qubits, src.stream("channel"))
     errors = int(np.sum(received.payloads != qubits.payloads))
-
-    report = {
+    return {
         "kind": "intercept_resend",
         "encoding": encoding.value,
         "eta": eta,
@@ -200,10 +188,3 @@ def intercept_resend_report(
         "expected_error_rate": expected_intercept_error_rate(eta, encoding),
         "seed": seed,
     }
-    if session_rounds > 0:
-        if params is None:
-            raise ValueError("session_rounds > 0 requires protocol params")
-        session = run_session(params, channel, code_kind, session_rounds, seed)
-        report["session_rounds"] = session_rounds
-        report["session_reject_rate"] = 1.0 - session.summary.accept_rate
-    return report

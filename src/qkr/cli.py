@@ -37,7 +37,7 @@ DEFAULTS = {
     "n": 1024,
     "ell": None,
     "kappa": None,
-    "lambda": 64,
+    "lambda": None,
     "beta": 0.125,
     "gamma": 0.0,
     "eta": 0.0,
@@ -96,14 +96,17 @@ def _int_at_least(low: int):
     return convert
 
 
-def _name_of(enum_cls):
-    def convert(text) -> str:
-        try:
-            return enum_cls.parse(text).value
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
+def _name_of(enum_cls, what: str):
+    """The one check of a flag or config name of `enum_cls`'s members."""
+    names = [kind.value for kind in enum_cls]
 
-    convert.metavar = "{" + ",".join(kind.value for kind in enum_cls) + "}"
+    def convert(text) -> str:
+        if text not in names:
+            expected = ", ".join(names[:-1]) + " or " + names[-1]
+            raise argparse.ArgumentTypeError(f"unknown {what} {text!r} (expected {expected})")
+        return text
+
+    convert.metavar = "{" + ",".join(names) + "}"
     return convert
 
 
@@ -118,8 +121,8 @@ _FIELD_TYPES = {
     "eta": _probability,
     "alpha": _finite_float,
     "q_bits": _integer,
-    "encoding": _name_of(Encoding),
-    "code": _name_of(CodeKind),
+    "encoding": _name_of(Encoding, "encoding"),
+    "code": _name_of(CodeKind, "code"),
     "rounds": _int_at_least(1),
     "seed": _integer,
     "out": str,
@@ -135,11 +138,11 @@ _INTERCEPT_FIELDS = tuple(key for key in _FIELD_TYPES if key != "rounds")
 _FUZZ_FIELDS = ("rounds", "seed", "out")
 
 
-def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
+def _merged(ns: argparse.Namespace) -> dict:
     """Layer resolution: built-in defaults, then the config file, then flags.
-    Also reports which keys the user set explicitly."""
+    A config's null is taken only for a field whose default is unset, and
+    leaves it unset."""
     values = dict(DEFAULTS)
-    explicit = set()
     config_path = getattr(ns, "config", None)
     if config_path:
         try:
@@ -161,13 +164,11 @@ def _merged(ns: argparse.Namespace) -> tuple[dict, set]:
                 except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                     raise UsageError(f"config: field {key!r}: {exc}") from exc
             values[key] = value
-            explicit.add(key)
     for key in values:
         flag = getattr(ns, key, None)
         if flag is not None:
             values[key] = flag
-            explicit.add(key)
-    return values, explicit
+    return values
 
 
 def _default_kappa(n: int, alpha: float) -> int:
@@ -196,36 +197,45 @@ def _run_size(key: str, size: int) -> int:
     return size
 
 
-def _tag_bits(lam: int) -> int:
-    """`lam`, or a usage error unless a MAC is defined at that tag length."""
+def _tag_bits(lam) -> int:
+    """`lam`, 64 when unset, or a usage error unless a MAC is defined at
+    that tag length."""
+    lam = _FALLBACK_TAGS[0] if lam is None else int(lam)
     if lam not in REDUCTION_POLYS:
         raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
     return lam
 
 
-def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolParams, CodeKind]:
+def resolve_params(values: dict) -> tuple[ProtocolParams, CodeKind]:
     """Derive, in order, the payload width k_in = ell + kappa, the tag length
-    (lowered when not explicitly set and k_in cannot host it), kappa, ell and
-    q_bits. The code's shape rules are checked by `ecc.CodeSpec`."""
-    encoding = Encoding.parse(values["encoding"])
-    code_kind = CodeKind.parse(values["code"])
+    (when unset, the largest that k_in can host), kappa, ell and q_bits. The
+    code's shape rules are checked by `ecc.CodeSpec`."""
+    encoding = Encoding(values["encoding"])
+    code_kind = CodeKind(values["code"])
     n = _run_size("n", int(values["n"]))
     ell, kappa = (None if values[key] is None else int(values[key]) for key in ("ell", "kappa"))
 
     if ell is not None and kappa is not None:
-        k_in = ell + kappa
+        k_in, source = ell + kappa, "ell + kappa"
     elif code_kind is CodeKind.IDENTITY:
-        k_in = n
+        k_in, source = n, f"the identity code at n={n}"
     elif code_kind is CodeKind.REPETITION3:
-        k_in = n // 3
+        k_in, source = n // 3, f"the repetition3 code at n={n}"
     else:
-        k_in = n - math.ceil(required_redundancy(n, min(float(values["gamma"]), 0.5 - 1e-9)))
+        gamma = float(values["gamma"])
+        k_in = n - math.ceil(required_redundancy(n, min(gamma, 0.5 - 1e-9)))
+        source = f"the oracle code at n={n} and gamma={gamma:g}"
 
-    lam = _tag_bits(int(values["lambda"]))
-    if "lambda" not in explicit and k_in <= 2 * lam:
+    if values["lambda"] is not None:
+        lam = _tag_bits(values["lambda"])
+    else:
         lam = next((tag for tag in _FALLBACK_TAGS if k_in > 2 * tag), None)
         if lam is None:
-            raise UsageError(f"n: payload of {k_in} bits cannot host any supported tag length")
+            least = _FALLBACK_TAGS[-1]
+            raise UsageError(
+                f"payload: {source} leaves {k_in} bits; the smallest that hosts a tag "
+                f"is {2 * least + 1} bits, for lambda {least}"
+            )
 
     if kappa is None:
         kappa = (
@@ -249,7 +259,7 @@ def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolP
         CodeSpec.for_params(code_kind, params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    if lam != int(values["lambda"]):
+    if values["lambda"] is None and lam != _FALLBACK_TAGS[0]:
         print(f"note: lambda lowered to {lam} to fit {k_in} payload bits", file=sys.stderr)
     return params, code_kind
 
@@ -258,7 +268,7 @@ def resolve_budget(values: dict) -> SecurityBudget:
     try:
         return SecurityBudget(
             alpha=float(values["alpha"]),
-            tag_bits=_tag_bits(int(values["lambda"])),
+            tag_bits=_tag_bits(values["lambda"]),
             n=_run_size("n", int(values["n"])),
             kappa=_size(values, "kappa", _default_kappa),
             gamma=float(values["gamma"]),
@@ -296,8 +306,8 @@ def _rounds_text(results) -> str:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
-    values, explicit = _merged(ns)
-    params, code_kind = resolve_params(values, explicit)
+    values = _merged(ns)
+    params, code_kind = resolve_params(values)
     channel = _channel(values)
     rounds = int(values["rounds"])
     out_path = values["out"] or "rounds.jsonl"
@@ -362,7 +372,7 @@ def _sweep_rows(variable: str, start: float, stop: float, steps: int, budget: Se
             point = dataclasses.replace(budget, **{variable: value})
             rate = asymptotic_rate_6state(point.gamma)
             report = diamond_bound(point)
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             print(f"note: skipping {variable}={value}: {exc}", file=sys.stderr)
             continue
         yield value, [
@@ -376,7 +386,7 @@ def _sweep_rows(variable: str, start: float, stop: float, steps: int, budget: Se
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    values, _ = _merged(ns)
+    values = _merged(ns)
     budget = resolve_budget(values)
     lines = [",".join([ns.variable] + _SWEEP_COLUMNS)]
     for value, columns in _sweep_rows(ns.variable, ns.start, ns.stop, ns.steps, budget):
@@ -387,26 +397,23 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_intercept_resend(ns: argparse.Namespace) -> int:
-    values, explicit = _merged(ns)
-    params = None
-    code_kind = CodeKind.ORACLE
+    """The channel's induced error rate, then, with `--session-rounds`, the
+    reject rate of a session under the same attack alone."""
+    values = _merged(ns)
+    eta, seed = float(values["eta"]), int(values["seed"])
+    report = intercept_resend_report(Encoding(values["encoding"]), eta, ns.qubits, seed)
     if ns.session_rounds > 0:
-        params, code_kind = resolve_params(values, explicit)
-    report = intercept_resend_report(
-        Encoding.parse(values["encoding"]),
-        float(values["eta"]),
-        ns.qubits,
-        int(values["seed"]),
-        params=params,
-        code_kind=code_kind,
-        session_rounds=ns.session_rounds,
-    )
+        params, code_kind = resolve_params(values)
+        channel = ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=eta)
+        session = run_session(params, channel, code_kind, ns.session_rounds, seed)
+        report["session_rounds"] = ns.session_rounds
+        report["session_reject_rate"] = 1.0 - session.summary.accept_rate
     _emit(_dump(report) + "\n", values["out"])
     return 0
 
 
 def cmd_tamper_fuzz(ns: argparse.Namespace) -> int:
-    values, _ = _merged(ns)
+    values = _merged(ns)
     report = tamper_fuzz(
         rounds=int(values["rounds"]), seed=int(values["seed"]), flip_rate=ns.flip_rate
     )

@@ -36,13 +36,6 @@ class CodeKind(Enum):
     REPETITION3 = "repetition3"
     ORACLE = "oracle"
 
-    @classmethod
-    def parse(cls, text: str) -> "CodeKind":
-        for kind in cls:
-            if kind.value == text:
-                return kind
-        raise ValueError(f"unknown code {text!r} (expected identity, repetition3 or oracle)")
-
 
 @dataclass(frozen=True)
 class CodeSpec:

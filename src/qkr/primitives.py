@@ -213,13 +213,6 @@ class Encoding(Enum):
     def alphabet_size(self) -> int:
         return 2 if self is Encoding.BB84 else 3
 
-    @classmethod
-    def parse(cls, text: str) -> "Encoding":
-        for enc in cls:
-            if enc.value == text:
-                return enc
-        raise ValueError(f"unknown encoding {text!r} (expected 'bb84' or 'six-state')")
-
 
 @dataclass(frozen=True)
 class ProtocolParams:

@@ -494,8 +494,8 @@ def _sized_by_alpha(size, n: int, alpha: float) -> int:
 def resolve_params(values: dict, explicit: set = frozenset()) -> tuple[ProtocolParams, CodeKind]:
     """Fill in ell, kappa, q_bits and (when not explicitly set) the tag
     length from the structural constraints of the chosen code."""
-    encoding = Encoding.parse(values["encoding"])
-    code_kind = CodeKind.parse(values["code"])
+    encoding = Encoding(values["encoding"])
+    code_kind = CodeKind(values["code"])
     n = int(values["n"])
     gamma = float(values["gamma"])
     alpha = float(values["alpha"])

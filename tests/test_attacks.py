@@ -271,12 +271,11 @@ def test_tamper_fuzz_deterministic():
 
 
 def test_intercept_report_eta_zero_matches_clean_baseline():
-    params = ProtocolParams(n=64, ell=32, kappa=8, tag_bits=8, beta=0.125, q_bits=32)
-    report = intercept_resend_report(
-        Encoding.SIX_STATE, 0.0, 20_000, seed=9, params=params, session_rounds=50
-    )
+    """The report measures the channel only; `qkr attack intercept_resend`
+    runs the session (tests/test_cli.py)."""
+    report = intercept_resend_report(Encoding.SIX_STATE, 0.0, 20_000, seed=9)
     assert report["errors"] == 0
-    assert report["session_reject_rate"] == 0.0
+    assert "session_reject_rate" not in report
 
 
 def test_intercept_report_full_attack_rates():

@@ -162,14 +162,18 @@ def test_run_stops_at_key_divergence(tmp_path, capsys):
         (["--n", "16384", "--rounds", "2"],
          "883e67e89ec1fada7313a4d787ac78e53ecd3081e9aa51cc3f53672a5c219f30",
          "7821667247481cd04630e391b3b0f828491ad5ff251d0da30f911d5639f538a5"),
+        (["--rounds", "3", "--lambda", "64"],
+         "11da4e12dc7e962f8831e1e890bfe8252929a4c44402c415d407c3fce9f4604a",
+         "825a7930a93db6cb0524947e6a42b810adaf3a0da0e9e7b6ca58ec7bbf8d286f"),
     ],
-    ids=["n1024", "n16384"],
+    ids=["n1024", "n16384", "n1024-lambda64"],
 )
 def test_run_bytes_pinned_at_fft_sizes(tmp_path, monkeypatch, capsys, argv,
                                        stdout_sha256, rounds_sha256):
     """Every Toeplitz product here takes the FFT path; rounds after the
     first run on keys it produced. The digests were recorded with the exact
-    int64 convolution at every size."""
+    int64 convolution at every size. A given lambda of 64 is the one an
+    unset lambda derives at n = 1024, so it writes the same bytes."""
     monkeypatch.chdir(tmp_path)
     code, stdout, _ = _run(
         capsys, "run", "--gamma", "0.05", "--seed", "0", "--out", "r.jsonl", *argv
@@ -231,8 +235,14 @@ def test_bytes_pinned_across_mac_paths(tmp_path, monkeypatch, capsys, argv,
         (["--encoding", "bb84", "--eta", "0.3", "--rounds", "50", "--seed", "1"],
          "3b29a4293cf67284eeea888185da3b39f494264cf5e5b1d5687841d28981b188",
          "0b9f5b91d22368dfea0b6ee2d3b81df1195c9774bd748124664d1a9088c2fb82"),
+        (["--eta", "0.3", "--rounds", "100", "--seed", "0", "--lambda", "8"],
+         "d84de1b9a4e542c275266c1fe3f083fde1940286b8216ada5a11bdcbeae579cd",
+         "be2767f3af95a4a37efb41211bb073230d683cc3cb25a9a3d3685b0bac4aedb0"),
+        (["--eta", "0.3", "--rounds", "100", "--seed", "0", "--config", "config.json"],
+         "d84de1b9a4e542c275266c1fe3f083fde1940286b8216ada5a11bdcbeae579cd",
+         "be2767f3af95a4a37efb41211bb073230d683cc3cb25a9a3d3685b0bac4aedb0"),
     ],
-    ids=["n64-six-state", "n64-bb84"],
+    ids=["n64-six-state", "n64-bb84", "n64-lambda8", "n64-config-null-lambda"],
 )
 def test_run_bytes_pinned_at_small_n(tmp_path, monkeypatch, capsys, argv,
                                      stdout_sha256, rounds_sha256):
@@ -240,8 +250,10 @@ def test_run_bytes_pinned_at_small_n(tmp_path, monkeypatch, capsys, argv,
     FFT_MIN_MUL_ADDS, and intercept-resend makes both the Accept and the
     Reject key update run. The digests were recorded with the int64
     convolution, the per-call MAC key table and the per-column candidate
-    loop of `integers_below`."""
+    loop of `integers_below`. A given lambda of 8, and a config's
+    `"lambda": null`, which leaves lambda unset, write the same bytes."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({"lambda": None}))
     code, stdout, _ = _run(capsys, "run", "--n", "64", "--out", "r.jsonl", *argv)
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
@@ -277,6 +289,8 @@ def test_sweep_gamma_header_and_monotone_rate(capsys):
     assert float(first[2]) == 1.0
     rates = [float(row[1]) for row in rows]
     assert all(a > b for a, b in zip(rates, rates[1:]))
+    # An unset lambda is 64 in the bound: log2(2^(1 - 64)).
+    assert {row[4] for row in rows} == {"-63"}
 
 
 def test_sweep_q_bits_reject_term_slope(capsys):
@@ -357,6 +371,39 @@ def test_attack_intercept_with_session_reject_rate(capsys):
     assert report["session_reject_rate"] > 0.9
 
 
+def test_attack_intercept_eta_zero_session_rejects_nothing(capsys):
+    code, stdout, _ = _run(
+        capsys, "attack", "intercept_resend", "--eta", "0", "--qubits", "20000",
+        "--session-rounds", "50", "--n", "64", "--seed", "9",
+    )
+    assert code == 0
+    report = json.loads(stdout)
+    assert report["errors"] == 0
+    assert report["session_rounds"] == 50
+    assert report["session_reject_rate"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "argv,stdout_sha256",
+    [
+        (["--eta", "0.3", "--qubits", "20000", "--session-rounds", "20", "--n", "64",
+          "--seed", "5"],
+         "4482ed9d056154d7521b7f89d0d90d82e25f26a8847f30971a46f8f24abeb151"),
+        (["--encoding", "bb84", "--eta", "1", "--qubits", "5000", "--session-rounds", "10",
+          "--n", "63", "--gamma", "0.05", "--seed", "2"],
+         "c6bff617ff517d25b01438d7c332f5fdd8f6f8b23581cd85c788cf0eb97c1c60"),
+    ],
+    ids=["six-state-eta0.3", "bb84-eta1-gamma"],
+)
+def test_attack_intercept_bytes_pinned(capsys, argv, stdout_sha256):
+    """The report's channel measurement and its session, with lambda lowered
+    to 8. The digests were recorded when `attacks.intercept_resend_report`
+    still ran the session itself."""
+    code, stdout, _ = _run(capsys, "attack", "intercept_resend", *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+
+
 def test_attack_tamper_fuzz_report(capsys):
     code, stdout, _ = _run(
         capsys, "attack", "tamper_fuzz", "--rounds", "2000", "--seed", "5"
@@ -429,6 +476,7 @@ def test_bad_flags_exit_two(capsys):
                 "--flip-rate", "0.5"]),
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
                 "--lambda", "7"]),
+        (None, ["run", "--n", "64", "--lambda", "64", "--out", "{missing}/r.jsonl"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -441,7 +489,7 @@ def test_bad_flags_exit_two(capsys):
          "repetition3-n-not-multiple-of-3", "identity-ell-kappa-not-n", "n-huge",
          "sweep-one-step", "sweep-n-huge", "sweep-swept-n-huge", "sweep-swept-n-huge-start",
          "sweep-seed-unread", "fuzz-lambda-unread", "intercept-flip-rate-unread",
-         "sweep-unsupported-lambda"],
+         "sweep-unsupported-lambda", "given-lambda-never-lowered"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
@@ -456,6 +504,39 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     lines = capsys.readouterr().err.splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("usage error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--encoding", "8-state"],
+         "argument --encoding: unknown encoding '8-state' (expected bb84 or six-state)"),
+        (["--code", "bch"],
+         "argument --code: unknown code 'bch' (expected identity, repetition3 or oracle)"),
+        (["--gamma", "0.45"],
+         "payload: the oracle code at n=1024 and gamma=0.45 leaves 7 bits; the smallest "
+         "that hosts a tag is 17 bits, for lambda 8"),
+        (["--n", "16", "--code", "identity"],
+         "payload: the identity code at n=16 leaves 16 bits; the smallest that hosts a "
+         "tag is 17 bits, for lambda 8"),
+        (["--n", "48", "--code", "repetition3"],
+         "payload: the repetition3 code at n=48 leaves 16 bits; the smallest that hosts "
+         "a tag is 17 bits, for lambda 8"),
+        (["--n", "64", "--ell", "10", "--kappa", "6"],
+         "payload: ell + kappa leaves 16 bits; the smallest that hosts a tag is 17 bits, "
+         "for lambda 8"),
+    ],
+    ids=["encoding", "code", "oracle-gamma", "identity-n", "repetition3-n", "ell-kappa"],
+)
+def test_usage_error_wording(tmp_path, capsys, argv, message):
+    """An unknown name lists the names its field takes; a payload too narrow
+    for any tag says how its width was derived and what width would do."""
+    try:
+        code = main(["run", *argv, "--out", str(tmp_path / "missing" / "r.jsonl")])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_out_of_memory_is_one_line_usage_error(tmp_path, monkeypatch, capsys):
@@ -490,7 +571,6 @@ def _run_values(draw):
     k_in = draw(st.sampled_from([n, n // 3]) | st.integers(0, n))
     kappa = draw(st.none() | st.integers(-1, k_in))
     ell = draw(st.none() | st.just(k_in - (kappa or 0)) | st.integers(-1, n))
-    lam = draw(st.none() | st.sampled_from([7, 8, 64, 128]))
     values = dict(
         DEFAULTS,
         n=n,
@@ -503,25 +583,25 @@ def _run_values(draw):
         alpha=draw(st.floats(1.0, 200.0)),
         beta=draw(st.sampled_from([0.0, 0.125, 0.5]) | st.floats(0.0, 0.5)),
     )
-    if lam is None:
-        return values, set()
-    values["lambda"] = lam
-    return values, {"lambda"}
+    values["lambda"] = draw(st.none() | st.sampled_from([7, 8, 64, 128]))
+    return values
 
 
 @settings(max_examples=500, deadline=None)
 @given(_run_values())
-def test_resolvers_match_ladder_oracle(case):
+def test_resolvers_match_ladder_oracle(values):
     """Each size rule stated once derives what the per-branch resolver did:
     the same parameters and notes, or a usage error with nothing else on
-    stderr."""
-    values, explicit = case
-    old, old_lines = _resolved(oracles.resolve_params, values, explicit)
-    new, lines = _resolved(resolve_params, values, explicit)
+    stderr. The oracle takes an unset lambda as 64, not explicitly set."""
+    given = values["lambda"] is not None
+    ladder = dict(values, **{"lambda": values["lambda"] if given else 64})
+    explicit = {"lambda"} if given else set()
+    old, old_lines = _resolved(oracles.resolve_params, ladder, explicit)
+    new, lines = _resolved(resolve_params, values)
     assert new == old
     assert lines == ([] if new is UsageError else old_lines)
     assert len(lines) <= 1
-    old_budget, _ = _resolved(oracles.resolve_budget, values)
+    old_budget, _ = _resolved(oracles.resolve_budget, ladder)
     new_budget, budget_lines = _resolved(resolve_budget, values)
     assert new_budget == old_budget
     assert budget_lines == []

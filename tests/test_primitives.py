@@ -240,10 +240,10 @@ def test_protocol_params_validation():
 
 
 def test_encoding_parse():
-    assert Encoding.parse("bb84") is Encoding.BB84
-    assert Encoding.parse("six-state").alphabet_size == 3
+    assert Encoding("bb84") is Encoding.BB84
+    assert Encoding("six-state").alphabet_size == 3
     with pytest.raises(ValueError):
-        Encoding.parse("8-state")
+        Encoding("8-state")
 
 
 def test_integers_below_refuses_bounds_above_256():

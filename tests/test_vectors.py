@@ -69,7 +69,7 @@ def test_golden_encryption_round():
         kappa=p["kappa"],
         tag_bits=p["tag_bits"],
         beta=p["beta"],
-        encoding=Encoding.parse(p["encoding"]),
+        encoding=Encoding(p["encoding"]),
         q_bits=p["q_bits"],
     )
     master = RandomSource(golden["seed"])
