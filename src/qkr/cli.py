@@ -112,7 +112,7 @@ def _name_of(enum_cls, what: str):
 
 # How each field is read, from a flag or from the config file.
 _FIELD_TYPES = {
-    "n": _integer,
+    "n": _int_at_least(1),
     "ell": _integer,
     "kappa": _integer,
     "lambda": _integer,
@@ -134,7 +134,7 @@ _TEXT_FIELDS = ("encoding", "code", "out")
 # The fields each command reads besides `run`, which reads them all. A flag
 # its command does not read is a usage error.
 _SWEEP_FIELDS = ("n", "kappa", "lambda", "beta", "gamma", "alpha", "q_bits", "out")
-_INTERCEPT_FIELDS = tuple(key for key in _FIELD_TYPES if key != "rounds")
+_INTERCEPT_FIELDS = ("encoding", "eta", "seed", "out")
 _FUZZ_FIELDS = ("rounds", "seed", "out")
 
 
@@ -397,17 +397,12 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def cmd_intercept_resend(ns: argparse.Namespace) -> int:
-    """The channel's induced error rate, then, with `--session-rounds`, the
-    reject rate of a session under the same attack alone."""
+    """The channel's induced error rate; `run --eta` runs a session under
+    the same attack."""
     values = _merged(ns)
-    eta, seed = float(values["eta"]), int(values["seed"])
-    report = intercept_resend_report(Encoding(values["encoding"]), eta, ns.qubits, seed)
-    if ns.session_rounds > 0:
-        params, code_kind = resolve_params(values)
-        channel = ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=eta)
-        session = run_session(params, channel, code_kind, ns.session_rounds, seed)
-        report["session_rounds"] = ns.session_rounds
-        report["session_reject_rate"] = 1.0 - session.summary.accept_rate
+    report = intercept_resend_report(
+        Encoding(values["encoding"]), float(values["eta"]), ns.qubits, int(values["seed"])
+    )
     _emit(_dump(report) + "\n", values["out"])
     return 0
 
@@ -461,9 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_intercept = kinds.add_parser("intercept_resend", help="measure induced errors")
     p_intercept.add_argument("--qubits", type=_int_at_least(1), default=100000)
-    p_intercept.add_argument(
-        "--session-rounds", dest="session_rounds", type=_int_at_least(0), default=200
-    )
     _add_common(p_intercept, _INTERCEPT_FIELDS)
     p_intercept.set_defaults(func=cmd_intercept_resend)
 

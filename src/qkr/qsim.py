@@ -25,13 +25,7 @@ import numpy as np
 
 from .primitives import BasisString, BitString, RandomSource
 
-__all__ = [
-    "QubitSequence",
-    "ChannelKind",
-    "ChannelModel",
-    "transmit",
-    "apply_error_pattern",
-]
+__all__ = ["QubitSequence", "ChannelKind", "ChannelModel", "transmit"]
 
 
 class QubitSequence:
@@ -111,11 +105,3 @@ def transmit(channel: ChannelModel, qubits: QubitSequence, src: RandomSource) ->
         # Mismatched basis: the receiver's matching-basis outcome is uniform.
         payloads = np.where(attacked & ~same_basis, coins, qubits.payloads)
     return QubitSequence.prepare(qubits.basis_string(), BitString._trusted(payloads, 2))
-
-
-def apply_error_pattern(qubits: QubitSequence, pattern: BitString) -> QubitSequence:
-    """Flip exactly the payload positions set in `pattern` (fault injection
-    and permutation-invariance experiments)."""
-    if len(pattern) != len(qubits):
-        raise ValueError("pattern length must match the qubit count")
-    return QubitSequence.prepare(qubits.basis_string(), qubits.payload_bits() ^ pattern)

@@ -18,6 +18,7 @@ from qkr.cli import UsageError
 from qkr.ecc import CodeKind
 from qkr.hashing import REDUCTION_POLYS
 from qkr.primitives import Encoding, ProtocolParams, RandomSource
+from qkr.qsim import QubitSequence
 
 
 def p_corr_enumeration(n: int, beta: float, gamma: float) -> float:
@@ -586,3 +587,12 @@ def resolve_budget(values: dict) -> SecurityBudget:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def apply_error_pattern(qubits: QubitSequence, pattern: BitString) -> QubitSequence:
+    """Flip exactly the payload positions set in `pattern` (fault injection
+    and permutation-invariance experiments); the protocol itself never calls
+    this."""
+    if len(pattern) != len(qubits):
+        raise ValueError("pattern length must match the qubit count")
+    return QubitSequence.prepare(qubits.basis_string(), qubits.payload_bits() ^ pattern)

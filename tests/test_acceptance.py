@@ -22,10 +22,11 @@ from qkr.ecc import CodeKind, make_code
 from qkr.hashing import polynomial_mac
 from qkr.primitives import BasisString, BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt, run_session
-from qkr.qsim import ChannelKind, ChannelModel, apply_error_pattern
+from qkr.qsim import ChannelKind, ChannelModel
 
 from density import BELL_BASIS, DensityMatrix, pauli_twirl
 from oracles import (
+    apply_error_pattern,
     diamond_bound_log2_mp,
     p_corr_enumeration,
     pairwise_counts_extrema,

@@ -28,9 +28,13 @@ from qkr.hashing import (
 )
 from qkr.primitives import BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt
-from qkr.qsim import apply_error_pattern
 
-from oracles import gf64_mul_words_bitserial, mac64_words_bitserial, pack_bits_to_words_shift_sum
+from oracles import (
+    apply_error_pattern,
+    gf64_mul_words_bitserial,
+    mac64_words_bitserial,
+    pack_bits_to_words_shift_sum,
+)
 
 
 def test_gf64_words_match_scalar_field():

@@ -260,6 +260,36 @@ def test_run_bytes_pinned_at_small_n(tmp_path, monkeypatch, capsys, argv,
     assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
 
 
+@pytest.mark.parametrize(
+    "argv,stdout_sha256,rounds_sha256,reject_rate",
+    [
+        (["--eta", "0.3", "--rounds", "20", "--n", "64", "--seed", "5"],
+         "d59c4c1f4d93fd4c3689aca853a1eda5b7706505603ed72f955cfa6306e3bbea",
+         "cb735b29d0a5103598030a9c6316dd9ade15d30668620fecda964f745ca65be2",
+         0.19999999999999996),
+        (["--encoding", "bb84", "--eta", "1", "--rounds", "10", "--n", "63", "--gamma", "0.05",
+          "--seed", "2"],
+         "74d4cea0178d5ac969528248507781c2269558e5d48252fd9ddff233a88f62f8",
+         "685e18da2a8bbe5a8f8199575dd22af4510db4af93d3c261eec69b9d38429084",
+         1.0),
+    ],
+    ids=["six-state-eta0.3", "bb84-eta1-gamma"],
+)
+def test_run_eta_bytes_pinned(tmp_path, monkeypatch, capsys, argv, stdout_sha256,
+                              rounds_sha256, reject_rate):
+    """`run --eta` is the session under intercept-resend alone (gamma only
+    sizes the code), with lambda lowered to 8. The digests were recorded, and
+    the reject rates (1 - accept_rate) equal those that
+    `attack intercept_resend --session-rounds` reported for the same
+    sessions, before that option went."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(capsys, "run", "--out", "r.jsonl", *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
+    assert 1.0 - json.loads(stdout)["summary"]["accept_rate"] == reject_rate
+
+
 def test_cli_import_leaves_numpy_fft_unloaded():
     """numpy.fft loads on the first large Toeplitz product, not at start-up."""
     src = str(Path(qkr.__file__).resolve().parents[1])
@@ -349,8 +379,7 @@ def test_sweep_bytes_pinned_at_large_n(tmp_path, monkeypatch, stop, steps, csv_s
 
 def test_attack_intercept_resend_report(capsys):
     code, stdout, _ = _run(
-        capsys, "attack", "intercept_resend", "--eta", "1", "--qubits", "30000",
-        "--session-rounds", "0", "--seed", "2",
+        capsys, "attack", "intercept_resend", "--eta", "1", "--qubits", "30000", "--seed", "2"
     )
     assert code == 0
     report = json.loads(stdout)
@@ -359,49 +388,15 @@ def test_attack_intercept_resend_report(capsys):
     assert report["expected_error_rate"] == pytest.approx(1 / 3)
 
 
-def test_attack_intercept_with_session_reject_rate(capsys):
+def test_attack_intercept_bytes_pinned(capsys):
+    """The channel-only report. The digest was recorded with
+    `--session-rounds 0`, when the command could also run a session."""
     code, stdout, _ = _run(
-        capsys, "attack", "intercept_resend", "--eta", "1", "--qubits", "5000",
-        "--session-rounds", "30", "--n", "63", "--beta", "0.125", "--seed", "4",
+        capsys, "attack", "intercept_resend", "--eta", "1", "--qubits", "30000", "--seed", "2"
     )
     assert code == 0
-    report = json.loads(stdout)
-    assert report["session_rounds"] == 30
-    # a full intercept attack on a 6-state link induces ~1/3 errors: hopeless
-    assert report["session_reject_rate"] > 0.9
-
-
-def test_attack_intercept_eta_zero_session_rejects_nothing(capsys):
-    code, stdout, _ = _run(
-        capsys, "attack", "intercept_resend", "--eta", "0", "--qubits", "20000",
-        "--session-rounds", "50", "--n", "64", "--seed", "9",
-    )
-    assert code == 0
-    report = json.loads(stdout)
-    assert report["errors"] == 0
-    assert report["session_rounds"] == 50
-    assert report["session_reject_rate"] == 0.0
-
-
-@pytest.mark.parametrize(
-    "argv,stdout_sha256",
-    [
-        (["--eta", "0.3", "--qubits", "20000", "--session-rounds", "20", "--n", "64",
-          "--seed", "5"],
-         "4482ed9d056154d7521b7f89d0d90d82e25f26a8847f30971a46f8f24abeb151"),
-        (["--encoding", "bb84", "--eta", "1", "--qubits", "5000", "--session-rounds", "10",
-          "--n", "63", "--gamma", "0.05", "--seed", "2"],
-         "c6bff617ff517d25b01438d7c332f5fdd8f6f8b23581cd85c788cf0eb97c1c60"),
-    ],
-    ids=["six-state-eta0.3", "bb84-eta1-gamma"],
-)
-def test_attack_intercept_bytes_pinned(capsys, argv, stdout_sha256):
-    """The report's channel measurement and its session, with lambda lowered
-    to 8. The digests were recorded when `attacks.intercept_resend_report`
-    still ran the session itself."""
-    code, stdout, _ = _run(capsys, "attack", "intercept_resend", *argv)
-    assert code == 0
-    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+    assert (hashlib.sha256(stdout.encode()).hexdigest()
+            == "e59bec2bb4bb14684c623b4563c2d0b789c93e2603bb738258b13dd208d76333")
 
 
 def test_attack_tamper_fuzz_report(capsys):
@@ -432,7 +427,7 @@ def test_bad_flags_exit_two(capsys):
         (None, ["run", "--gamma", "nan"]),
         (None, ["run", "--gamma", "inf"]),
         (None, ["attack", "tamper_fuzz", "--rounds", "0"]),
-        (None, ["attack", "intercept_resend", "--qubits", "0", "--session-rounds", "0"]),
+        (None, ["attack", "intercept_resend", "--qubits", "0"]),
         (None, ["run", "--rounds", "1", "--out", "{missing}/r.jsonl"]),
         ({"n": None}, ["run"]),
         ({"encoding": "8-state"}, ["run"]),
@@ -472,24 +467,32 @@ def test_bad_flags_exit_two(capsys):
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
                 "--seed", "4"]),
         (None, ["attack", "tamper_fuzz", "--rounds", "10", "--lambda", "8"]),
-        (None, ["attack", "intercept_resend", "--qubits", "10", "--session-rounds", "0",
-                "--flip-rate", "0.5"]),
+        (None, ["attack", "intercept_resend", "--qubits", "10", "--flip-rate", "0.5"]),
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
                 "--lambda", "7"]),
         (None, ["run", "--n", "64", "--lambda", "64", "--out", "{missing}/r.jsonl"]),
+        (None, ["attack", "intercept_resend", "--qubits", "300", "--n", "64"]),
+        (None, ["attack", "intercept_resend", "--qubits", "300", "--session-rounds", "5"]),
+        (None, ["attack", "intercept_resend", "--qubits", "300", "--gamma", "0.1"]),
+        (None, ["run", "--n", "0", "--out", "{missing}/r.jsonl"]),
+        (None, ["sweep", "n", "--start", "100", "--stop", "200", "--steps", "2", "--n", "-3"]),
+        ({"n": 0}, ["run"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
          "unsupported-lambda", "eta-above-one", "alpha-below-one",
-         "negative-reservoir-capacity", "negative-session-rounds", "sweep-bb84",
-         "sweep-config-bb84", "config-fractional-n", "config-bool-rounds",
+         "negative-reservoir-capacity", "intercept-negative-session-rounds-unread",
+         "sweep-bb84", "sweep-config-bb84", "config-fractional-n", "config-bool-rounds",
          "config-string-n", "config-string-gamma", "config-bool-out", "config-list-out",
-         "alpha-overflow-run", "alpha-overflow-sweep", "alpha-overflow-intercept", "alpha-huge-run",
-         "alpha-huge-intercept", "q-bits-huge", "lambda-lowered-then-ell-too-small",
+         "alpha-overflow-run", "alpha-overflow-sweep", "intercept-alpha-overflow-unread",
+         "alpha-huge-run", "intercept-alpha-huge-unread", "q-bits-huge",
+         "lambda-lowered-then-ell-too-small",
          "repetition3-n-not-multiple-of-3", "identity-ell-kappa-not-n", "n-huge",
          "sweep-one-step", "sweep-n-huge", "sweep-swept-n-huge", "sweep-swept-n-huge-start",
          "sweep-seed-unread", "fuzz-lambda-unread", "intercept-flip-rate-unread",
-         "sweep-unsupported-lambda", "given-lambda-never-lowered"],
+         "sweep-unsupported-lambda", "given-lambda-never-lowered", "intercept-n-unread",
+         "intercept-session-rounds-unread", "intercept-gamma-unread", "n-zero",
+         "sweep-negative-n", "config-zero-n"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
@@ -525,8 +528,10 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
         (["--n", "64", "--ell", "10", "--kappa", "6"],
          "payload: ell + kappa leaves 16 bits; the smallest that hosts a tag is 17 bits, "
          "for lambda 8"),
+        (["--n", "0"], "argument --n: must be at least 1, got '0'"),
     ],
-    ids=["encoding", "code", "oracle-gamma", "identity-n", "repetition3-n", "ell-kappa"],
+    ids=["encoding", "code", "oracle-gamma", "identity-n", "repetition3-n", "ell-kappa",
+         "n-zero"],
 )
 def test_usage_error_wording(tmp_path, capsys, argv, message):
     """An unknown name lists the names its field takes; a payload too narrow
@@ -622,8 +627,7 @@ _RUN = ["run", "--n", "64", "--rounds", "2", "--out", "r.jsonl"]
 _SWEEP = ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2", "--n", "64"]
 # A gamma sweep overrides the base gamma, so the --gamma case sweeps q_bits.
 _SWEEP_Q = ["sweep", "q_bits", "--start", "100", "--stop", "200", "--steps", "2", "--n", "64"]
-_INTERCEPT = ["attack", "intercept_resend", "--qubits", "200", "--session-rounds", "20",
-              "--n", "64", "--eta", "0.3"]
+_INTERCEPT = ["attack", "intercept_resend", "--qubits", "200", "--eta", "0.3"]
 _FUZZ = ["attack", "tamper_fuzz", "--rounds", "100"]
 
 # (command, option) -> (base argv, the same argv with that option changed).
@@ -657,21 +661,9 @@ _FLAG_CASES = {
     ("sweep", "--q-bits"): (_SWEEP, _SWEEP + ["--q-bits", "100"]),
     ("sweep", "--out"): (_SWEEP, _SWEEP + ["--out", "f.csv"]),
     ("attack intercept_resend", "--qubits"): (_INTERCEPT, _INTERCEPT + ["--qubits", "300"]),
-    ("attack intercept_resend", "--session-rounds"): (
-        _INTERCEPT, _INTERCEPT + ["--session-rounds", "0"]),
-    ("attack intercept_resend", "--n"): (_INTERCEPT, _INTERCEPT + ["--n", "48"]),
-    ("attack intercept_resend", "--ell"): (_INTERCEPT, _INTERCEPT + ["--ell", "20"]),
-    ("attack intercept_resend", "--kappa"): (_INTERCEPT, _INTERCEPT + ["--kappa", "10"]),
-    ("attack intercept_resend", "--lambda"): (_INTERCEPT, _INTERCEPT + ["--lambda", "64"]),
-    ("attack intercept_resend", "--beta"): (_INTERCEPT, _INTERCEPT + ["--beta", "0.25"]),
-    ("attack intercept_resend", "--gamma"): (_INTERCEPT, _INTERCEPT + ["--gamma", "0.3"]),
     ("attack intercept_resend", "--eta"): (_INTERCEPT, _INTERCEPT + ["--eta", "0.5"]),
-    ("attack intercept_resend", "--alpha"): (_INTERCEPT, _INTERCEPT + ["--alpha", "1e300"]),
-    ("attack intercept_resend", "--q-bits"): (
-        _INTERCEPT, _INTERCEPT + ["--q-bits", "4294967297"]),
     ("attack intercept_resend", "--encoding"): (
         _INTERCEPT, _INTERCEPT + ["--encoding", "bb84"]),
-    ("attack intercept_resend", "--code"): (_INTERCEPT, _INTERCEPT + ["--code", "identity"]),
     ("attack intercept_resend", "--seed"): (_INTERCEPT, _INTERCEPT + ["--seed", "1"]),
     ("attack intercept_resend", "--out"): (_INTERCEPT, _INTERCEPT + ["--out", "f.json"]),
     ("attack tamper_fuzz", "--rounds"): (_FUZZ, _FUZZ + ["--rounds", "101"]),

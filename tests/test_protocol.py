@@ -19,9 +19,9 @@ from qkr.protocol import (
     key_update,
     run_session,
 )
-from qkr.qsim import ChannelKind, ChannelModel, apply_error_pattern
+from qkr.qsim import ChannelKind, ChannelModel, QubitSequence
 
-from oracles import run_session_two_party
+from oracles import apply_error_pattern, run_session_two_party
 
 PARAMS = ProtocolParams(n=64, ell=32, kappa=8, tag_bits=8, beta=0.125, q_bits=32)
 
@@ -251,6 +251,58 @@ def test_reservoir_capacity_exhaustion():
     with pytest.raises(ReservoirExhausted):
         res.draw_bits(11)
     assert res.consumed_bits == 90
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+
+
+def _step(step, keys=None, code=None, qubits=None):
+    """Run one protocol step under PARAMS, with honest inputs in place of
+    those not given."""
+    honest = _keys(40)
+    keys = honest if keys is None else keys
+    code = make_code(CodeKind.ORACLE, PARAMS) if code is None else code
+    if step == "alice_encrypt":
+        return alice_encrypt(PARAMS, keys, _mu(), RandomSource(41).stream("a"), code)
+    if step == "bob_decrypt":
+        if qubits is None:
+            qubits, _ = alice_encrypt(PARAMS, honest, _mu(), RandomSource(41).stream("a"), code)
+        return bob_decrypt(PARAMS, keys, qubits, code)
+    return key_update(PARAMS, keys, 0, Reservoir(RandomSource(42).stream("res")))
+
+
+def _relabelled_qubits():
+    qubits, _ = _step("alice_encrypt")
+    bases = BasisString((qubits.bases + 1) % 3, 3)
+    return QubitSequence.prepare(bases, qubits.payload_bits())
+
+
+# Inputs that differ from PARAMS in one dimension, and the check that names it.
+_MISMATCHES = {
+    "n": (lambda: dict(keys=_keys(40, replace(PARAMS, n=72))),
+          "key state does not match params: n mismatch"),
+    "basis-alphabet": (lambda: dict(keys=_keys(40, replace(PARAMS, encoding=Encoding.BB84))),
+                       "key state does not match params: basis alphabet mismatch"),
+    "tag-length": (lambda: dict(keys=replace(_keys(40), k=MacKey.random(RandomSource(43), 64))),
+                   "key state does not match params: tag length mismatch"),
+    "code": (lambda: dict(code=make_code(CodeKind.ORACLE, replace(PARAMS, kappa=4))),
+             "code dimensions do not match params"),
+    "basis-labels": (lambda: dict(qubits=_relabelled_qubits()),
+                     "honest simulation requires basis labels equal to the shared b"),
+}
+
+
+@pytest.mark.parametrize(
+    "step,mismatch",
+    [(step, name) for step in ("alice_encrypt", "bob_decrypt", "key_update")
+     for name in ("n", "basis-alphabet", "tag-length")]
+    + [("alice_encrypt", "code"), ("bob_decrypt", "basis-labels")],
+)
+def test_steps_refuse_inputs_that_do_not_match_params(step, mismatch):
+    inputs, message = _MISMATCHES[mismatch]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _step(step, **inputs())
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from qkr.primitives import BasisString, BitString, RandomSource
-from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, apply_error_pattern, transmit
+from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, transmit
 
 from density import BELL_BASIS, DensityMatrix, pauli_twirl, trace_distance
+from oracles import apply_error_pattern
 
 
 def _random_qubits(seed, n, alphabet=3):
