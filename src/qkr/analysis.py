@@ -53,6 +53,10 @@ def entropy_multi(probabilities) -> float:
 # far under the largest adds nothing to p_corr's sum. The 55 to spare cover
 # the rounding of computed log-terms, a few ulp of lgamma(n + 1) each.
 _LOG_TERM_WINDOW = 800.0
+# p_corr sums this narrower window first and keeps its sum when the terms it
+# leaves out provably cannot move the rounded result (see p_corr). Its
+# log-terms are the same floats as the wide window's, about a third as many.
+_NARROW_LOG_TERM_WINDOW = 80.0
 
 
 def p_corr(n: int, beta: float, gamma: float) -> float:
@@ -64,32 +68,29 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
     result is bit for bit the float that the sum over all floor(n*beta) + 1
     terms gives:
 
-    - the terms are log-concave in the error count. Bisection from the mode,
-      one `log_term` at a time, finds the window of log-terms at most 800
-      below the mode's. The largest term is inside it. Outside it every
-      log-term, rounding included, is more than 745.14 below the largest,
-      so its exp(lt - peak) is exactly 0.0;
-    - the window's log-terms are built as one float64 array, in place, by
-      the same IEEE operations in the same order as `log_term`:
-      lg_n - lgamma(c + 1) - lgamma(n - c + 1) + c*log_g + (n - c)*log_1g,
-      with c an int64 arange, which numpy converts to float64 with the
-      rounding Python uses for an int. So n must be below 2^63 (numpy
-      raises OverflowError above); a run accepts n up to 2^32;
-    - lgamma and exp stay on `math`, mapped over the window. numpy has no
-      lgamma, and np.exp picks a SIMD kernel by CPU and build, so its last
-      bit is not math.exp's: on the 2^18 - 1023 row (beta 0.125, gamma
-      0.05, 8,892 terms) numpy 2.4 on an AVX-512 Xeon differed from it on
-      2 terms. Any difference can move sweep bytes;
-    - fsum is correctly rounded, so neither the dropped zeros nor the order
-      of the remaining terms changes the sum. The shifted log-terms are
-      sorted largest first, as a list in place (in index order they form
-      about one rising and one falling run, which the list sort merges
-      quickly; an ndarray.sort form raised a sweep process's peak RSS by
-      about 0.3 MB), and fsum takes their exps one at a time, largest
-      first. That keeps fsum's list of partial sums short: on that row
-      fsum takes about 0.4 ms largest first and 8-9 ms smallest first. No
-      list of exps is built, which keeps down the peak memory of the
-      widest window a run accepts (n = 2^32, 1.7M terms).
+    - the wide window, the log-terms at most 800 below the mode's, holds
+      every term whose exp(lt - peak) is not exactly 0.0 (see
+      `_window_log_terms`). So its sum is the full sum's float;
+    - the narrow window, at most 80 below the mode's, is evaluated first.
+      Its peak and log-terms are the same floats as the wide window's. Each
+      of the `dropped = floor(n*beta) + 1 - len(window)` terms outside it
+      has a log-term below the cutoff `log_term(mode) - 80`, so at least 80
+      below the peak, and its exp is at most `exp(1 - 80)`; the one nat to
+      spare covers the rounding of the cutoff, the shift and exp. So the
+      dropped terms add a true tail in [0, dropped * exp(1 - 80)];
+    - fsum is correctly rounded and rounding is monotone, so if the narrow
+      sum with that bound appended rounds to the same float as without it,
+      every tail in between does too: the narrow sum is the wide sum's
+      float, and `min(1, exp(peak) * sum)` is bit-identical. Otherwise the
+      wide window is summed. For n up to 2^32 the bound is below 2^-80,
+      while the sum is at least 1 (the peak's term), whose half ulp is at
+      least 2^-53; the wide window runs only for a narrow sum within 2^-80
+      of a rounding boundary. A sweep-n-large job (n about 2^10, 2^17 and
+      2^18) evaluates 133 + 1,999 + 2,819 terms instead of
+      133 + 6,299 + 8,901;
+    - the narrow window's exps are kept as a list for the two sums, and
+      dropped before any wide window is built. The wide window's are not
+      kept: at n = 2^32 it can have 1.7M terms.
 
     At large n each log-term cancels lgamma values near lg_n (3.0e6 at
     n = 2^18), so the result can be off by about 1e-9 relative, and a
@@ -111,6 +112,50 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
         return 1.0
     if gamma == 1.0:
         return 0.0
+    width = _NARROW_LOG_TERM_WINDOW
+    peak, terms = _window_log_terms(n, t, gamma, width)
+    exps = list(map(math.exp, terms))
+    del terms
+    total = math.fsum(exps)
+    exps.append((t + 1 - len(exps)) * math.exp(1.0 - width))
+    if math.fsum(exps) != total:
+        del exps
+        peak, terms = _window_log_terms(n, t, gamma, _LOG_TERM_WINDOW)
+        total = math.fsum(map(math.exp, terms))
+    return min(1.0, math.exp(peak) * total)
+
+
+def _window_log_terms(n: int, t: int, gamma: float, width: float) -> tuple[float, list[float]]:
+    """The largest of p_corr's log-terms for counts 0..t, and the log-terms
+    at most `width` below the mode's, shifted by the largest and sorted
+    largest first.
+
+    - the terms are log-concave in the error count. Bisection from the mode,
+      one `log_term` at a time, finds the window. The largest term is
+      inside it. At width 800, every log-term outside it, rounding
+      included, is more than 745.14 below the largest, so its
+      exp(lt - peak) is exactly 0.0;
+    - the window's log-terms are built as one float64 array, in place, by
+      the same IEEE operations in the same order as `log_term`:
+      lg_n - lgamma(c + 1) - lgamma(n - c + 1) + c*log_g + (n - c)*log_1g,
+      with c an int64 arange, which numpy converts to float64 with the
+      rounding Python uses for an int. So n must be below 2^63 (numpy
+      raises OverflowError above); a run accepts n up to 2^32. Both widths
+      therefore give the same float for a count in both windows;
+    - lgamma and exp stay on `math`, mapped over the window. numpy has no
+      lgamma, and np.exp picks a SIMD kernel by CPU and build, so its last
+      bit is not math.exp's: on the 2^18 - 1023 row (beta 0.125, gamma
+      0.05, 8,892 terms) numpy 2.4 on an AVX-512 Xeon differed from it on
+      2 terms. Any difference can move sweep bytes;
+    - fsum is correctly rounded, so the order of the terms does not change
+      the sum. The shifted log-terms are sorted largest first, as a list in
+      place (in index order they form about one rising and one falling
+      run, which the list sort merges quickly; an ndarray.sort form raised
+      a sweep process's peak RSS by about 0.3 MB), so fsum takes their
+      exps largest first. That keeps fsum's list of partial sums short: on
+      that row fsum takes about 0.4 ms largest first and 8-9 ms smallest
+      first.
+    """
     lg_n = math.lgamma(n + 1)
     log_g = math.log(gamma)
     log_1g = math.log1p(-gamma)
@@ -120,7 +165,7 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
 
     # The terms rise up to floor((n+1)*gamma) and fall after it.
     mode = min(t, math.floor((n + 1) * gamma))
-    cutoff = log_term(mode) - _LOG_TERM_WINDOW
+    cutoff = log_term(mode) - width
 
     def edge(inside: int, outside: int) -> int:
         """The last count in the window walking from `inside` towards
@@ -147,7 +192,7 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
     log_terms -= peak
     terms = log_terms.tolist()
     terms.sort(reverse=True)
-    return min(1.0, math.exp(peak) * math.fsum(map(math.exp, terms)))
+    return peak, terms
 
 
 def six_state_error_distribution(gamma: float) -> tuple[float, float, float, float]:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qkr import analysis
 from qkr.analysis import (
     SecurityBudget,
     asymptotic_rate_6state,
@@ -102,26 +103,82 @@ def _p_corr_args(draw):
     return n, beta, gamma
 
 
-@given(_p_corr_args())
-@example((1024 + 63, 0.125, 0.05))
-@example((131_000, 0.125, 0.05))
-@example((2**18 - 1023, 0.125, 0.05))
-@example((10, math.inf, 0.1))
-@example((2, 0.5, 1 / 3))
-@example((2**20, 0.125, 0.05))  # a window of about 17.9k terms
-@example((2**20, 0.05, 0.05))  # a wide window cut at t, value 0.4997
-@example((2**18, 0.04, 0.05))  # a window cut at t, value 8.5e-131
-@example((2**16, 0.125, 1e-4))  # a window cut at 0
-@example((2**16, 0.0, 0.3))  # one term, which underflows to 0.0
-@settings(max_examples=150, deadline=None)
-def test_p_corr_equals_full_evaluation(args):
-    """The windowed sum is exactly the float of the sum over every term. The
-    first three examples are the benchmark's sweep-n-large rows; at n = 2
-    and gamma = 1/3 the two largest terms are equal up to rounding."""
+def _with_p_corr_examples(test):
+    """The fixed inputs of the full-evaluation tests. The first three are
+    the benchmark's sweep-n-large rows; at n = 2 and gamma = 1/3 the two
+    largest terms are equal up to rounding."""
+    for args in [
+        (1024 + 63, 0.125, 0.05),
+        (131_000, 0.125, 0.05),
+        (2**18 - 1023, 0.125, 0.05),
+        (10, math.inf, 0.1),
+        (2, 0.5, 1 / 3),
+        (2**20, 0.125, 0.05),  # a window of about 17.9k terms
+        (2**20, 0.05, 0.05),  # a wide window cut at t, value 0.4997
+        (2**18, 0.04, 0.05),  # a window cut at t, value 8.5e-131
+        (2**16, 0.125, 1e-4),  # a window cut at 0
+        (2**16, 0.0, 0.3),  # one term, which underflows to 0.0
+    ]:
+        test = example(args)(test)
+    return test
+
+
+def _assert_p_corr_equals_full(args):
     n, beta, gamma = args
     # The full evaluation cannot floor n * inf; every beta >= 1 gives 1.0.
     expected = 1.0 if beta == math.inf else p_corr_full(n, beta, gamma)
     assert p_corr(n, beta, gamma) == expected
+
+
+@given(_p_corr_args())
+@_with_p_corr_examples
+@settings(max_examples=150, deadline=None)
+def test_p_corr_equals_full_evaluation(args):
+    """The windowed sum is exactly the float of the sum over every term."""
+    _assert_p_corr_equals_full(args)
+
+
+def test_p_corr_narrow_window_check_keeps_or_falls_back(monkeypatch):
+    """At a 36-nat narrow window the dropped terms' bound moves the rounded
+    sum for some inputs and not for others, so both the kept narrow sum and
+    the wide fallback are checked against the full evaluation."""
+    monkeypatch.setattr(analysis, "_NARROW_LOG_TERM_WINDOW", 36.0)
+    window = analysis._window_log_terms
+    widths = []
+
+    def recorded(n, t, gamma, width):
+        widths.append(width)
+        return window(n, t, gamma, width)
+
+    monkeypatch.setattr(analysis, "_window_log_terms", recorded)
+    branches = set()
+
+    @given(_p_corr_args())
+    @_with_p_corr_examples
+    @settings(max_examples=150, deadline=None)
+    def check(args):
+        widths.clear()
+        _assert_p_corr_equals_full(args)
+        branches.add(tuple(widths))
+
+    check()
+    assert {(36.0,), (36.0, 800.0)} <= branches
+
+
+def test_p_corr_lgamma_calls(monkeypatch):
+    """The narrow window evaluates about a third of the wide one's terms:
+    2 * 2,819 lgamma calls and the bisection's, against about 17,900."""
+    lgamma = math.lgamma
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    p_corr(2**18 - 512, 0.125, 0.05)
+    assert calls <= 6000
 
 
 def test_p_corr_large_n_stays_finite_and_sane():

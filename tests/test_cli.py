@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import qkr
 from qkr import cli
-from qkr.analysis import p_corr
+from qkr.analysis import SecurityBudget, asymptotic_rate_6state, diamond_bound, p_corr
 from qkr.cli import DEFAULTS, UsageError, build_parser, main, resolve_budget, resolve_params
 
 
@@ -375,6 +375,21 @@ def test_sweep_bytes_pinned_at_large_n(tmp_path, monkeypatch, stop, steps, csv_s
                  "--gamma", "0.05", "--out", "f.csv"])
     assert code == 0
     assert hashlib.sha256((tmp_path / "f.csv").read_bytes()).hexdigest() == csv_sha256
+
+
+def test_sweep_n_keeps_the_base_kappa_and_q_bits(capsys):
+    """`sweep n` derives kappa and q_bits once, from the base n (429 and 427
+    at the default n = 1024), and evaluates every swept n with them."""
+    code, stdout, _ = _run(
+        capsys, "sweep", "n", "--start", "10", "--stop", "1024", "--steps", "2", "--gamma", "0.05"
+    )
+    assert code == 0
+    report = diamond_bound(SecurityBudget(
+        alpha=64, tag_bits=64, n=10, kappa=429, gamma=0.05, beta=0.125, q_bits=427
+    ))
+    row = [10, asymptotic_rate_6state(0.05), report.p_corr, report.log2_total,
+           report.log2_term_tag, report.log2_term_reject, report.log2_term_accept]
+    assert stdout.splitlines()[1] == ",".join(f"{c:.10g}" for c in row)
 
 
 def test_attack_intercept_resend_report(capsys):
