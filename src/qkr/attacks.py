@@ -7,12 +7,15 @@ fuzz round uses fresh independent keys (the per-round forgery probability
 does not depend on key evolution), which lets the whole batch run as
 vectorized uint64 word arithmetic.
 
-The fuzz holds its rows packed, eight bits to a byte: a round's 152-bit
-codeword (mu 16, k' 64, tau 64, r 8) is 19 bytes, every field whole bytes,
-drawn by `RandomSource.packed_bits` from the words `bit_array` would use.
-Both MACs run on those bytes through `hashing.mac64_rows`, the row form of
-the MAC. The flips cost one Philox word per bit, so they are drawn a slice
-of rows at a time rather than 80 MB of words for a whole 65536-row chunk.
+A fuzz round is a protocol round over the identity code at `_FUZZ_PARAMS`,
+a 152-bit codeword `mu || k' || tau || r`. Bob unmasks `codeword ^ z ^
+flips ^ z`: the mask z cancels and the padding r is never read, so
+`fuzz_batch` keeps only Alice's tag and Bob's check. Rows are packed eight
+bits to a byte, every field whole bytes, and both MACs run on them through
+`hashing.mac64_rows`, the row form of the MAC. `tamper_fuzz` still draws r
+and z, so that the flips come from the same Philox words. A flip costs one
+word, so the flips are drawn a slice of rows at a time rather than 80 MB
+of words for a whole 65536-row chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hashing import bytes_to_words, gf64_key_tables, gf64_mul_rows, mac64_rows, nonzero_key_words
-from .primitives import Encoding, RandomSource
+from .primitives import Encoding, ProtocolParams, RandomSource
 from .qsim import ChannelKind, ChannelModel, QubitSequence, transmit
 
 __all__ = [
@@ -44,43 +47,31 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     return bytes_to_words(np.packbits(bits, axis=1))
 
 
-def fuzz_batch(
-    xi: np.ndarray,
-    mu: np.ndarray,
-    k_prime: np.ndarray,
-    r: np.ndarray,
-    z: np.ndarray,
-    flips: np.ndarray,
-) -> dict:
+def fuzz_batch(xi: np.ndarray, mu: np.ndarray, k_prime: np.ndarray, flips: np.ndarray) -> dict:
     """One vectorized batch of tamper rounds over the identity code.
 
-    Rows of the inputs are independent rounds: tag key words `xi`, then
-    bit rows packed into uint8 bytes, most significant bit first (as
-    `np.packbits(axis=1)` packs them): plaintext `mu`, next feedback key
-    `k_prime` (8 bytes), padding `r`, mask `z`, and the adversary's wire
-    flips. Every field is whole bytes. Returns the per-row verdicts and
-    change flags. Both parties' tags use the same keys, so their tables
-    are built once.
+    Rows are independent rounds: tag key words `xi`, then uint8 rows packed
+    most significant bit first (as `np.packbits(axis=1)` packs them):
+    plaintext `mu`, next feedback key `k_prime` (8 bytes) and the
+    adversary's wire flips over the whole codeword. Bob unmasks the
+    codeword xor the flips, since the mask cancels, and never reads the
+    padding, so neither is an input. Returns the per-row verdicts and
+    change flags; both parties' tags share one key table per row.
     """
-    batch, mu_bytes = mu.shape
+    mu_bytes = mu.shape[1]
     tag_bytes = 8
     message_bytes = mu_bytes + tag_bytes
     table = gf64_key_tables(xi)
     tagged = np.concatenate([mu, k_prime], axis=1)
-    tau_words = mac64_rows(table, tagged, 8 * message_bytes)
-    tau = tau_words.astype(">u8").view(np.uint8).reshape(batch, tag_bytes)
-    codeword = np.concatenate([tagged, tau, r], axis=1)
+    tau = mac64_rows(table, tagged, 8 * message_bytes)
 
-    wire = codeword ^ z
-    unmasked = (wire ^ flips) ^ z
+    message_flips = flips[:, :message_bytes]
+    message_hat = tagged ^ message_flips
+    tau_hat = tau ^ bytes_to_words(flips[:, message_bytes : message_bytes + tag_bytes])[:, 0]
+    omega = mac64_rows(table, message_hat, 8 * message_bytes) == tau_hat
 
-    message_hat = unmasked[:, :message_bytes]
-    tau_hat = unmasked[:, message_bytes : message_bytes + tag_bytes]
-    check = mac64_rows(table, message_hat, 8 * message_bytes)
-    omega = check == bytes_to_words(tau_hat)[:, 0]
-
-    message_changed = np.any(message_hat != tagged, axis=1)
-    plaintext_changed = np.any(message_hat[:, :mu_bytes] != mu, axis=1)
+    message_changed = np.any(message_flips, axis=1)
+    plaintext_changed = np.any(message_flips[:, :mu_bytes], axis=1)
     return {
         "omega": omega,
         "message_changed": message_changed,
@@ -88,11 +79,10 @@ def fuzz_batch(
     }
 
 
-# Plaintext and padding bits of a tamper round, the most rounds drawn and
-# checked as one batch, and the rows of flips drawn at a time within one:
-# a flip costs a Philox word, so a whole chunk's would be 80 MB.
-_FUZZ_MU_BITS = 16
-_FUZZ_KAPPA = 8
+# The sizes of a tamper round, the most rounds drawn and checked as one
+# batch, and the rows of flips drawn at a time within one: a flip costs a
+# Philox word, so a whole chunk's would be 80 MB.
+_FUZZ_PARAMS = ProtocolParams(n=152, ell=144, kappa=8, tag_bits=64, beta=0.0)
 _FUZZ_CHUNK = 1 << 16
 _FLIP_ROWS = 2048
 
@@ -119,9 +109,8 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
     """
     if rounds < 1:
         raise ValueError("rounds must be positive")
-    tag_bits = 64
-    mu_bits, kappa = _FUZZ_MU_BITS, _FUZZ_KAPPA
-    n = mu_bits + 2 * tag_bits + kappa
+    params = _FUZZ_PARAMS
+    mu_bits, tag_bits, n = params.mu_bits, params.tag_bits, params.n
     src = RandomSource(seed).stream("tamper_fuzz")
 
     false_accepts = 0
@@ -134,11 +123,12 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
         xi = nonzero_key_words(src.raw_words(batch))
         mu = src.packed_bits(batch * mu_bits).reshape(batch, mu_bits // 8)
         k_prime = src.packed_bits(batch * tag_bits).reshape(batch, tag_bits // 8)
-        r = src.packed_bits(batch * kappa).reshape(batch, kappa // 8)
-        z = src.packed_bits(batch * n).reshape(batch, n // 8)
+        # The words of r and of z, which Bob's check never reads: drawn so
+        # that the flips come from the same words as a full round's.
+        src.raw_words(-(-batch * params.kappa // 64) + -(-batch * n // 64))
         flips = _packed_flips(src, flip_rate, batch, n)
 
-        out = fuzz_batch(xi, mu, k_prime, r, z, flips)
+        out = fuzz_batch(xi, mu, k_prime, flips)
         false_accepts += int(np.sum(out["omega"] & out["plaintext_changed"]))
         forgeries += int(np.sum(out["omega"] & out["message_changed"]))
         accepts += int(np.sum(out["omega"]))
@@ -150,7 +140,7 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
         "rounds": rounds,
         "tag_bits": tag_bits,
         "mu_bits": mu_bits,
-        "kappa": kappa,
+        "kappa": params.kappa,
         "codeword_bits": n,
         "flip_rate": flip_rate,
         "forgery_attempts": attempts,

@@ -32,7 +32,11 @@ Message authentication is a polynomial-evaluation MAC over GF(2^lambda): the
 message is split into lambda-bit blocks m_1..m_d, a block holding the bit
 length is appended, and the tag is sum m_i * key^i. A substitution forgery
 must find a root of a nonzero polynomial of degree <= d+1, so at most
-(d+1) * 2^-lambda of the keys accept it.
+(d+1) * 2^-lambda of the keys accept it. The length block holds the length
+modulo 2^lambda, so the bound holds between messages of equal length, or of
+lengths below 2^lambda bits: at lambda 8 a 256-bit message and the same
+message followed by 256 zero bits have equal tags under every key. The
+protocol tags only `mu || k'`, whose length is fixed per session.
 
 The tag is evaluated by Horner's rule, and every multiply is by the key, so
 the key's 4-bit table ``T[v] = key * v`` (v = 0..15, seven doublings and seven
@@ -226,7 +230,9 @@ class MacKey:
 
 
 def mac_tag(key: MacKey, message: BitString) -> BitString:
-    """Authentication tag of `message` under `key`."""
+    """Authentication tag of `message` under `key`. The substitution bound
+    (d+1)/2^lambda holds between messages of equal length, or of lengths
+    below 2^lambda bits: the length block wraps modulo 2^lambda."""
     tag_bits = key.tag_bits
     value = _horner(_message_blocks(message, tag_bits), key._table, tag_bits)
     return BitString.from_int(value, tag_bits)

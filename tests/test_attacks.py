@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qkr.attacks import (
     _FLIP_ROWS,
+    _FUZZ_PARAMS,
     _packed_flips,
     expected_intercept_error_rate,
     fuzz_batch,
@@ -26,7 +27,7 @@ from qkr.hashing import (
     mac_verify,
     nonzero_key_words,
 )
-from qkr.primitives import BitString, Encoding, ProtocolParams, RandomSource
+from qkr.primitives import BitString, Encoding, RandomSource
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt
 
 from oracles import (
@@ -158,27 +159,32 @@ def test_packed_flips_match_one_bernoulli_draw(seed, flip_rate, rows, n):
     assert np.array_equal(sliced.raw_words(2), whole.raw_words(2))
 
 
-def _draw_fuzz_inputs(seed, batch, mu_bits=16, kappa=8, n=None, flip_rate=0.3):
-    n = n or (mu_bits + 128 + kappa)
+def _draw_fuzz_inputs(seed, batch, flip_rate=0.3):
+    """A full round's inputs at the fuzz's sizes, padding r and mask z
+    included, though the batch reads neither."""
+    params = _FUZZ_PARAMS
+    n = params.n
     src = RandomSource(seed).stream("xcheck")
     words = src.raw_words(batch)
     xi = np.where(words == 0, np.uint64(0xFFFFFFFFFFFFFFFF), words)
-    mu = src.bit_array(batch * mu_bits).reshape(batch, mu_bits)
-    k_prime = src.bit_array(batch * 64).reshape(batch, 64)
-    r = src.bit_array(batch * kappa).reshape(batch, kappa)
+    mu = src.bit_array(batch * params.mu_bits).reshape(batch, params.mu_bits)
+    k_prime = src.bit_array(batch * params.tag_bits).reshape(batch, params.tag_bits)
+    r = src.bit_array(batch * params.kappa).reshape(batch, params.kappa)
     z = src.bit_array(batch * n).reshape(batch, n)
     flips = src.bernoulli(flip_rate, batch * n).reshape(batch, n).astype(np.uint8)
     return xi, mu, k_prime, r, z, flips
 
 
 def _fuzz_batch_packed(xi, mu, k_prime, r, z, flips):
-    packed = (np.packbits(bits, axis=1) for bits in (mu, k_prime, r, z, flips))
+    """The batch on the packed rows: it takes no padding and no mask."""
+    packed = (np.packbits(bits, axis=1) for bits in (mu, k_prime, flips))
     return fuzz_batch(xi, *packed)
 
 
-def _assert_every_class(out, flips, message_bits=16 + 64):
+def _assert_every_class(out, flips):
     """An Accept, a changed r or tau under an unchanged message, and a
     changed k' under an unchanged plaintext each occur."""
+    message_bits = _FUZZ_PARAMS.mu_bits + _FUZZ_PARAMS.tag_bits
     assert np.any(out["omega"])
     assert np.any(~out["message_changed"] & np.any(flips[:, message_bits:], axis=1))
     assert np.any(out["message_changed"] & ~out["plaintext_changed"])
@@ -213,7 +219,7 @@ def test_fuzz_batch_matches_scalar_reference_at_low_flip_rates(flip_rate):
 
 
 def _check_full_protocol_round(seed, batch, flip_rate):
-    params = ProtocolParams(n=152, ell=144, kappa=8, tag_bits=64, beta=0.0, q_bits=32)
+    params = _FUZZ_PARAMS
 
     class _Replay:
         def __init__(self, *strings):

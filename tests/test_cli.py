@@ -716,15 +716,35 @@ def test_every_declared_flag_is_read(tmp_path, monkeypatch, capsys, command, opt
     assert after != before
 
 
-def test_readme_command_lines_parse():
-    """Every `qkr ...` line of the README's command-line block parses."""
+def _readme_commands():
+    """The argv of every `qkr ...` line of the README's command-line block,
+    with `#` comments and `> file` redirects cut."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     lines = [line.split("#", 1)[0].split(">", 1)[0].split() for line in block.splitlines()]
     commands = [words[1:] for words in lines if words[:1] == ["qkr"]]
     assert commands
-    for argv in commands:
+    return commands
+
+
+def test_readme_command_lines_parse():
+    """Every `qkr ...` line of the README's command-line block parses."""
+    for argv in _readme_commands():
         build_parser().parse_args(argv)
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    """Every `qkr ...` line of the README's command-line block runs and
+    exits 0, and the n = 64 example says that lambda was lowered."""
+    monkeypatch.chdir(tmp_path)
+    small_n = 0
+    for argv in _readme_commands():
+        code, _, stderr = _run(capsys, *argv)
+        assert code == 0, (argv, stderr)
+        if "--n" in argv and argv[argv.index("--n") + 1] == "64":
+            small_n += 1
+            assert "note: lambda lowered" in stderr
+    assert small_n == 1
 
 
 # One process, one cached parser: the config sets what the earlier `run`

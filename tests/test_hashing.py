@@ -368,6 +368,22 @@ def test_mac_length_block_separates_zero_padding():
     assert mac_tag(key, short) != mac_tag(key, padded)
 
 
+def test_mac_length_block_wraps_at_lambda_8():
+    """The length block is the length modulo 2^lambda. At lambda 8,
+    appending 256 zero bits to a 256-bit message keeps its tag under all
+    255 keys; to a 200-bit message, under the one key with key^32 = 1. At
+    lambda 64 the length block tells both pairs apart."""
+    src = RandomSource(12).stream("wrap")
+    m256, m200 = src.bits(256), src.bits(200)
+    zeros = BitString.zeros(256)
+    keys = [MacKey(_bits_of(k, 8)) for k in range(1, 256)]
+    assert all(mac_tag(key, m256) == mac_tag(key, m256 + zeros) for key in keys)
+    assert [key for key in keys if mac_tag(key, m200) == mac_tag(key, m200 + zeros)] == [keys[0]]
+    key = MacKey.random(RandomSource(13).stream("wrap"), 64)
+    assert mac_tag(key, m256) != mac_tag(key, m256 + zeros)
+    assert mac_tag(key, m200) != mac_tag(key, m200 + zeros)
+
+
 def test_mac_key_validation_and_draw_remap():
     with pytest.raises(ValueError):
         MacKey(BitString.zeros(8))
