@@ -55,8 +55,8 @@ def entropy_multi(probabilities) -> float:
 _LOG_TERM_WINDOW = 800.0
 # p_corr sums this narrower window first and keeps its sum when the terms it
 # leaves out provably cannot move the rounded result (see p_corr). Its
-# log-terms are the same floats as the wide window's, about a third as many.
-_NARROW_LOG_TERM_WINDOW = 80.0
+# log-terms are the same floats as the wide window's, about a quarter as many.
+_NARROW_LOG_TERM_WINDOW = 44.0
 
 
 def p_corr(n: int, beta: float, gamma: float) -> float:
@@ -71,23 +71,46 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
     - the wide window, the log-terms at most 800 below the mode's, holds
       every term whose exp(lt - peak) is not exactly 0.0 (see
       `_window_log_terms`). So its sum is the full sum's float;
-    - the narrow window, at most 80 below the mode's, is evaluated first.
-      Its peak and log-terms are the same floats as the wide window's. Each
-      of the `dropped = floor(n*beta) + 1 - len(window)` terms outside it
-      has a log-term below the cutoff `log_term(mode) - 80`, so at least 80
-      below the peak, and its exp is at most `exp(1 - 80)`; the one nat to
-      spare covers the rounding of the cutoff, the shift and exp. So the
-      dropped terms add a true tail in [0, dropped * exp(1 - 80)];
+    - the narrow window, at most 44 below the mode's, is evaluated first.
+      Its peak and log-terms are the same floats as the wide window's. On
+      each side where it leaves terms out, the first term outside has a
+      log-term below the cutoff `log_term(mode) - 44`, so at least 44 below
+      the peak; its exp is at most `exp(1 - 44)`, the one nat to spare
+      covering the rounding of the cutoff, the shift, exp and the
+      log-terms' error below;
+    - the terms beyond it fall at least geometrically. The binomial terms
+      are log-concave in the error count, so each step away from the window
+      changes the log-term by at most the step into the edge term from its
+      neighbour inside: `lt[high] - lt[high - 1]` above,
+      `lt[low] - lt[low + 1]` below, read from the window's log-terms;
+    - the computed log-terms carry rounding and lgamma error. A constant or
+      a part linear in the count keeps them log-concave; the rest, e, moves
+      a computed edge ratio by up to 2 max|e|. Every intermediate of a
+      log-term is at most M = lgamma(n + 1) + t*|log gamma| +
+      n*|log(1 - gamma)|, and |e| is a few units of 2^-52 * M: with lgamma
+      within 2 ulps, the slack s = 2^-48 * M, 16 units, is at least
+      2 max|e|. Measured against mpmath, lgamma is within 1.25 ulps and
+      2 max|e| at most 2.3 units (about 1e-9 at n = 2^18, 4e-5 at 2^32).
+      So with rho = exp(edge ratio + s) the side's terms add at most
+      `exp(1 - 44) / (1 - rho)`. If rho >= 1, or the window has one term
+      and leaves some out, the bound is inf. At n = 2^32 and gamma above
+      about 0.25 the edge ratio lies inside the slack, so those rows sum
+      the wide window;
     - fsum is correctly rounded and rounding is monotone, so if the narrow
-      sum with that bound appended rounds to the same float as without it,
-      every tail in between does too: the narrow sum is the wide sum's
-      float, and `min(1, exp(peak) * sum)` is bit-identical. Otherwise the
-      wide window is summed. For n up to 2^32 the bound is below 2^-80,
-      while the sum is at least 1 (the peak's term), whose half ulp is at
-      least 2^-53; the wide window runs only for a narrow sum within 2^-80
-      of a rounding boundary. A sweep-n-large job (n about 2^10, 2^17 and
-      2^18) evaluates 133 + 1,999 + 2,819 terms instead of
-      133 + 6,299 + 8,901;
+      sum with the sides' bound appended rounds to the same float as
+      without it, every tail in between does too: the narrow sum is the wide
+      sum's float, and `min(1, exp(peak) * sum)` is bit-identical. Otherwise
+      the wide window is summed. The sum is at least 1 (the peak's term),
+      whose half ulp is at least 2^-53. A window edge lies about
+      sigma * sqrt(88) from the mode, where the edge ratio is about
+      -sqrt(88) / sigma, so each side's bound is about
+      `e^-43 / (sqrt(88) / sigma - s)`. At gamma 0.05 the two sides give
+      5e-18 at n = 2^18 and 1.3e-15 at 2^32, against sums of about 280 and
+      36,000, so the wide window runs only for a narrow sum that close to a
+      rounding boundary. The sweep-n-large job at n = 1024, 131,328 and
+      261,632 evaluates 126 + 1,481 + 2,092 terms, against
+      129 + 1,997 + 2,819 at an 80-nat window and 129 + 6,294 + 8,901 at
+      the wide one;
     - the narrow window's exps are kept as a list for the two sums, and
       dropped before any wide window is built. The wide window's are not
       kept: at n = 2^32 it can have 1.7M terms.
@@ -112,23 +135,26 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
         return 1.0
     if gamma == 1.0:
         return 0.0
-    width = _NARROW_LOG_TERM_WINDOW
-    peak, terms = _window_log_terms(n, t, gamma, width)
+    peak, terms, tail = _window_log_terms(n, t, gamma, _NARROW_LOG_TERM_WINDOW)
     exps = list(map(math.exp, terms))
     del terms
     total = math.fsum(exps)
-    exps.append((t + 1 - len(exps)) * math.exp(1.0 - width))
+    exps.append(tail)
     if math.fsum(exps) != total:
         del exps
-        peak, terms = _window_log_terms(n, t, gamma, _LOG_TERM_WINDOW)
+        peak, terms, _ = _window_log_terms(n, t, gamma, _LOG_TERM_WINDOW)
         total = math.fsum(map(math.exp, terms))
     return min(1.0, math.exp(peak) * total)
 
 
-def _window_log_terms(n: int, t: int, gamma: float, width: float) -> tuple[float, list[float]]:
-    """The largest of p_corr's log-terms for counts 0..t, and the log-terms
-    at most `width` below the mode's, shifted by the largest and sorted
-    largest first.
+def _window_log_terms(
+    n: int, t: int, gamma: float, width: float
+) -> tuple[float, list[float], float]:
+    """The largest of p_corr's log-terms for counts 0..t, the log-terms at
+    most `width` below the mode's, shifted by the largest and sorted largest
+    first, and a bound on the exps of the shifted log-terms the window
+    leaves out: the sum of `_geometric_tail` over the sides that leave
+    terms out, 0.0 if neither does.
 
     - the terms are log-concave in the error count. Bisection from the mode,
       one `log_term` at a time, finds the window. The largest term is
@@ -188,11 +214,29 @@ def _window_log_terms(n: int, t: int, gamma: float, width: float) -> tuple[float
     log_terms += c * log_g
     log_terms += np.subtract(n, c, out=c) * log_1g  # n - c, in c's buffer
     del c  # 14 MB of the peak at the widest window a run accepts, 1.7M terms
+    slack = 2.0**-48 * (lg_n - t * log_g - n * log_1g)
+    tail = 0.0
+    if low > 0:
+        tail += _geometric_tail(log_terms[:2], slack, width)
+    if high < t:
+        tail += _geometric_tail(log_terms[:-3:-1], slack, width)  # last, then the one before
     peak = float(log_terms.max())
     log_terms -= peak
     terms = log_terms.tolist()
     terms.sort(reverse=True)
-    return peak, terms
+    return peak, terms, tail
+
+
+def _geometric_tail(edge: np.ndarray, slack: float, width: float) -> float:
+    """A bound on the exps of the shifted log-terms that one side of a
+    window leaves out, from `edge`: the window's log-term at that side and
+    the one next to it inside (see p_corr). inf when the window has no
+    second term, or when the ratio of the two with the slack added is not
+    below 1."""
+    if len(edge) < 2:
+        return math.inf
+    rho = math.exp(float(edge[0] - edge[1]) + slack)
+    return math.exp(1.0 - width) / (1.0 - rho) if rho < 1.0 else math.inf
 
 
 def six_state_error_distribution(gamma: float) -> tuple[float, float, float, float]:

@@ -302,7 +302,24 @@ def _emit(text: str, path) -> None:
 
 
 def _rounds_text(results) -> str:
-    return "".join(_dump(result.to_json()) + "\n" for result in results)
+    """The rounds file: one JSON object per round, with the bytes that
+    `json.dumps(..., sort_keys=True)` gives (keys sorted, ", " and ": "
+    separators), formatted directly. Every value is an int, a hex string
+    or null, so nothing needs escaping."""
+    return "".join(map(_round_line, results))
+
+
+def _round_line(result) -> str:
+    mu_hat = result.mu_hat
+    if mu_hat is None:
+        mu_fields = '"mu_hat": null, "mu_hat_bits": null'
+    else:
+        mu_fields = f'"mu_hat": "{mu_hat.to_hex()}", "mu_hat_bits": {len(mu_hat)}'
+    return (
+        f'{{"consumed_bits": {result.consumed_bits}, '
+        f'"errors_injected": {result.errors_injected}, {mu_fields}, '
+        f'"omega": {result.omega}, "tau_fb": "{result.tau_fb.to_hex()}"}}\n'
+    )
 
 
 def cmd_run(ns: argparse.Namespace) -> int:

@@ -182,16 +182,6 @@ class RoundResult:
     consumed_bits: int
     errors_injected: int
 
-    def to_json(self) -> dict:
-        return {
-            "omega": self.omega,
-            "mu_hat": self.mu_hat.to_hex() if self.mu_hat is not None else None,
-            "mu_hat_bits": len(self.mu_hat) if self.mu_hat is not None else None,
-            "tau_fb": self.tau_fb.to_hex(),
-            "consumed_bits": self.consumed_bits,
-            "errors_injected": self.errors_injected,
-        }
-
 
 @dataclass(frozen=True)
 class SessionSummary:

@@ -7,6 +7,7 @@ production code against these, never the other way around.
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 
@@ -311,6 +312,24 @@ def run_session_two_party(
         key_agreement=key_agreement,
     )
     return SessionResult(results=results, summary=summary, eve_views=eve_views)
+
+
+def rounds_text_json(results) -> str:
+    """The rounds file as a dict per round serialized by `json.dumps` with
+    sorted keys; `cli._rounds_text` formats the same bytes directly."""
+
+    def round_json(result) -> dict:
+        mu_hat = result.mu_hat
+        return {
+            "omega": result.omega,
+            "mu_hat": mu_hat.to_hex() if mu_hat is not None else None,
+            "mu_hat_bits": len(mu_hat) if mu_hat is not None else None,
+            "tau_fb": result.tau_fb.to_hex(),
+            "consumed_bits": result.consumed_bits,
+            "errors_injected": result.errors_injected,
+        }
+
+    return "".join(json.dumps(round_json(result), sort_keys=True) + "\n" for result in results)
 
 
 def toeplitz_apply_int(seed, values) -> np.ndarray:

@@ -1,5 +1,7 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -138,11 +140,8 @@ def test_p_corr_equals_full_evaluation(args):
     _assert_p_corr_equals_full(args)
 
 
-def test_p_corr_narrow_window_check_keeps_or_falls_back(monkeypatch):
-    """At a 36-nat narrow window the dropped terms' bound moves the rounded
-    sum for some inputs and not for others, so both the kept narrow sum and
-    the wide fallback are checked against the full evaluation."""
-    monkeypatch.setattr(analysis, "_NARROW_LOG_TERM_WINDOW", 36.0)
+def _record_widths(monkeypatch):
+    """The widths of the `_window_log_terms` calls, appended as they run."""
     window = analysis._window_log_terms
     widths = []
 
@@ -151,6 +150,17 @@ def test_p_corr_narrow_window_check_keeps_or_falls_back(monkeypatch):
         return window(n, t, gamma, width)
 
     monkeypatch.setattr(analysis, "_window_log_terms", recorded)
+    return widths
+
+
+def test_p_corr_narrow_window_check_keeps_or_falls_back(monkeypatch):
+    """At a 36-nat narrow window the geometric bound on the dropped terms
+    moves the rounded sum for some inputs (the 2^18, beta 0.04 example,
+    whose bound of 2.9e-15 exceeds its sum's half ulp) and not for others,
+    so both the kept narrow sum and the wide fallback are checked against
+    the full evaluation."""
+    monkeypatch.setattr(analysis, "_NARROW_LOG_TERM_WINDOW", 36.0)
+    widths = _record_widths(monkeypatch)
     branches = set()
 
     @given(_p_corr_args())
@@ -166,8 +176,9 @@ def test_p_corr_narrow_window_check_keeps_or_falls_back(monkeypatch):
 
 
 def test_p_corr_lgamma_calls(monkeypatch):
-    """The narrow window evaluates about a third of the wide one's terms:
-    2 * 2,819 lgamma calls and the bisection's, against about 17,900."""
+    """The 44-nat window evaluates about a quarter of the wide one's terms:
+    2 * 2,092 lgamma calls and the bisection's, against 5,697 at an 80-nat
+    window and about 17,900 at the wide one."""
     lgamma = math.lgamma
     calls = 0
 
@@ -178,7 +189,115 @@ def test_p_corr_lgamma_calls(monkeypatch):
 
     monkeypatch.setattr(math, "lgamma", counted)
     p_corr(2**18 - 512, 0.125, 0.05)
-    assert calls <= 6000
+    assert calls <= 4300
+
+
+def _wide_window_sum(n, beta, gamma):
+    t = math.floor(n * beta)
+    peak, terms, _ = analysis._window_log_terms(n, t, gamma, analysis._LOG_TERM_WINDOW)
+    return min(1.0, math.exp(peak) * math.fsum(map(math.exp, terms)))
+
+
+@pytest.mark.parametrize("n", [2**20, 2**24, 2**28])
+def test_p_corr_equals_the_wide_window_sum_at_large_n(n):
+    """Beyond the full evaluation's reach, the certified narrow sum is the
+    800-nat window's float. gamma 1e-6 cuts the 44-nat window at 0 (up to
+    n = 2^24), beta at or below gamma cuts it at t, and the rest drop terms
+    on both sides."""
+    for beta in (0.01, 0.05, 0.125):
+        for gamma in (1e-6, 0.01, 0.05, 0.11):
+            assert p_corr(n, beta, gamma) == _wide_window_sum(n, beta, gamma), (beta, gamma)
+
+
+def _record_tails(monkeypatch, extra_slack=0.0):
+    """The (edge, slack, result) of each `_geometric_tail` call, with
+    `extra_slack` nats added to the slack it is given."""
+    tail = analysis._geometric_tail
+    calls = []
+
+    def recorded(edge, slack, width):
+        result = tail(edge, slack + extra_slack, width)
+        calls.append((edge.tolist(), slack, result))
+        return result
+
+    monkeypatch.setattr(analysis, "_geometric_tail", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n,t,gamma,sides", [
+    (64, 8, 0.05, 0),  # every count within 44 nats of the mode
+    (2**16, 2**13, 1e-4, 1),  # cut at 0: only the upper side drops terms
+    (2**18, 10_485, 0.05, 1),  # cut at t, below the mode: only the lower side
+    (2**18, 2**15, 0.05, 2),
+])
+def test_window_tail_bounds_only_the_sides_that_drop_terms(monkeypatch, n, t, gamma, sides):
+    calls = _record_tails(monkeypatch)
+    _, terms, tail = analysis._window_log_terms(n, t, gamma, 44.0)
+    assert len(calls) == sides
+    assert tail == sum(result for _, _, result in calls)
+    assert 0.0 <= tail < 1e-16
+    for edge, _, _ in calls:
+        # the edge term, then its larger neighbour inside the window
+        assert len(edge) == 2 and edge[0] < edge[1]
+    if sides == 0:
+        assert len(terms) == t + 1
+
+
+def test_one_term_window_that_drops_terms_falls_back(monkeypatch):
+    """At gamma 1e-300 every count above 0 is hundreds of nats below count
+    0's, so the window is that one term, with no neighbour to bound the
+    dropped side by: the bound is inf and the wide window is summed."""
+    _, terms, tail = analysis._window_log_terms(100, 50, 1e-300, 44.0)
+    assert len(terms) == 1 and tail == math.inf
+    widths = _record_widths(monkeypatch)
+    assert p_corr(100, 0.5, 1e-300) == p_corr_full(100, 0.5, 1e-300)
+    assert widths == [44.0, 800.0]
+
+
+def test_geometric_tail_is_finite_only_below_rho_one():
+    assert analysis._geometric_tail(np.array([-1.5, -1.0]), 0.0, 44.0) == pytest.approx(
+        math.exp(-43.0) / (1.0 - math.exp(-0.5)), rel=1e-15
+    )
+    assert analysis._geometric_tail(np.array([-1.0, -1.0]), 0.0, 44.0) == math.inf
+    assert analysis._geometric_tail(np.array([-1.5, -1.0]), 0.5, 44.0) == math.inf
+    assert analysis._geometric_tail(np.array([-1.5]), 0.0, 44.0) == math.inf
+
+
+def test_p_corr_falls_back_when_rho_reaches_one(monkeypatch):
+    """One nat more slack than the edge ratios (about -0.17 nats at 2^16,
+    gamma 0.05) puts rho above 1 on both sides; the bound is inf and the
+    wide window gives the full evaluation's float."""
+    calls = _record_tails(monkeypatch, extra_slack=1.0)
+    widths = _record_widths(monkeypatch)
+    assert p_corr(2**16, 0.125, 0.05) == p_corr_full(2**16, 0.125, 0.05)
+    assert widths == [44.0, 800.0]
+    assert [result for _, _, result in calls[:2]] == [math.inf, math.inf]
+
+
+@pytest.mark.parametrize("n", [2**20, 2**24, 2**28, 2**32])
+@pytest.mark.parametrize("beta,gamma", [(0.125, 0.05), (0.125, 0.11), (0.01, 0.05)])
+def test_p_corr_slack_covers_the_log_terms_error(monkeypatch, n, beta, gamma):
+    """The geometric bound needs each computed log-term within half the
+    slack of a log-concave function: the exact log-term with the computed
+    lgamma(n + 1), log(gamma) and log(1 - gamma), whose errors add a
+    constant and a part linear in the count. Checked with mpmath at counts
+    across the window and past its edges."""
+    calls = _record_tails(monkeypatch)
+    t = math.floor(n * beta)
+    _, terms, _ = analysis._window_log_terms(n, t, gamma, 44.0)
+    slack = calls[0][1]
+    lg_n, log_g, log_1g = math.lgamma(n + 1), math.log(gamma), math.log1p(-gamma)
+    mode = min(t, math.floor((n + 1) * gamma))
+    worst = 0.0
+    with mp.workdps(50):
+        for k in range(-12, 13):
+            c = min(t, max(0, mode + k * len(terms) // 16))
+            computed = (lg_n - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                        + c * log_g + (n - c) * log_1g)
+            exact = (mp.mpf(lg_n) - mp.loggamma(c + 1) - mp.loggamma(n - c + 1)
+                     + c * mp.mpf(log_g) + (n - c) * mp.mpf(log_1g))
+            worst = max(worst, abs(float(computed - exact)))
+    assert 2.0 * worst <= slack
 
 
 def test_p_corr_large_n_stays_finite_and_sane():

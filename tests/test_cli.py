@@ -17,6 +17,10 @@ import qkr
 from qkr import cli
 from qkr.analysis import SecurityBudget, asymptotic_rate_6state, diamond_bound, p_corr
 from qkr.cli import DEFAULTS, UsageError, build_parser, main, resolve_budget, resolve_params
+from qkr.ecc import CodeKind
+from qkr.primitives import BitString, ProtocolParams
+from qkr.protocol import RoundResult, run_session
+from qkr.qsim import ChannelKind, ChannelModel
 
 
 def _run(capsys, *argv):
@@ -134,6 +138,49 @@ def test_run_reservoir_exhaustion_keeps_completed_rounds(tmp_path, capsys):
     assert _run(capsys, *argv, "--out", str(full))[0] == 0
     expected = full.read_text().splitlines(keepends=True)[:completed]
     assert out.read_text() == "".join(expected)
+
+
+@given(
+    rounds=st.lists(
+        st.tuples(
+            st.one_of(st.none(), st.integers(1, 200)),
+            st.integers(1, 130),
+            st.integers(0, 2**40),
+            st.integers(0, 2**20),
+        ),
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_rounds_text_matches_json_dumps(rounds, seed):
+    """The directly formatted rounds file is the bytes of `json.dumps` with
+    sorted keys, for a null mu_hat and for hex of any bit length (lengths
+    that are not a multiple of 4 get a zero-padded leading digit)."""
+    rng = np.random.default_rng(seed)
+    results = [
+        RoundResult(
+            omega=int(mu_bits is not None),
+            mu_hat=None if mu_bits is None else BitString(rng.integers(0, 2, mu_bits)),
+            tau_fb=BitString(rng.integers(0, 2, tau_bits)),
+            consumed_bits=consumed,
+            errors_injected=errors,
+        )
+        for mu_bits, tau_bits, consumed, errors in rounds
+    ]
+    assert cli._rounds_text(results) == oracles.rounds_text_json(results)
+
+
+def test_rounds_text_matches_json_dumps_on_a_session():
+    session = run_session(
+        ProtocolParams(n=64, ell=37, kappa=20, tag_bits=8, beta=0.125, q_bits=32),
+        ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=0.3), CodeKind.ORACLE, 40, 3,
+    )
+    text = cli._rounds_text(session.results)
+    assert {'"mu_hat": null', '"omega": 1'} <= {
+        field for line in text.splitlines() for field in line[1:-1].split(", ")
+    }
+    assert text == oracles.rounds_text_json(session.results)
 
 
 def test_run_stops_at_key_divergence(tmp_path, capsys):

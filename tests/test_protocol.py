@@ -416,7 +416,7 @@ def _code_params(code_kind, encoding=Encoding.SIX_STATE):
 
 
 def _assert_same_session(one, two):
-    assert [r.to_json() for r in one.results] == [r.to_json() for r in two.results]
+    assert one.results == two.results
     assert one.summary == two.summary
     assert len(one.eve_views) == len(two.eve_views) == one.summary.rounds
     for a, b in zip(one.eve_views, two.eve_views):
