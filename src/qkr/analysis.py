@@ -80,34 +80,38 @@ def p_corr(n: int, beta: float, gamma: float) -> float:
       log-terms' error below;
     - the terms beyond it fall at least geometrically. The binomial terms
       are log-concave in the error count, so each step away from the window
-      changes the log-term by at most the step into the edge term from its
-      neighbour inside: `lt[high] - lt[high - 1]` above,
-      `lt[low] - lt[low + 1]` below, read from the window's log-terms;
+      changes the log-term by at most the average step over the stride from
+      the mode to the window's edge: `(lt[high] - lt[mode]) / (high - mode)`
+      above, `(lt[low] - lt[mode]) / (mode - low)` below, read from the
+      window's log-terms;
     - the computed log-terms carry rounding and lgamma error. A constant or
       a part linear in the count keeps them log-concave; the rest, e, moves
-      a computed edge ratio by up to 2 max|e|. Every intermediate of a
-      log-term is at most M = lgamma(n + 1) + t*|log gamma| +
-      n*|log(1 - gamma)|, and |e| is a few units of 2^-52 * M: with lgamma
-      within 2 ulps, the slack s = 2^-48 * M, 16 units, is at least
-      2 max|e|. Measured against mpmath, lgamma is within 1.25 ulps and
-      2 max|e| at most 2.3 units (about 1e-9 at n = 2^18, 4e-5 at 2^32).
-      So with rho = exp(edge ratio + s) the side's terms add at most
-      `exp(1 - 44) / (1 - rho)`. If rho >= 1, or the window has one term
-      and leaves some out, the bound is inf. At n = 2^32 and gamma above
-      about 0.25 the edge ratio lies inside the slack, so those rows sum
-      the wide window;
+      the computed difference over the stride by up to 2 max|e|, so the
+      average step by 2 max|e| / stride. Every intermediate of a log-term is
+      at most M = lgamma(n + 1) + t*|log gamma| + n*|log(1 - gamma)|, and
+      |e| is a few units of 2^-52 * M: with lgamma within 2 ulps, the slack
+      s = 2^-48 * M, 16 units, is at least 2 max|e|. Measured against
+      mpmath, lgamma is within 1.25 ulps and 2 max|e| at most 2.3 units
+      (about 1e-9 at n = 2^18, 4e-5 at 2^32). So with
+      rho = exp((lt[edge] - lt[mode] + s) / stride) the side's terms add at
+      most `exp(1 - 44) / (1 - rho)`. If rho >= 1, or the stride is 0 (the
+      window ends at the mode and leaves terms out), the bound is inf. At
+      n = 2^32 the slack (about 3.4e-4) exceeds the last step into the edge
+      alone (about -2.9e-4 at gamma 0.45), but divided by a stride of about
+      300,000 it is far below the average step;
     - fsum is correctly rounded and rounding is monotone, so if the narrow
       sum with the sides' bound appended rounds to the same float as
       without it, every tail in between does too: the narrow sum is the wide
       sum's float, and `min(1, exp(peak) * sum)` is bit-identical. Otherwise
       the wide window is summed. The sum is at least 1 (the peak's term),
       whose half ulp is at least 2^-53. A window edge lies about
-      sigma * sqrt(88) from the mode, where the edge ratio is about
-      -sqrt(88) / sigma, so each side's bound is about
-      `e^-43 / (sqrt(88) / sigma - s)`. At gamma 0.05 the two sides give
-      5e-18 at n = 2^18 and 1.3e-15 at 2^32, against sums of about 280 and
-      36,000, so the wide window runs only for a narrow sum that close to a
-      rounding boundary. The sweep-n-large job at n = 1024, 131,328 and
+      sigma * sqrt(88) from the mode, so the average step over the stride
+      is about -sqrt(22) / sigma and each side's bound is about
+      `e^-43 / (sqrt(22) / sigma - s / stride)`. At gamma 0.05 the two
+      sides give 1e-17 at n = 2^18 and 1.3e-15 at 2^32, against sums of
+      about 280 and 36,000, and at gamma 0.45 and n = 2^32 they give
+      2.9e-15, so the wide window runs only for a narrow sum that close to
+      a rounding boundary. The sweep-n-large job at n = 1024, 131,328 and
       261,632 evaluates 126 + 1,481 + 2,092 terms, against
       129 + 1,997 + 2,819 at an 80-nat window and 129 + 6,294 + 8,901 at
       the wide one;
@@ -215,11 +219,12 @@ def _window_log_terms(
     log_terms += np.subtract(n, c, out=c) * log_1g  # n - c, in c's buffer
     del c  # 14 MB of the peak at the widest window a run accepts, 1.7M terms
     slack = 2.0**-48 * (lg_n - t * log_g - n * log_1g)
+    at_mode = float(log_terms[mode - low])
     tail = 0.0
     if low > 0:
-        tail += _geometric_tail(log_terms[:2], slack, width)
+        tail += _geometric_tail(float(log_terms[0]) - at_mode, mode - low, slack, width)
     if high < t:
-        tail += _geometric_tail(log_terms[:-3:-1], slack, width)  # last, then the one before
+        tail += _geometric_tail(float(log_terms[-1]) - at_mode, high - mode, slack, width)
     peak = float(log_terms.max())
     log_terms -= peak
     terms = log_terms.tolist()
@@ -227,15 +232,15 @@ def _window_log_terms(
     return peak, terms, tail
 
 
-def _geometric_tail(edge: np.ndarray, slack: float, width: float) -> float:
+def _geometric_tail(drop: float, stride: int, slack: float, width: float) -> float:
     """A bound on the exps of the shifted log-terms that one side of a
-    window leaves out, from `edge`: the window's log-term at that side and
-    the one next to it inside (see p_corr). inf when the window has no
-    second term, or when the ratio of the two with the slack added is not
-    below 1."""
-    if len(edge) < 2:
+    window leaves out, from `drop`, the window's log-term at that side's
+    edge minus the mode's, `stride` counts away (see p_corr). inf when the
+    stride is 0, or when the average ratio per count with the slack added is
+    not below 1."""
+    if stride == 0:
         return math.inf
-    rho = math.exp(float(edge[0] - edge[1]) + slack)
+    rho = math.exp((drop + slack) / stride)
     return math.exp(1.0 - width) / (1.0 - rho) if rho < 1.0 else math.inf
 
 

@@ -25,7 +25,7 @@ from .attacks import intercept_resend_report, tamper_fuzz
 from .ecc import CodeKind, CodeSpec
 from .hashing import REDUCTION_POLYS
 from .primitives import Encoding, ProtocolParams
-from .protocol import ReservoirExhausted, run_session
+from .protocol import run_session
 from .qsim import ChannelKind, ChannelModel
 
 __all__ = ["main", "build_parser", "resolve_params", "resolve_budget"]
@@ -329,23 +329,21 @@ def cmd_run(ns: argparse.Namespace) -> int:
     rounds = int(values["rounds"])
     out_path = values["out"] or "rounds.jsonl"
 
-    try:
-        session = run_session(
-            params,
-            channel,
-            code_kind,
-            rounds,
-            int(values["seed"]),
-            reservoir_capacity=ns.reservoir_capacity,
-        )
-    except ReservoirExhausted as exc:
-        _emit(_rounds_text(exc.results), out_path)
+    session = run_session(
+        params,
+        channel,
+        code_kind,
+        rounds,
+        int(values["seed"]),
+        reservoir_capacity=ns.reservoir_capacity,
+    )
+    _emit(_rounds_text(session.results), out_path)
+    if session.exhausted is not None:
         print(
-            f"error: {exc}; {len(exc.results)} of {rounds} rounds completed",
+            f"error: {session.exhausted}; {len(session.results)} of {rounds} rounds completed",
             file=sys.stderr,
         )
         return EXIT_RESERVOIR
-    _emit(_rounds_text(session.results), out_path)
 
     config_echo = {
         "n": params.n,

@@ -14,16 +14,16 @@ material is ever consumed.
 Both parties apply the same deterministic key update to the same values, so
 a session keeps one shared key state and updates it once per round from the
 sender's values. The receiver's Accept-path inputs are checked against the
-sender's instead of replayed, and a session stops at the first round whose
-two next states differ.
+sender's instead of replayed. A session ends one way: after the last round,
+after the first round whose two next states differ, or before a round whose
+Reject update would draw past the reservoir's capacity. It returns the
+rounds that completed, a summary folded from exactly those rounds, and the
+`ReservoirExhausted` that stopped it, if one did.
 
 The simulation binds the receiver's measurement basis to the true b; an
 adversary acts only on the qubit sequence in flight. Nothing alters the
 feedback on its way back, so `run_session` does not run the sender's
-feedback check: a tag computed with the shared key always verifies. Her
-view of a round is the post-channel qubits plus the authenticated
-feedback, captured in `EveView`; sender-side round secrets never
-serialize into it.
+feedback check: a tag computed with the shared key always verifies.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "AliceRoundSecrets",
     "BobDecryption",
     "RoundResult",
-    "EveView",
     "SessionSummary",
     "SessionResult",
     "alice_encrypt",
@@ -67,10 +66,7 @@ __all__ = [
 
 
 class ReservoirExhausted(RuntimeError):
-    """Raised when a draw would exceed the reservoir's configured capacity.
-    `run_session` sets `results` to the rounds that completed before it."""
-
-    results: tuple = ()
+    """Raised when a draw would exceed the reservoir's configured capacity."""
 
 
 @dataclass(frozen=True)
@@ -164,15 +160,6 @@ class BobDecryption:
 
 
 @dataclass(frozen=True)
-class EveView:
-    """Everything the adversary model gets to see of one round."""
-
-    qubits: QubitSequence
-    omega: int
-    tau_fb: BitString
-
-
-@dataclass(frozen=True)
 class RoundResult:
     """User-facing transcript of one round."""
 
@@ -199,9 +186,12 @@ class SessionSummary:
 
 @dataclass(frozen=True)
 class SessionResult:
+    """The rounds that completed, their summary, and the exhaustion that
+    ended the session early, or None."""
+
     results: list
     summary: SessionSummary
-    eve_views: Optional[list] = None
+    exhausted: Optional[ReservoirExhausted]
 
 
 def alice_encrypt(
@@ -326,7 +316,6 @@ def run_session(
     seed: int,
     message_source: Optional[Callable[[int], BitString]] = None,
     reservoir_capacity: Optional[int] = None,
-    keep_eve_views: bool = False,
 ) -> SessionResult:
     """Execute up to `rounds` protocol rounds on one shared key state.
 
@@ -334,12 +323,13 @@ def run_session(
     same reservoir bits; on Accept Bob's decoded (x, r, k') are compared with
     Alice's, and only when they differ is his update computed and compared.
     The session stops after the first round whose two next states differ,
-    because every later round would run on diverged basis sequences. The
-    summary counts the rounds run and reports the accept rate, total
-    reservoir consumption, the count of accepted rounds whose recovered
-    plaintext differs from the sent one, and whether the keys still agree.
-    When a Reject update exhausts the reservoir, the `ReservoirExhausted` it
-    raises carries the results of the rounds that completed.
+    because every later round would run on diverged basis sequences, and
+    before a round whose Reject update exhausts the reservoir; that round is
+    not recorded and `exhausted` holds the `ReservoirExhausted`. The summary
+    is folded from the returned rounds: their count, accepts and accept rate
+    (0.0 for no rounds), reservoir consumption and injected errors, the count
+    of accepted rounds whose recovered plaintext differs from the sent one,
+    and whether the keys still agree.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -352,11 +342,9 @@ def run_session(
 
     code = make_code(code_kind, params)
     results = []
-    eve_views = [] if keep_eve_views else None
-    accepts = 0
     mismatches = 0
-    errors_total = 0
     key_agreement = True
+    exhausted = None
 
     for i in range(rounds):
         mu = message_source(i) if message_source else msg_src.bits(params.mu_bits)
@@ -365,13 +353,8 @@ def run_session(
         if isinstance(code, OracleBddCode):
             code.note_transmitted(secrets.c)
         received = transmit(channel, qubits, channel_src)
-        errors_injected = int(
-            np.bitwise_xor(qubits.payloads, received.payloads).sum()
-        )
 
         dec = bob_decrypt(params, keys, received, code)
-        tau_fb = feedback_tag(keys, dec.omega)
-
         consumed_before = reservoir.consumed_bits
         try:
             next_keys = key_update(
@@ -379,10 +362,9 @@ def run_session(
                 x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
             )
         except ReservoirExhausted as exc:
-            exc.results = tuple(results)
-            raise
+            exhausted = exc
+            break
         if dec.omega:
-            accepts += 1
             if dec.mu_hat != mu:
                 mismatches += 1
             if (dec.x_hat, dec.r_hat, dec.k_hat_prime) != (secrets.x, secrets.r, secrets.k_prime):
@@ -390,30 +372,29 @@ def run_session(
                     params, keys, dec.omega, reservoir,
                     x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,
                 )
-        keys = next_keys
-        errors_total += errors_injected
-
         results.append(
             RoundResult(
                 omega=dec.omega,
                 mu_hat=dec.mu_hat if dec.omega else None,
-                tau_fb=tau_fb,
+                tau_fb=feedback_tag(keys, dec.omega),
                 consumed_bits=reservoir.consumed_bits - consumed_before,
-                errors_injected=errors_injected,
+                errors_injected=int(
+                    np.bitwise_xor(qubits.payloads, received.payloads).sum()
+                ),
             )
         )
-        if eve_views is not None:
-            eve_views.append(EveView(qubits=received, omega=dec.omega, tau_fb=tau_fb))
+        keys = next_keys
         if not key_agreement:
             break
 
+    accepts = sum(r.omega for r in results)
     summary = SessionSummary(
         rounds=len(results),
         accepts=accepts,
-        accept_rate=accepts / len(results),
-        consumed_bits=reservoir.consumed_bits,
+        accept_rate=accepts / len(results) if results else 0.0,
+        consumed_bits=sum(r.consumed_bits for r in results),
         mismatches=mismatches,
-        errors_injected=errors_total,
+        errors_injected=sum(r.errors_injected for r in results),
         key_agreement=key_agreement,
     )
-    return SessionResult(results=results, summary=summary, eve_views=eve_views)
+    return SessionResult(results=results, summary=summary, exhausted=exhausted)

@@ -220,19 +220,20 @@ def run_session_two_party(
     seed: int,
     message_source=None,
     reservoir_capacity=None,
-    keep_eve_views: bool = False,
 ):
     """A session with both parties' key states kept in full: two `KeyState`s,
     two reservoirs over the same seeded stream, both parties' `key_update`
     every round and a full state comparison. Stops after the first round
     whose states differ, because every later round would run on diverged
-    basis sequences."""
+    basis sequences, and before a round whose update exhausts a reservoir.
+    The summary comes from running totals, each completed round's
+    consumption added as it ends."""
     from qkr.ecc import OracleBddCode, make_code
     from qkr.primitives import RandomSource
     from qkr.protocol import (
-        EveView,
         KeyState,
         Reservoir,
+        ReservoirExhausted,
         RoundResult,
         SessionResult,
         SessionSummary,
@@ -255,9 +256,9 @@ def run_session_two_party(
 
     code = make_code(code_kind, params)
     results = []
-    eve_views = [] if keep_eve_views else None
-    accepts = mismatches = errors_total = 0
+    accepts = mismatches = errors_total = consumed_total = 0
     key_agreement = True
+    exhausted = None
 
     for i in range(rounds):
         mu = message_source(i) if message_source else msg_src.bits(params.mu_bits)
@@ -272,14 +273,18 @@ def run_session_two_party(
         assert alice_check_feedback(alice_keys, dec.omega, tau_fb)
 
         consumed_before = alice_reservoir.consumed_bits
-        alice_keys = key_update(
-            params, alice_keys, dec.omega, alice_reservoir,
-            x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
-        )
-        bob_keys = key_update(
-            params, bob_keys, dec.omega, bob_reservoir,
-            x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,
-        )
+        try:
+            alice_keys = key_update(
+                params, alice_keys, dec.omega, alice_reservoir,
+                x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
+            )
+            bob_keys = key_update(
+                params, bob_keys, dec.omega, bob_reservoir,
+                x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,
+            )
+        except ReservoirExhausted as exc:
+            exhausted = exc
+            break
         consumed = alice_reservoir.consumed_bits - consumed_before
         key_agreement = alice_keys == bob_keys
 
@@ -288,6 +293,7 @@ def run_session_two_party(
             if dec.mu_hat != mu:
                 mismatches += 1
         errors_total += errors_injected
+        consumed_total += consumed
         results.append(
             RoundResult(
                 omega=dec.omega,
@@ -297,21 +303,19 @@ def run_session_two_party(
                 errors_injected=errors_injected,
             )
         )
-        if eve_views is not None:
-            eve_views.append(EveView(qubits=received, omega=dec.omega, tau_fb=tau_fb))
         if not key_agreement:
             break
 
     summary = SessionSummary(
         rounds=len(results),
         accepts=accepts,
-        accept_rate=accepts / len(results),
-        consumed_bits=alice_reservoir.consumed_bits,
+        accept_rate=accepts / len(results) if results else 0.0,
+        consumed_bits=consumed_total,
         mismatches=mismatches,
         errors_injected=errors_total,
         key_agreement=key_agreement,
     )
-    return SessionResult(results=results, summary=summary, eve_views=eve_views)
+    return SessionResult(results=results, summary=summary, exhausted=exhausted)
 
 
 def rounds_text_json(results) -> str:

@@ -1,7 +1,6 @@
 import math
 
 import mpmath as mp
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -209,15 +208,28 @@ def test_p_corr_equals_the_wide_window_sum_at_large_n(n):
             assert p_corr(n, beta, gamma) == _wide_window_sum(n, beta, gamma), (beta, gamma)
 
 
+@pytest.mark.parametrize("beta,gamma", [(0.4, 0.3), (0.5, 0.45)])
+def test_p_corr_keeps_the_narrow_window_at_n_2_32(monkeypatch, beta, gamma):
+    """At n = 2^32 the slack exceeds the last step into either edge, but not
+    the average step over the stride from the mode, so the 44-nat sum is
+    certified; at gamma 0.3 it is also the 800-nat window's float."""
+    widths = _record_widths(monkeypatch)
+    value = p_corr(2**32, beta, gamma)
+    assert widths == [44.0]
+    if gamma == 0.3:
+        assert value == _wide_window_sum(2**32, beta, gamma)
+
+
 def _record_tails(monkeypatch, extra_slack=0.0):
-    """The (edge, slack, result) of each `_geometric_tail` call, with
-    `extra_slack` nats added to the slack it is given."""
+    """The (drop, stride, slack, result) of each `_geometric_tail` call, with
+    `extra_slack` nats per count of the stride added to the slack it is
+    given."""
     tail = analysis._geometric_tail
     calls = []
 
-    def recorded(edge, slack, width):
-        result = tail(edge, slack + extra_slack, width)
-        calls.append((edge.tolist(), slack, result))
+    def recorded(drop, stride, slack, width):
+        result = tail(drop, stride, slack + extra_slack * stride, width)
+        calls.append((drop, stride, slack, result))
         return result
 
     monkeypatch.setattr(analysis, "_geometric_tail", recorded)
@@ -234,11 +246,12 @@ def test_window_tail_bounds_only_the_sides_that_drop_terms(monkeypatch, n, t, ga
     calls = _record_tails(monkeypatch)
     _, terms, tail = analysis._window_log_terms(n, t, gamma, 44.0)
     assert len(calls) == sides
-    assert tail == sum(result for _, _, result in calls)
+    assert tail == sum(result for _, _, _, result in calls)
     assert 0.0 <= tail < 1e-16
-    for edge, _, _ in calls:
-        # the edge term, then its larger neighbour inside the window
-        assert len(edge) == 2 and edge[0] < edge[1]
+    for drop, stride, _, _ in calls:
+        # the edge term lies below the mode's, at least one count away
+        assert drop < 0.0 and stride >= 1
+    assert sum(stride for _, stride, _, _ in calls) <= len(terms) - 1
     if sides == 0:
         assert len(terms) == t + 1
 
@@ -255,23 +268,28 @@ def test_one_term_window_that_drops_terms_falls_back(monkeypatch):
 
 
 def test_geometric_tail_is_finite_only_below_rho_one():
-    assert analysis._geometric_tail(np.array([-1.5, -1.0]), 0.0, 44.0) == pytest.approx(
+    assert analysis._geometric_tail(-0.5, 1, 0.0, 44.0) == pytest.approx(
         math.exp(-43.0) / (1.0 - math.exp(-0.5)), rel=1e-15
     )
-    assert analysis._geometric_tail(np.array([-1.0, -1.0]), 0.0, 44.0) == math.inf
-    assert analysis._geometric_tail(np.array([-1.5, -1.0]), 0.5, 44.0) == math.inf
-    assert analysis._geometric_tail(np.array([-1.5]), 0.0, 44.0) == math.inf
+    assert analysis._geometric_tail(-1.5, 3, 0.0, 44.0) == pytest.approx(
+        math.exp(-43.0) / (1.0 - math.exp(-0.5)), rel=1e-15
+    )
+    assert analysis._geometric_tail(0.0, 1, 0.0, 44.0) == math.inf
+    assert analysis._geometric_tail(-0.5, 1, 0.5, 44.0) == math.inf
+    assert analysis._geometric_tail(-1.5, 3, 1.5, 44.0) == math.inf
+    assert analysis._geometric_tail(-1.5, 0, 0.0, 44.0) == math.inf
 
 
 def test_p_corr_falls_back_when_rho_reaches_one(monkeypatch):
-    """One nat more slack than the edge ratios (about -0.17 nats at 2^16,
-    gamma 0.05) puts rho above 1 on both sides; the bound is inf and the
-    wide window gives the full evaluation's float."""
+    """One nat per count more slack than the average steps from the mode to
+    the edges (about -0.08 nats at 2^16, gamma 0.05) puts rho above 1 on
+    both sides; the bound is inf and the wide window gives the full
+    evaluation's float."""
     calls = _record_tails(monkeypatch, extra_slack=1.0)
     widths = _record_widths(monkeypatch)
     assert p_corr(2**16, 0.125, 0.05) == p_corr_full(2**16, 0.125, 0.05)
     assert widths == [44.0, 800.0]
-    assert [result for _, _, result in calls[:2]] == [math.inf, math.inf]
+    assert [result for _, _, _, result in calls[:2]] == [math.inf, math.inf]
 
 
 @pytest.mark.parametrize("n", [2**20, 2**24, 2**28, 2**32])
@@ -285,7 +303,7 @@ def test_p_corr_slack_covers_the_log_terms_error(monkeypatch, n, beta, gamma):
     calls = _record_tails(monkeypatch)
     t = math.floor(n * beta)
     _, terms, _ = analysis._window_log_terms(n, t, gamma, 44.0)
-    slack = calls[0][1]
+    slack = calls[0][2]
     lg_n, log_g, log_1g = math.lgamma(n + 1), math.log(gamma), math.log1p(-gamma)
     mode = min(t, math.floor((n + 1) * gamma))
     worst = 0.0

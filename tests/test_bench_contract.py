@@ -8,8 +8,14 @@ import inspect
 import json
 import pathlib
 import sys
+from collections import Counter
+
+import pytest
 
 from qkr import protocol
+from qkr.ecc import CodeKind
+from qkr.primitives import ProtocolParams
+from qkr.qsim import ChannelKind, ChannelModel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -51,3 +57,25 @@ def test_probes_run(monkeypatch):
     ]
     assert declared
     assert sorted(probes.run_probes(0)) == sorted(declared)
+
+
+@pytest.mark.parametrize("gamma,capacity", [(0.1, None), (0.4, 300)],
+                         ids=["finished", "exhausted"])
+def test_session_counter_reads_the_summary(monkeypatch, gamma, capacity):
+    """`_count_accepts`, the only part of the benchmark that reads a
+    `SessionResult`, counts real sessions' summaries, finished and exhausted."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    import spans
+
+    params = ProtocolParams(n=64, ell=32, kappa=8, tag_bits=8, beta=0.125, q_bits=32)
+    session = protocol.run_session(
+        params, ChannelModel(ChannelKind.IID_FLIP, gamma=gamma), CodeKind.ORACLE, 40, 5,
+        reservoir_capacity=capacity,
+    )
+    assert (session.exhausted is None) == (capacity is None)
+    counts = Counter()
+    spans._count_accepts(counts, (), session)
+    summary = session.summary
+    assert counts["protocol.rounds"] == summary.rounds == len(session.results)
+    assert counts["protocol.useful_accepts"] == summary.accepts - summary.mismatches

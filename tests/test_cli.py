@@ -110,13 +110,21 @@ def test_run_infeasible_explicit_params_usage_error(tmp_path, capsys):
 
 
 def test_run_reservoir_exhaustion_exit_code(tmp_path, capsys):
-    code, _, stderr = _run(
+    """A capacity that runs out in the first Reject, between its feedback-key
+    and basis-refresh draws, completes no round and leaves an empty file."""
+    out = tmp_path / "r.jsonl"
+    code, stdout, stderr = _run(
         capsys, "run", "--gamma", "0.45", "--n", "60", "--ell", "17", "--kappa", "3",
         "--lambda", "8", "--rounds", "100", "--reservoir-capacity", "300",
-        "--out", str(tmp_path / "r.jsonl"),
+        "--out", str(out),
     )
     assert code == 3
-    assert "reservoir exhausted" in stderr
+    assert stdout == ""
+    assert stderr == (
+        "error: reservoir exhausted: 68 consumed, 304 requested, capacity 300; "
+        "0 of 100 rounds completed\n"
+    )
+    assert out.read_bytes() == b""
 
 
 def test_run_reservoir_exhaustion_keeps_completed_rounds(tmp_path, capsys):
@@ -135,6 +143,15 @@ def test_run_reservoir_exhaustion_keeps_completed_rounds(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: reservoir exhausted")
     completed = int(lines[0].split("; ")[1].split(" of 100 rounds completed")[0])
     assert completed >= 1
+    # The reservoir counted 1928 bits, the five rounds' 1860 and the sixth
+    # round's z and k, drawn before its q ran out.
+    assert lines[0] == (
+        "error: reservoir exhausted: 1928 consumed, 304 requested, capacity 2000; "
+        "5 of 100 rounds completed"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "552385c9bfd3f989c36939fc9a114576839bb45927251d37b59b251a2cc9b340"
+    )
     assert _run(capsys, *argv, "--out", str(full))[0] == 0
     expected = full.read_text().splitlines(keepends=True)[:completed]
     assert out.read_text() == "".join(expected)

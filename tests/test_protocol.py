@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from qkr.hashing import MacKey, mac_tag
 from qkr.primitives import BasisString, BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import (
     AliceRoundSecrets,
-    EveView,
     KeyState,
     Reservoir,
     ReservoirExhausted,
@@ -48,6 +47,7 @@ def test_alice_encrypt_shape_and_basis_contract():
     assert len(secrets.k_prime) == PARAMS.tag_bits
     assert secrets.x == secrets.c ^ keys.z
     assert qubits.payload_bits() == secrets.x
+    assert not hasattr(AliceRoundSecrets, "to_json")
 
 
 def test_alice_encrypt_zero_mask_identity_code_exposes_payload():
@@ -351,15 +351,24 @@ def test_noisy_session_above_threshold_rejects_nearly_all():
 
 
 def test_session_reservoir_exhaustion_propagates():
-    with pytest.raises(ReservoirExhausted):
-        run_session(
-            PARAMS,
-            ChannelModel(ChannelKind.IID_FLIP, gamma=0.4),
-            CodeKind.ORACLE,
-            200,
-            seed=35,
-            reservoir_capacity=3 * (PARAMS.n + PARAMS.tag_bits + PARAMS.q_bits),
-        )
+    per_reject = PARAMS.n + PARAMS.tag_bits + PARAMS.q_bits
+    result = run_session(
+        PARAMS,
+        ChannelModel(ChannelKind.IID_FLIP, gamma=0.4),
+        CodeKind.ORACLE,
+        200,
+        seed=35,
+        reservoir_capacity=3 * per_reject,
+    )
+    assert isinstance(result.exhausted, ReservoirExhausted)
+    assert str(result.exhausted) == (
+        f"reservoir exhausted: {3 * per_reject} consumed, {PARAMS.n} requested, "
+        f"capacity {3 * per_reject}"
+    )
+    s = result.summary
+    assert s.rounds == len(result.results) < 200
+    assert s.rounds - s.accepts == 3
+    assert s.consumed_bits == 3 * per_reject
 
 
 def test_session_with_caller_message_source():
@@ -418,11 +427,7 @@ def _code_params(code_kind, encoding=Encoding.SIX_STATE):
 def _assert_same_session(one, two):
     assert one.results == two.results
     assert one.summary == two.summary
-    assert len(one.eve_views) == len(two.eve_views) == one.summary.rounds
-    for a, b in zip(one.eve_views, two.eve_views):
-        assert (a.qubits.basis_string(), a.qubits.payload_bits(), a.omega, a.tau_fb) == (
-            b.qubits.basis_string(), b.qubits.payload_bits(), b.omega, b.tau_fb
-        )
+    assert (type(one.exhausted), str(one.exhausted)) == (type(two.exhausted), str(two.exhausted))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -435,14 +440,20 @@ def _assert_same_session(one, two):
 @pytest.mark.parametrize("code_kind", list(CodeKind), ids=lambda kind: kind.value)
 @pytest.mark.parametrize("encoding", list(Encoding), ids=lambda enc: enc.value)
 def test_session_matches_two_party_reference(encoding, code_kind, channel, seed):
-    """Checking Bob's Accept inputs gives the transcript, summary and
-    adversary views of keeping and comparing both parties' states, including
-    where the reference stops at the first diverged round."""
+    """Checking Bob's Accept inputs gives the transcript and summary of
+    keeping and comparing both parties' states, including where the
+    reference stops at the first diverged round."""
     kwargs = dict(
         params=_code_params(code_kind, encoding), channel=channel, code_kind=code_kind,
-        rounds=30, seed=seed, keep_eve_views=True,
+        rounds=30, seed=seed,
     )
     _assert_same_session(run_session(**kwargs), run_session_two_party(**kwargs))
+
+
+def _cutting_capacity(params):
+    """Room for three Rejects and the mask of a fourth: the fourth Reject
+    draws z, then fails on its feedback key."""
+    return 3 * (params.n + params.tag_bits + params.q_bits) + params.n
 
 
 def test_session_matches_two_party_reference_with_messages_and_capacity():
@@ -450,7 +461,7 @@ def test_session_matches_two_party_reference_with_messages_and_capacity():
     fixed = BitString([1, 0] * (params.mu_bits // 2))
     kwargs = dict(
         params=params, channel=ChannelModel(ChannelKind.IID_FLIP, gamma=0.05),
-        code_kind=CodeKind.REPETITION3, rounds=30, seed=1, keep_eve_views=True,
+        code_kind=CodeKind.REPETITION3, rounds=30, seed=1,
         message_source=lambda i: fixed,
     )
     one = run_session(**kwargs)
@@ -459,16 +470,66 @@ def test_session_matches_two_party_reference_with_messages_and_capacity():
 
     kwargs.update(
         channel=ChannelModel(ChannelKind.IID_FLIP, gamma=0.4),
-        reservoir_capacity=3 * (params.n + params.tag_bits + params.q_bits),
+        reservoir_capacity=_cutting_capacity(params),
     )
-    last_round = []
+    sessions, last_round = [], []
     for session in (run_session, run_session_two_party):
         begun = []
         kwargs["message_source"] = lambda i: begun.append(i) or fixed
-        with pytest.raises(ReservoirExhausted):
-            session(**kwargs)
+        sessions.append(session(**kwargs))
         last_round.append(begun[-1])
-    assert last_round[0] == last_round[1] >= 3
+    _assert_same_session(*sessions)
+    one = sessions[0]
+    assert isinstance(one.exhausted, ReservoirExhausted)
+    # the round that exhausted the reservoir began but is not recorded
+    assert last_round[0] == last_round[1] == one.summary.rounds >= 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("code_kind,gamma,capacity,ending", [
+    (CodeKind.ORACLE, 0.05, None, "finished"),
+    (CodeKind.ORACLE, 0.4, "cut", "exhausted"),
+    (CodeKind.ORACLE, 0.4, "first", "exhausted"),
+    (CodeKind.REPETITION3, 0.05, None, "diverged"),
+    (CodeKind.REPETITION3, 0.0, None, "finished"),
+    (CodeKind.REPETITION3, 0.4, "cut", "exhausted"),
+], ids=["oracle-finished", "oracle-cut", "oracle-first", "rep3-diverged",
+        "rep3-finished", "rep3-cut"])
+def test_session_record_is_the_fold_of_its_rounds(code_kind, gamma, capacity, ending, seed):
+    """On every ending, the summary is computed from the returned rounds
+    only, and matches the two-party reference's running totals. A capacity
+    that runs out between a Reject's draws leaves the aborted round's first
+    draw on the reservoir's counter but not in the summary; one that runs
+    out in the first Reject leaves no rounds."""
+    params = _code_params(code_kind)
+    per_reject = params.n + params.tag_bits + params.q_bits
+    reservoir_capacity = {None: None, "cut": _cutting_capacity(params), "first": params.n}[capacity]
+    kwargs = dict(
+        params=params, channel=ChannelModel(ChannelKind.IID_FLIP, gamma=gamma),
+        code_kind=code_kind, rounds=30, seed=seed, reservoir_capacity=reservoir_capacity,
+    )
+    one = run_session(**kwargs)
+    _assert_same_session(one, run_session_two_party(**kwargs))
+
+    results, s = one.results, one.summary
+    assert ending == (
+        "exhausted" if one.exhausted is not None
+        else "finished" if s.key_agreement else "diverged"
+    )
+    assert s.rounds == len(results)
+    assert (s.rounds == 30) == (ending == "finished")
+    assert s.accepts == sum(r.omega for r in results)
+    assert s.accept_rate == (s.accepts / s.rounds if s.rounds else 0.0)
+    assert s.consumed_bits == sum(r.consumed_bits for r in results)
+    assert s.consumed_bits == (s.rounds - s.accepts) * per_reject
+    assert s.errors_injected == sum(r.errors_injected for r in results)
+    if capacity == "cut":
+        assert s.rounds - s.accepts == 3
+        assert str(one.exhausted).startswith(
+            f"reservoir exhausted: {reservoir_capacity} consumed, {params.tag_bits} requested"
+        )
+    if capacity == "first":
+        assert (s.rounds, s.accept_rate, s.consumed_bits) == (0, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -507,35 +568,6 @@ def test_joint_permutation_leaves_verdict_and_plaintext_unchanged():
         first, second = outcomes
         assert first.omega == second.omega
         assert first.mu_hat == second.mu_hat
-
-
-# ---------------------------------------------------------------------------
-# Secrecy surface
-
-
-def test_eve_view_structural_secrecy():
-    names = {f.name for f in fields(EveView)}
-    assert names == {"qubits", "omega", "tau_fb"}
-    secret_names = {"z", "x", "r", "m", "mu", "k_prime", "c", "tau", "secrets", "keys", "mu_hat"}
-    assert not names & secret_names
-    assert not hasattr(AliceRoundSecrets, "to_json")
-    assert not hasattr(EveView, "secrets")
-
-
-def test_session_eve_views_carry_only_channel_output():
-    result = run_session(
-        PARAMS,
-        ChannelModel(ChannelKind.IID_FLIP, gamma=0.1),
-        CodeKind.ORACLE,
-        20,
-        seed=39,
-        keep_eve_views=True,
-    )
-    assert len(result.eve_views) == 20
-    for view, round_result in zip(result.eve_views, result.results):
-        assert len(view.qubits) == PARAMS.n
-        assert view.omega == round_result.omega
-        assert view.tau_fb == round_result.tau_fb
 
 
 # ---------------------------------------------------------------------------
