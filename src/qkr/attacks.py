@@ -9,20 +9,26 @@ vectorized uint64 word arithmetic.
 
 A fuzz round is a protocol round over the identity code at `_FUZZ_PARAMS`,
 a 152-bit codeword `mu || k' || tau || r`. Bob unmasks `codeword ^ z ^
-flips ^ z`: the mask z cancels and the padding r is never read, so
-`fuzz_batch` keeps only Alice's tag and Bob's check. Rows are packed eight
-bits to a byte, every field whole bytes, and both MACs run on them through
-`hashing.mac64_rows`, the row form of the MAC. `tamper_fuzz` still draws r
-and z, so that the flips come from the same Philox words. A flip costs one
-word, so the flips are drawn a slice of rows at a time rather than 80 MB
-of words for a whole 65536-row chunk.
+flips ^ z`: the mask z cancels and the padding r is never read. The MAC
+is a polynomial evaluation, so the tags of two messages of equal length
+differ by the error polynomial E(xi) = sum e_i * xi^i over the blocks of
+their xor, the length block cancelling. Bob therefore accepts exactly when
+E(xi) of the message flips equals the tag's flips, and `fuzz_batch` reads
+nothing but the keys and the flips: neither the message nor Alice's tag is
+computed. Rows are packed eight bits to a byte, every field whole bytes,
+and E runs on uint64 words through `hashing`'s row multiply. `tamper_fuzz`
+still draws mu, k', r and z, so that the flips come from the same Philox
+words. A flip costs one word, so the flips are drawn a slice of rows at a
+time rather than 80 MB of words for a whole 65536-row chunk. The kernel
+that computed Alice's tag and Bob's check is the reference in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hashing import bytes_to_words, gf64_key_tables, gf64_mul_rows, mac64_rows, nonzero_key_words
+from .hashing import bytes_to_words, gf64_key_tables, gf64_mul_rows, nonzero_key_words
 from .primitives import Encoding, ProtocolParams, RandomSource
 from .qsim import ChannelKind, ChannelModel, QubitSequence, transmit
 
@@ -47,44 +53,49 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     return bytes_to_words(np.packbits(bits, axis=1))
 
 
-def fuzz_batch(xi: np.ndarray, mu: np.ndarray, k_prime: np.ndarray, flips: np.ndarray) -> dict:
-    """One vectorized batch of tamper rounds over the identity code.
-
-    Rows are independent rounds: tag key words `xi`, then uint8 rows packed
-    most significant bit first (as `np.packbits(axis=1)` packs them):
-    plaintext `mu`, next feedback key `k_prime` (8 bytes) and the
-    adversary's wire flips over the whole codeword. Bob unmasks the
-    codeword xor the flips, since the mask cancels, and never reads the
-    padding, so neither is an input. Returns the per-row verdicts and
-    change flags; both parties' tags share one key table per row.
-    """
-    mu_bytes = mu.shape[1]
-    tag_bytes = 8
-    message_bytes = mu_bytes + tag_bytes
-    table = gf64_key_tables(xi)
-    tagged = np.concatenate([mu, k_prime], axis=1)
-    tau = mac64_rows(table, tagged, 8 * message_bytes)
-
-    message_flips = flips[:, :message_bytes]
-    message_hat = tagged ^ message_flips
-    tau_hat = tau ^ bytes_to_words(flips[:, message_bytes : message_bytes + tag_bytes])[:, 0]
-    omega = mac64_rows(table, message_hat, 8 * message_bytes) == tau_hat
-
-    message_changed = np.any(message_flips, axis=1)
-    plaintext_changed = np.any(message_flips[:, :mu_bytes], axis=1)
-    return {
-        "omega": omega,
-        "message_changed": message_changed,
-        "plaintext_changed": plaintext_changed,
-    }
-
-
 # The sizes of a tamper round, the most rounds drawn and checked as one
 # batch, and the rows of flips drawn at a time within one: a flip costs a
 # Philox word, so a whole chunk's would be 80 MB.
 _FUZZ_PARAMS = ProtocolParams(n=152, ell=144, kappa=8, tag_bits=64, beta=0.0)
 _FUZZ_CHUNK = 1 << 16
 _FLIP_ROWS = 2048
+
+# Byte offsets of a packed codeword row: mu, then k', then the tag.
+_MU_BYTES = _FUZZ_PARAMS.mu_bits // 8
+_MESSAGE_BYTES = _MU_BYTES + _FUZZ_PARAMS.tag_bits // 8
+_TAG_END = _MESSAGE_BYTES + _FUZZ_PARAMS.tag_bits // 8
+
+
+def _error_polynomial(table: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """Row-wise E(key) = sum e_i * key^i over the 64-bit blocks of the
+    packed message flips, given the keys' tables: the MAC's Horner rule
+    without its length block, which cancels between messages of equal
+    length. So ``mac_tag(m ^ e) == mac_tag(m) ^ E``."""
+    acc = np.zeros(len(packed), dtype=np.uint64)
+    for block in reversed(bytes_to_words(packed).T):
+        acc = gf64_mul_rows(acc ^ block, table)
+    return acc
+
+
+def fuzz_batch(xi: np.ndarray, flips: np.ndarray) -> dict:
+    """One vectorized batch of tamper rounds over the identity code.
+
+    Rows are independent rounds: tag key words `xi`, and the adversary's
+    wire flips over the whole codeword as uint8 rows packed most
+    significant bit first (as `np.packbits(axis=1)` packs them). Bob
+    accepts exactly when his tag of the flipped message equals the flipped
+    tag, that is when the flips' error polynomial equals the tag's flips,
+    so neither the message nor Alice's tag is an input. Returns the per-row
+    verdicts and change flags.
+    """
+    message_flips = flips[:, :_MESSAGE_BYTES]
+    error = _error_polynomial(gf64_key_tables(xi), message_flips)
+    omega = error == bytes_to_words(flips[:, _MESSAGE_BYTES:_TAG_END])[:, 0]
+    return {
+        "omega": omega,
+        "message_changed": np.any(message_flips, axis=1),
+        "plaintext_changed": np.any(message_flips[:, :_MU_BYTES], axis=1),
+    }
 
 
 def _packed_flips(src: RandomSource, flip_rate: float, rows: int, n: int) -> np.ndarray:
@@ -111,6 +122,7 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
         raise ValueError("rounds must be positive")
     params = _FUZZ_PARAMS
     mu_bits, tag_bits, n = params.mu_bits, params.tag_bits, params.n
+    field_bits = (mu_bits, tag_bits, params.kappa, n)
     src = RandomSource(seed).stream("tamper_fuzz")
 
     false_accepts = 0
@@ -121,14 +133,10 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
     while done < rounds:
         batch = min(_FUZZ_CHUNK, rounds - done)
         xi = nonzero_key_words(src.raw_words(batch))
-        mu = src.packed_bits(batch * mu_bits).reshape(batch, mu_bits // 8)
-        k_prime = src.packed_bits(batch * tag_bits).reshape(batch, tag_bits // 8)
-        # The words of r and of z, which Bob's check never reads: drawn so
-        # that the flips come from the same words as a full round's.
-        src.raw_words(-(-batch * params.kappa // 64) + -(-batch * n // 64))
-        flips = _packed_flips(src, flip_rate, batch, n)
-
-        out = fuzz_batch(xi, mu, k_prime, flips)
+        # The words of mu, k', r and z, which Bob's check never reads:
+        # drawn so that the flips come from the same words as a full round's.
+        src.raw_words(sum(-(-batch * bits // 64) for bits in field_bits))
+        out = fuzz_batch(xi, _packed_flips(src, flip_rate, batch, n))
         false_accepts += int(np.sum(out["omega"] & out["plaintext_changed"]))
         forgeries += int(np.sum(out["omega"] & out["message_changed"]))
         accepts += int(np.sum(out["omega"]))

@@ -48,30 +48,31 @@ mod the pinned polynomial, which folds the four bits the shift pushes out
 of the field back in (Shoup's method, as in GHASH). The bit-serial multiply
 this replaced is the reference in ``tests/oracles.py``.
 
-The MAC's row form, `mac64_rows`, tags many messages at once over
-GF(2^64), one key per row; the tamper fuzz of `attacks` runs on it. It
-takes its messages packed eight bits to a byte, as ``np.packbits(axis=1)``
-packs them, and `bytes_to_words` cuts them into the same zero-padded
-blocks as the scalar form; `nonzero_key_words` is `MacKey.from_draw`'s
-zero-key rule for a column of drawn words. `gf64_key_tables` builds the
-keys' tables once as a (16, rows) uint64 array, and `gf64_mul_rows` runs
-the nibble steps on uint64 words, starting at the top nonzero nibble of
-the batch's largest operand, so the length block (0x50 for an 80-bit
-message) costs one step, not 16. Both lookups gather with `take` on int64
-views of the shifted words; indexing with the uint64 arrays would make
-numpy convert each index array first, about doubling the cost of each
-gather. On one row the row form is more than ten times slower than
-`mac_tag`, so a single session tags with the scalar form.
+The row form of the field multiply works over GF(2^64), one key per row,
+for the tamper fuzz of `attacks`, which needs only the error polynomial
+of its flips (the tags of two messages of equal length differ by a
+polynomial in their xor, so no tag is computed there; a session tags with
+`mac_tag`). It takes messages packed eight bits to a byte, as
+``np.packbits(axis=1)`` packs them, and `bytes_to_words` cuts them into
+the same zero-padded blocks as the scalar form;
+`nonzero_key_words` is `MacKey.from_draw`'s zero-key rule for a column of
+drawn words. `gf64_key_tables` builds the keys' tables once as a (16,
+rows) uint64 array, and `gf64_mul_rows` runs the nibble steps on uint64
+words, starting at the top nonzero nibble of the batch's largest operand,
+so a batch of zero operands (every block of a fuzz at flip rate 0) costs
+one step, not 16. Both lookups gather with `take` on int64 views of the
+shifted words; indexing with the uint64 arrays would make numpy convert
+each index array first, about doubling the cost of each gather.
 
 The row tables are 4-bit, not 8-bit: a row's table is 128 bytes against
 2 KB, so a 12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which
 would dominate its peak memory: a 12000-round `qkr attack tamper_fuzz`
-peaks at 39 MB RSS, of which 32.5 MB is the interpreter with numpy and qkr
-imported and 6.5 MB the arrays the fuzz allocates; the default 1M rounds
-peak at 59 MB (measured on x86-64 Linux, Python 3.11, numpy 2.4). A full
+peaks at 38 MB RSS, of which 32 MB is the interpreter with numpy and qkr
+imported and 6 MB the arrays the fuzz allocates; the default 1M rounds
+peak at 51 MB (measured on x86-64 Linux, Python 3.11, numpy 2.4). A full
 65536-row chunk holds 8.4 MB of tables against 134 MB. The shift-and-sum
-packer and the bit-serial row MAC are the references in
-``tests/oracles.py``.
+packer, the row MAC `mac64_rows` with its length block, and the
+bit-serial row MAC are the references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ __all__ = [
     "gf64_key_tables",
     "gf64_mul_rows",
     "bytes_to_words",
-    "mac64_rows",
     "nonzero_key_words",
     "FFT_MIN_MUL_ADDS",
     "ToeplitzSeed",
@@ -291,17 +291,6 @@ def bytes_to_words(packed: np.ndarray) -> np.ndarray:
     padded = np.zeros((rows, -(-length // 8) * 8), dtype=np.uint8)
     padded[:, :length] = packed
     return padded.view(">u8").astype(np.uint64)
-
-
-def mac64_rows(table: np.ndarray, packed: np.ndarray, length: int) -> np.ndarray:
-    """Row-wise polynomial MAC over GF(2^64) of `length`-bit messages packed
-    into bytes, given the keys' tables: Horner's rule over the blocks plus
-    the length block. Matches `mac_tag` bit for bit."""
-    blocks = [*bytes_to_words(packed).T, np.uint64(length)]
-    acc = np.zeros(len(packed), dtype=np.uint64)
-    for block in reversed(blocks):
-        acc = gf64_mul_rows(acc ^ block, table)
-    return acc
 
 
 # Below this many multiply-adds per product, the float64 np.convolve beats

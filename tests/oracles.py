@@ -17,7 +17,7 @@ import numpy as np
 from qkr.analysis import SecurityBudget, min_q_bits, required_redundancy
 from qkr.cli import UsageError
 from qkr.ecc import CodeKind
-from qkr.hashing import REDUCTION_POLYS
+from qkr.hashing import REDUCTION_POLYS, bytes_to_words, gf64_key_tables, gf64_mul_rows
 from qkr.primitives import Encoding, ProtocolParams, RandomSource
 from qkr.qsim import QubitSequence
 
@@ -424,6 +424,44 @@ def mac64_words_bitserial(keys: np.ndarray, message_bits: np.ndarray) -> np.ndar
     for j in range(blocks.shape[1] - 1, -1, -1):
         acc = blocks[:, j] ^ gf64_mul_words_bitserial(acc, keys)
     return gf64_mul_words_bitserial(acc, keys)
+
+
+def mac64_rows(table: np.ndarray, packed: np.ndarray, length: int) -> np.ndarray:
+    """Row-wise polynomial MAC over GF(2^64) of `length`-bit messages packed
+    into bytes, given the keys' tables: Horner's rule over the blocks plus
+    the length block. Matches `mac_tag` bit for bit."""
+    blocks = [*bytes_to_words(packed).T, np.uint64(length)]
+    acc = np.zeros(len(packed), dtype=np.uint64)
+    for block in reversed(blocks):
+        acc = gf64_mul_rows(acc ^ block, table)
+    return acc
+
+
+def fuzz_batch_two_tags(xi: np.ndarray, mu: np.ndarray, k_prime: np.ndarray,
+                        flips: np.ndarray) -> dict:
+    """`attacks.fuzz_batch` as Alice and Bob compute it: Alice tags the
+    packed message `mu || k'`, and Bob tags the flipped message and compares
+    it with the flipped tag. Rows are packed as `np.packbits(axis=1)` packs
+    them; k' is 8 bytes and the flips cover the whole codeword."""
+    mu_bytes = mu.shape[1]
+    tag_bytes = 8
+    message_bytes = mu_bytes + tag_bytes
+    table = gf64_key_tables(xi)
+    tagged = np.concatenate([mu, k_prime], axis=1)
+    tau = mac64_rows(table, tagged, 8 * message_bytes)
+
+    message_flips = flips[:, :message_bytes]
+    message_hat = tagged ^ message_flips
+    tau_hat = tau ^ bytes_to_words(flips[:, message_bytes : message_bytes + tag_bytes])[:, 0]
+    omega = mac64_rows(table, message_hat, 8 * message_bytes) == tau_hat
+
+    message_changed = np.any(message_flips, axis=1)
+    plaintext_changed = np.any(message_flips[:, :mu_bytes], axis=1)
+    return {
+        "omega": omega,
+        "message_changed": message_changed,
+        "plaintext_changed": plaintext_changed,
+    }
 
 
 class FloatRandomSource(RandomSource):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qkr.attacks import (
     _FLIP_ROWS,
     _FUZZ_PARAMS,
+    _error_polynomial,
     _packed_flips,
     expected_intercept_error_rate,
     fuzz_batch,
@@ -22,7 +23,6 @@ from qkr.hashing import (
     bytes_to_words,
     gf64_key_tables,
     gf_mul,
-    mac64_rows,
     mac_tag,
     mac_verify,
     nonzero_key_words,
@@ -32,7 +32,9 @@ from qkr.protocol import KeyState, alice_encrypt, bob_decrypt
 
 from oracles import (
     apply_error_pattern,
+    fuzz_batch_two_tags,
     gf64_mul_words_bitserial,
+    mac64_rows,
     mac64_words_bitserial,
     pack_bits_to_words_shift_sum,
 )
@@ -176,9 +178,9 @@ def _draw_fuzz_inputs(seed, batch, flip_rate=0.3):
 
 
 def _fuzz_batch_packed(xi, mu, k_prime, r, z, flips):
-    """The batch on the packed rows: it takes no padding and no mask."""
-    packed = (np.packbits(bits, axis=1) for bits in (mu, k_prime, flips))
-    return fuzz_batch(xi, *packed)
+    """The batch on the packed flips: it takes no message, no padding and
+    no mask."""
+    return fuzz_batch(xi, np.packbits(flips, axis=1))
 
 
 def _assert_every_class(out, flips):
@@ -218,23 +220,23 @@ def test_fuzz_batch_matches_scalar_reference_at_low_flip_rates(flip_rate):
     _assert_every_class(*_check_scalar_reference(4, 200, flip_rate))
 
 
-def _check_full_protocol_round(seed, batch, flip_rate):
+class _Replay:
+    def __init__(self, *strings):
+        self.queue = list(strings)
+
+    def bits(self, count):
+        value = self.queue.pop(0)
+        assert len(value) == count
+        return value
+
+
+def _protocol_rounds(xi, mu, k_prime, r, z, flips):
+    """Bob's decryption of each row's round through the real pipeline:
+    `alice_encrypt`, the row's flips on the wire, `bob_decrypt`."""
     params = _FUZZ_PARAMS
-
-    class _Replay:
-        def __init__(self, *strings):
-            self.queue = list(strings)
-
-        def bits(self, count):
-            value = self.queue.pop(0)
-            assert len(value) == count
-            return value
-
-    xi, mu, k_prime, r, z, flips = _draw_fuzz_inputs(seed, batch, flip_rate=flip_rate)
-    out = _fuzz_batch_packed(xi, mu, k_prime, r, z, flips)
     template = KeyState.random(params, RandomSource(6).stream("keys"))
     code = make_code(CodeKind.IDENTITY, params)
-    for i in range(batch):
+    for i in range(len(xi)):
         keys = replace(
             template,
             xi=MacKey(BitString.from_int(int(xi[i]), 64)),
@@ -243,7 +245,13 @@ def _check_full_protocol_round(seed, batch, flip_rate):
         src = _Replay(BitString(r[i]), BitString(k_prime[i]))
         qubits, secrets = alice_encrypt(params, keys, BitString(mu[i]), src, code)
         tampered = apply_error_pattern(qubits, BitString(flips[i]))
-        dec = bob_decrypt(params, keys, tampered, code)
+        yield bob_decrypt(params, keys, tampered, code)
+
+
+def _check_full_protocol_round(seed, batch, flip_rate):
+    xi, mu, k_prime, r, z, flips = _draw_fuzz_inputs(seed, batch, flip_rate=flip_rate)
+    out = _fuzz_batch_packed(xi, mu, k_prime, r, z, flips)
+    for i, dec in enumerate(_protocol_rounds(xi, mu, k_prime, r, z, flips)):
         assert dec.omega == int(out["omega"][i])
         if dec.omega:
             assert (dec.mu_hat != BitString(mu[i])) == bool(out["plaintext_changed"][i])
@@ -261,6 +269,86 @@ def test_fuzz_batch_matches_full_protocol_round_at_low_flip_rates(flip_rate):
     """Rows that Bob accepts, where the protocol's `dec.omega` arm compares
     the recovered plaintext too."""
     _assert_every_class(*_check_full_protocol_round(5, 120, flip_rate))
+
+
+@pytest.mark.parametrize("flip_rate", [0.002, 0.3])
+def test_fuzz_batch_reports_forgeries(flip_rate):
+    """At lambda 64 no drawn row reaches a changed message that Bob accepts
+    (chance about 2^-63). Setting a row's tag flips to the error polynomial
+    of its nonzero message flips builds one: Bob's tag of the changed
+    message then equals the changed tag, in the batch and in the real
+    round alike."""
+    params = _FUZZ_PARAMS
+    message_bits = params.mu_bits + params.tag_bits
+    xi, mu, k_prime, r, z, flips = _draw_fuzz_inputs(7, 60, flip_rate=flip_rate)
+    message_flips = flips[:, :message_bits]
+    # Every fourth row flips k' only, in its last block; a row left without
+    # message flips gets one in mu, in its first block.
+    message_flips[::4, : params.mu_bits] = 0
+    message_flips[::4, message_bits - 1] = 1
+    message_flips[~message_flips.any(axis=1), 0] = 1
+    message = np.concatenate([mu, k_prime], axis=1)
+    error = mac64_words_bitserial(xi, message ^ message_flips) ^ mac64_words_bitserial(xi, message)
+    flips[:, message_bits : message_bits + 64] = np.unpackbits(
+        error.astype(">u8").view(np.uint8)).reshape(len(xi), 64)
+
+    out = _fuzz_batch_packed(xi, mu, k_prime, r, z, flips)
+    mu_flips = message_flips[:, : params.mu_bits]
+    mu_flipped = mu_flips.any(axis=1)
+    assert mu_flipped.any() and not mu_flipped.all()
+    assert out["omega"].all() and out["message_changed"].all()
+    assert np.array_equal(out["plaintext_changed"], mu_flipped)
+    for i, dec in enumerate(_protocol_rounds(xi, mu, k_prime, r, z, flips)):
+        assert dec.omega == 1
+        assert dec.mu_hat == BitString(mu[i] ^ mu_flips[i])
+
+
+def _packed_rows(src, rows, bits, flip_rate=None):
+    """Packed rows of uniform bits, or of flips at `flip_rate`."""
+    if flip_rate is None:
+        drawn = src.bit_array(rows * bits)
+    else:
+        drawn = src.bernoulli(flip_rate, rows * bits)
+    return np.packbits(drawn.reshape(rows, bits), axis=1)
+
+
+@given(st.lists(_WORDS, max_size=60), st.sampled_from([0.0, 0.002, 0.3, 1.0]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_batch_matches_two_tag_reference(keys, flip_rate, seed):
+    """The error-polynomial check gives Alice's-tag-and-Bob's-check
+    verdicts on every row."""
+    params = _FUZZ_PARAMS
+    xi = np.array(keys, dtype=np.uint64)
+    rows = len(xi)
+    src = RandomSource(seed, "reference")
+    mu = _packed_rows(src, rows, params.mu_bits)
+    k_prime = _packed_rows(src, rows, params.tag_bits)
+    flips = _packed_rows(src, rows, params.n, flip_rate)
+    got = fuzz_batch(xi, flips)
+    want = fuzz_batch_two_tags(xi, mu, k_prime, flips)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+@given(st.data(), st.integers(0, 6), st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_error_polynomial_is_the_tag_difference(data, extra_rows, length):
+    """Tags of equal-length messages m ^ e and m differ by the error
+    polynomial of e: the length block cancels."""
+    keys = _EDGE_WORDS + data.draw(st.lists(_WORDS, min_size=extra_rows, max_size=extra_rows))
+    keys = np.array(keys, dtype=np.uint64)
+    m = _bit_matrix(data.draw, len(keys), length)
+    e = _bit_matrix(data.draw, len(keys), length)
+    got = _error_polynomial(gf64_key_tables(keys), np.packbits(e, axis=1))
+    for key, m_row, e_row, value in zip(keys, m, e, got):
+        if key == 0:
+            assert value == 0  # the zero key tags every message 0
+            continue
+        mac = MacKey(BitString.from_int(int(key), 64))
+        expected = mac_tag(mac, BitString(m_row ^ e_row)) ^ mac_tag(mac, BitString(m_row))
+        assert int(value) == expected.to_int()
 
 
 def test_tamper_fuzz_million_rounds_no_false_accepts():
