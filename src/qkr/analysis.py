@@ -356,7 +356,7 @@ def diamond_bound(budget: SecurityBudget) -> BoundReport:
         log2_term_reject=log2_reject,
         log2_term_accept=log2_accept,
         log2_total=log2_total,
-        total=min(max(total, 0.0), 1.0),
+        total=total,
         accept_capped_by_p_corr=capped,
         p_corr=pc,
     )

@@ -360,7 +360,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         "seed": int(values["seed"]),
         "rounds_file": out_path,
     }
-    print(_dump({"config": config_echo, "summary": session.summary.to_json()}))
+    print(_dump({"config": config_echo, "summary": dataclasses.asdict(session.summary)}))
     return 0
 
 

@@ -71,14 +71,6 @@ class DecodeOutcome:
     def ok(self) -> bool:
         return self.payload is not None
 
-    @classmethod
-    def success(cls, payload: BitString) -> "DecodeOutcome":
-        return cls(payload)
-
-    @classmethod
-    def failure(cls) -> "DecodeOutcome":
-        return cls(None)
-
 
 class Code:
     """Encode/decode behind one CodeSpec."""
@@ -108,7 +100,7 @@ class IdentityCode(Code):
         return payload
 
     def _decode(self, received):
-        return DecodeOutcome.success(received)
+        return DecodeOutcome(received)
 
 
 class Repetition3Code(Code):
@@ -119,7 +111,7 @@ class Repetition3Code(Code):
         k = self.spec.k_in
         copies = received.bits.reshape(3, k)
         majority = (copies.sum(axis=0) >= 2).astype(np.uint8)
-        return DecodeOutcome.success(BitString._trusted(majority, 2))
+        return DecodeOutcome(BitString._trusted(majority, 2))
 
 
 class OracleBddCode(Code):
@@ -149,8 +141,8 @@ class OracleBddCode(Code):
             raise RuntimeError("oracle decoder has no transmitted codeword registered")
         distance = int(np.bitwise_xor(received.bits, self._transmitted.bits).sum())
         if distance <= self.spec.t:
-            return DecodeOutcome.success(self._transmitted[: self.spec.k_in])
-        return DecodeOutcome.failure()
+            return DecodeOutcome(self._transmitted[: self.spec.k_in])
+        return DecodeOutcome(None)
 
 
 def make_code(kind: CodeKind, params: ProtocolParams) -> Code:

@@ -83,7 +83,7 @@ from operator import xor
 
 import numpy as np
 
-from .primitives import BasisString, BitString, RandomSource, TritString, _value_array
+from .primitives import BasisString, BitString, RandomSource, _value_array
 
 __all__ = [
     "REDUCTION_POLYS",
@@ -100,7 +100,6 @@ __all__ = [
     "FFT_MIN_MUL_ADDS",
     "ToeplitzSeed",
     "f_seed_shapes",
-    "g_seed_shape",
     "random_f_seed",
     "random_g_seed",
     "hash_F",
@@ -412,32 +411,6 @@ class ToeplitzSeed:
     def __repr__(self) -> str:
         return f"ToeplitzSeed(modulus={self.modulus}, in_len={self.in_len}, out_len={self.out_len})"
 
-    def to_json(self) -> dict:
-        if self.modulus == 2:
-            diagonal = BitString(self.diagonal).to_hex()
-            offset = BitString(self.offset).to_hex()
-        else:
-            diagonal = TritString(self.diagonal).to_text()
-            offset = TritString(self.offset).to_text()
-        return {
-            "modulus": self.modulus,
-            "in_len": self.in_len,
-            "out_len": self.out_len,
-            "diagonal": diagonal,
-            "offset": offset,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ToeplitzSeed":
-        in_len, out_len = data["in_len"], data["out_len"]
-        if data["modulus"] == 2:
-            diag = BitString.from_hex(data["diagonal"], in_len + out_len - 1).bits
-            off = BitString.from_hex(data["offset"], out_len).bits
-        else:
-            diag = TritString.from_text(data["diagonal"]).trits
-            off = TritString.from_text(data["offset"]).trits
-        return cls(data["modulus"], in_len, out_len, diag, off)
-
 
 # The two bits of each symbol of the three-letter basis alphabet.
 _TRIT_BITS = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.uint8)
@@ -467,10 +440,6 @@ def f_seed_shapes(n: int, kappa: int, alphabet_size: int) -> tuple[tuple[int, in
     return (n + n * bits_per_symbol + kappa, n), (2 * n + kappa, n)
 
 
-def g_seed_shape(n: int, q_bits: int) -> tuple[int, int]:
-    return (n + q_bits, n)
-
-
 def random_f_seed(
     src: RandomSource, n: int, kappa: int, alphabet_size: int
 ) -> tuple[ToeplitzSeed, ToeplitzSeed]:
@@ -482,8 +451,7 @@ def random_f_seed(
 
 
 def random_g_seed(src: RandomSource, n: int, q_bits: int, alphabet_size: int) -> ToeplitzSeed:
-    in_len, out_len = g_seed_shape(n, q_bits)
-    return ToeplitzSeed.random(src, alphabet_size, in_len, out_len)
+    return ToeplitzSeed.random(src, alphabet_size, n + q_bits, n)
 
 
 def hash_F(

@@ -7,7 +7,7 @@ class holds the symbols in a read-only uint8 array and defines length,
 indexing, slicing, concatenation, equality, hashing and digit text; the
 public `BitString`, `TritString` and `BasisString` are thin subclasses.
 Symbols are range-checked once, where they enter from outside (the public
-constructors, `from_text`, `from_hex`, `from_int`); values derived inside
+constructors, `from_text`, `from_int`); values derived inside
 the package (xor, concatenation, slices, random draws, hash outputs) are
 valid by construction and skip the check.
 
@@ -120,7 +120,7 @@ class _SymbolString:
 
 
 class BitString(_SymbolString):
-    """Immutable sequence over {0,1}. XOR, concatenation, slicing, hex I/O."""
+    """Immutable sequence over {0,1}. XOR, concatenation, slicing, hex output."""
 
     __slots__ = ()
 
@@ -140,10 +140,6 @@ class BitString(_SymbolString):
         nbytes = (length + 7) // 8
         bits = np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))
         return cls._trusted(bits[8 * nbytes - length :], 2)
-
-    @classmethod
-    def from_hex(cls, text: str, length: int) -> "BitString":
-        return cls.from_int(int(text, 16) if text else 0, length)
 
     @property
     def bits(self) -> np.ndarray:
@@ -308,16 +304,6 @@ class RandomSource:
         """`count` bits, each word's bits most significant first."""
         words = self.raw_words((count + 63) // 64)
         return np.unpackbits(words.astype(">u8").view(np.uint8), count=count)
-
-    def packed_bits(self, count: int) -> np.ndarray:
-        """`np.packbits(bit_array(count))` from the same words: their
-        big-endian bytes, cut to ceil(count / 8), the bits past `count` in
-        the last byte zeroed."""
-        packed = self.raw_words((count + 63) // 64).astype(">u8").view(np.uint8)
-        packed = packed[: (count + 7) // 8]
-        if count % 8:
-            packed[-1] &= (0xFF << (8 - count % 8)) & 0xFF
-        return packed
 
     def bits(self, count: int) -> BitString:
         return BitString._trusted(self.bit_array(count), 2)

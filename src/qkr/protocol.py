@@ -28,7 +28,7 @@ feedback check: a tag computed with the shared key always verifies.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -179,9 +179,6 @@ class SessionSummary:
     mismatches: int
     errors_injected: int
     key_agreement: bool
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,6 @@ class QubitSequence:
         return seq
 
     @property
-    def alphabet_size(self) -> int:
-        return self._bases.alphabet_size
-
-    @property
     def bases(self) -> np.ndarray:
         return self._bases.symbols
 
@@ -98,7 +94,7 @@ def transmit(channel: ChannelModel, qubits: QubitSequence, src: RandomSource) ->
         payloads = np.bitwise_xor(qubits.payloads, flips.astype(np.uint8))
     else:
         attacked = src.bernoulli(channel.eta, n)
-        eve_bases = src.integers_below(qubits.alphabet_size, n)
+        eve_bases = src.integers_below(qubits.basis_string().alphabet_size, n)
         coins = src.bit_array(n)
         same_basis = eve_bases == qubits.bases
         # Matching basis: the payload survives Eve's measure-and-resend.

@@ -28,7 +28,7 @@ def test_identity_code_examples():
     code = make_code(CodeKind.IDENTITY, PARAMS_IDENTITY)
     payload = RandomSource(1).bits(40)
     assert code.encode(payload) == payload
-    assert code.decode(payload) == DecodeOutcome.success(payload)
+    assert code.decode(payload) == DecodeOutcome(payload)
 
     from qkr.ecc import IdentityCode
 
@@ -61,7 +61,7 @@ def test_repetition3_corrects_one_flip_per_triple_exhaustively(k_in):
                 if copy >= 0:
                     pattern[copy * k_in + pos] = 1
             received = word ^ BitString(pattern)
-            assert code.decode(received) == DecodeOutcome.success(payload)
+            assert code.decode(received) == DecodeOutcome(payload)
 
 
 def test_oracle_threshold_behavior():
@@ -72,9 +72,9 @@ def test_oracle_threshold_behavior():
     t = code.spec.t
     flips = np.zeros(64, dtype=np.uint8)
     flips[: t + 1] = 1
-    assert code.decode(word ^ BitString(flips)) == DecodeOutcome.failure()
+    assert code.decode(word ^ BitString(flips)) == DecodeOutcome(None)
     flips[t] = 0
-    assert code.decode(word ^ BitString(flips)) == DecodeOutcome.success(payload)
+    assert code.decode(word ^ BitString(flips)) == DecodeOutcome(payload)
 
 
 def test_oracle_requires_registered_codeword():
@@ -111,7 +111,7 @@ def test_systematic_prefix_and_roundtrip_all_kinds():
             assert word[: code.spec.k_in] == payload
             if kind is CodeKind.ORACLE:
                 code.note_transmitted(word)
-            assert code.decode(word) == DecodeOutcome.success(payload)
+            assert code.decode(word) == DecodeOutcome(payload)
 
 
 def test_length_contracts():

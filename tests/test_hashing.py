@@ -150,13 +150,6 @@ def test_g_toy_output_uniform_over_seeds_for_each_q():
         assert np.all(counts == outputs.shape[0] // 3)
 
 
-def test_seed_json_roundtrip():
-    src = RandomSource(3).stream("seeds")
-    for modulus in (2, 3):
-        seed = ToeplitzSeed.random(src, modulus, 7, 4)
-        assert ToeplitzSeed.from_json(seed.to_json()) == seed
-
-
 @st.composite
 def _toeplitz_shapes(draw):
     """(modulus, in_len, out_len) with in_len <= 6000 and out_len <= 3000,
@@ -183,14 +176,14 @@ def test_toeplitz_apply_matches_exact_product(shape, seed_value, all_max):
     modulus, in_len, out_len = shape
     src = RandomSource(seed_value, "toeplitz-property")
     seed = ToeplitzSeed.random(src, modulus, in_len, out_len)
-    before, before_json = ToeplitzSeed.from_json(seed.to_json()), seed.to_json()
+    # The constructor copies the arrays, so `before` keeps the seed as drawn.
+    before = ToeplitzSeed(modulus, in_len, out_len, seed.diagonal, seed.offset)
     # The largest symbols give the largest sums; the second input reuses
     # the spectrum cached by the first.
     first = np.full(in_len, modulus - 1) if all_max else src.integers_below(modulus, in_len)
     for values in (first, src.integers_below(modulus, in_len)):
         assert np.array_equal(seed.apply(values), toeplitz_apply_int(seed, values))
     assert seed == before
-    assert seed.to_json() == before_json
 
 
 def test_fft_length_is_smallest_5_smooth_at_least_length():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -23,3 +24,16 @@ def test_src_imports_only_stdlib_and_numpy():
                 continue
             stray += [(path.name, name) for name in names if name.split(".")[0] not in _ALLOWED]
     assert stray == []
+
+
+def test_every_exported_name_is_defined():
+    """Every `__all__` entry of every `src/qkr` module resolves: a stale
+    entry makes `from qkr.<module> import *` raise."""
+    sources = sorted((Path(__file__).parents[1] / "src" / "qkr").glob("*.py"))
+    assert sources
+    missing = []
+    for path in sources:
+        name = "qkr" if path.stem == "__init__" else f"qkr.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [(name, entry) for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert missing == []

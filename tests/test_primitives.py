@@ -52,10 +52,10 @@ def test_bit_order_is_msb_first():
 def test_hex_roundtrip_left_padded():
     s = BitString.from_text("0000101")
     assert s.to_hex() == "05"
-    assert BitString.from_hex("05", 7) == s
+    assert BitString.from_int(0x05, 7) == s
     assert BitString.zeros(12).to_hex() == "000"
     with pytest.raises(ValueError):
-        BitString.from_hex("ff", 7)
+        BitString.from_int(0xFF, 7)
 
 
 @given(st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
@@ -65,7 +65,9 @@ def test_hex_and_int_roundtrip_property(case):
     s = BitString.from_int(value, length)
     assert len(s) == length
     assert s.to_int() == value
-    assert BitString.from_hex(s.to_hex(), length) == s
+    text = s.to_hex()
+    assert len(text) == max(1, -(-length // 4))
+    assert int(text, 16) == value
 
 
 def test_concatenation_and_slicing():
@@ -272,24 +274,6 @@ def test_integers_below_matches_column_loop(seed, calls):
     for bound, count in calls:
         got = new.integers_below(bound, count)
         want = integers_below_column_loop(old, bound, count)
-        assert got.dtype == want.dtype == np.uint8
-        assert np.array_equal(got, want)
-        assert np.array_equal(new.raw_words(2), old.raw_words(2))
-
-
-_PACKED_COUNTS = st.sampled_from([0, 1, 7, 9, 63, 65, 129, 152]) | st.integers(0, 5000)
-
-
-@given(st.integers(0, 2**64 - 1), st.lists(_PACKED_COUNTS, min_size=1, max_size=4))
-@settings(max_examples=200, deadline=None)
-def test_packed_bits_match_packed_bit_array(seed, counts):
-    """The bytes `np.packbits` makes of the same draw by `bit_array`, and
-    the same next words."""
-    new = RandomSource(seed, "packed")
-    old = RandomSource(seed, "packed")
-    for count in counts:
-        got = new.packed_bits(count)
-        want = np.packbits(old.bit_array(count))
         assert got.dtype == want.dtype == np.uint8
         assert np.array_equal(got, want)
         assert np.array_equal(new.raw_words(2), old.raw_words(2))

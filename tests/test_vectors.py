@@ -22,29 +22,42 @@ def _vectors():
         return [json.loads(line) for line in fh]
 
 
+def _hex_bits(text, length):
+    return BitString.from_int(int(text, 16), length)
+
+
+def _seed(data):
+    """A vector's Toeplitz seed through the validating constructor: GF(2)
+    parts are hex, GF(3) parts digits."""
+    modulus, in_len, out_len = data["modulus"], data["in_len"], data["out_len"]
+
+    def part(text, length):
+        return _hex_bits(text, length).bits if modulus == 2 else [int(c) for c in text]
+
+    diagonal = part(data["diagonal"], in_len + out_len - 1)
+    return ToeplitzSeed(modulus, in_len, out_len, diagonal, part(data["offset"], out_len))
+
+
 @pytest.mark.parametrize(
     "vector", _vectors(), ids=lambda v: f"{v['op']}-{v.get('n', v.get('tag_bits'))}"
 )
 def test_hash_vectors(vector):
     if vector["op"] == "hash_F":
-        u = (
-            ToeplitzSeed.from_json(vector["seed_mask"]),
-            ToeplitzSeed.from_json(vector["seed_basis"]),
-        )
-        x = BitString.from_hex(vector["x"], vector["n"])
+        u = (_seed(vector["seed_mask"]), _seed(vector["seed_basis"]))
+        x = _hex_bits(vector["x"], vector["n"])
         b = BasisString.from_text(vector["b"], vector["alphabet_size"])
-        r = BitString.from_hex(vector["r"], vector["kappa"])
+        r = _hex_bits(vector["r"], vector["kappa"])
         new_z, new_b = hash_F(u, x, b, r)
         assert new_z.to_hex() == vector["expect_z"]
         assert new_b.to_text() == vector["expect_b"]
     elif vector["op"] == "hash_G":
-        v = ToeplitzSeed.from_json(vector["seed"])
+        v = _seed(vector["seed"])
         b = BasisString.from_text(vector["b"], vector["alphabet_size"])
-        q = BitString.from_hex(vector["q"], vector["q_bits"])
+        q = _hex_bits(vector["q"], vector["q_bits"])
         assert hash_G(v, b, q).to_text() == vector["expect_b"]
     else:
-        key = MacKey(BitString.from_hex(vector["key"], vector["tag_bits"]))
-        msg = BitString.from_hex(vector["message"], vector["message_bits"])
+        key = MacKey(_hex_bits(vector["key"], vector["tag_bits"]))
+        msg = _hex_bits(vector["message"], vector["message_bits"])
         assert mac_tag(key, msg).to_hex() == vector["expect_tag"]
 
 
@@ -54,7 +67,7 @@ def test_bitserial_oracle_mac_reproduces_golden_tags():
     macs = [v for v in _vectors() if v["op"] == "mac"]
     assert macs
     for vector in macs:
-        bits = BitString.from_hex(vector["message"], vector["message_bits"]).bits
+        bits = _hex_bits(vector["message"], vector["message_bits"]).bits
         key = int(vector["key"], 16)
         tag = polynomial_mac_bitserial(key, bits, vector["tag_bits"])
         assert BitString.from_int(tag, vector["tag_bits"]).to_hex() == vector["expect_tag"]
