@@ -277,13 +277,8 @@ def rate_threshold_6state() -> float:
 
 @dataclass(frozen=True)
 class SecurityBudget:
-    """Inputs to the distinguishability bound.
+    """Inputs to the distinguishability bound."""
 
-    alpha is the target security level in bits: the bound should come out at
-    or below 2^-alpha.
-    """
-
-    alpha: float
     tag_bits: int
     n: int
     kappa: int
@@ -292,8 +287,6 @@ class SecurityBudget:
     q_bits: int
 
     def __post_init__(self):
-        if self.alpha < 1:
-            raise ValueError("alpha must be at least 1")
         if not 0.0 <= self.gamma < 0.5:
             raise ValueError("gamma must lie in [0, 1/2)")
         if self.n < 1 or self.kappa < 0 or self.q_bits < 1 or self.tag_bits < 1:

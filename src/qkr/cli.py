@@ -85,14 +85,16 @@ def _integer(raw) -> int:
 _integer.__name__ = "int"
 
 
-def _int_at_least(low: int):
-    def convert(text) -> int:
-        value = _integer(text)
+def _at_least(low: int, read=_integer):
+    """`read`, refusing values below `low`; argparse names it as `read`."""
+
+    def convert(text):
+        value = read(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
         return value
 
-    convert.__name__ = "int"
+    convert.__name__ = read.__name__
     return convert
 
 
@@ -112,18 +114,18 @@ def _name_of(enum_cls, what: str):
 
 # How each field is read, from a flag or from the config file.
 _FIELD_TYPES = {
-    "n": _int_at_least(1),
+    "n": _at_least(1),
     "ell": _integer,
     "kappa": _integer,
     "lambda": _integer,
     "beta": _finite_float,
     "gamma": _probability,
     "eta": _probability,
-    "alpha": _finite_float,
+    "alpha": _at_least(1, _finite_float),
     "q_bits": _integer,
     "encoding": _name_of(Encoding, "encoding"),
     "code": _name_of(CodeKind, "code"),
-    "rounds": _int_at_least(1),
+    "rounds": _at_least(1),
     "seed": _integer,
     "out": str,
 }
@@ -267,7 +269,6 @@ def resolve_params(values: dict) -> tuple[ProtocolParams, CodeKind]:
 def resolve_budget(values: dict) -> SecurityBudget:
     try:
         return SecurityBudget(
-            alpha=float(values["alpha"]),
             tag_bits=_tag_bits(values["lambda"]),
             n=_run_size("n", int(values["n"])),
             kappa=_size(values, "kappa", _default_kappa),
@@ -301,15 +302,11 @@ def _emit(text: str, path) -> None:
         raise UsageError(f"out: cannot write {path}: {exc}") from exc
 
 
-def _rounds_text(results) -> str:
-    """The rounds file: one JSON object per round, with the bytes that
-    `json.dumps(..., sort_keys=True)` gives (keys sorted, ", " and ": "
+def _round_line(result) -> str:
+    """One line of the rounds file: the round's JSON object, with the bytes
+    that `json.dumps(..., sort_keys=True)` gives (keys sorted, ", " and ": "
     separators), formatted directly. Every value is an int, a hex string
     or null, so nothing needs escaping."""
-    return "".join(map(_round_line, results))
-
-
-def _round_line(result) -> str:
     mu_hat = result.mu_hat
     if mu_hat is None:
         mu_fields = '"mu_hat": null, "mu_hat_bits": null'
@@ -337,7 +334,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         int(values["seed"]),
         reservoir_capacity=ns.reservoir_capacity,
     )
-    _emit(_rounds_text(session.results), out_path)
+    _emit("".join(map(_round_line, session.results)), out_path)
     if session.exhausted is not None:
         print(
             f"error: {session.exhausted}; {len(session.results)} of {rounds} rounds completed",
@@ -364,49 +361,33 @@ def cmd_run(ns: argparse.Namespace) -> int:
     return 0
 
 
-_SWEEP_COLUMNS = [
-    "rate",
-    "p_corr",
-    "log2_bound_total",
-    "log2_term_tag",
-    "log2_term_reject",
-    "log2_term_accept",
-]
-
-
-def _sweep_rows(variable: str, start: float, stop: float, steps: int, budget: SecurityBudget):
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    variable, start, stop, steps = ns.variable, ns.start, ns.stop, ns.steps
+    # Every row sets the swept gamma or q_bits; the base n sizes kappa and q_bits.
+    if variable != "n" and getattr(ns, variable) is not None:
+        flag = "--" + variable.replace("_", "-")
+        raise UsageError(f"{flag}: not read by sweep {variable}, which sets it on every row")
+    values = _merged(ns)
+    budget = resolve_budget(values)
     if variable == "n":
         # The grid is monotone, so its largest n is at an end; the last point
         # is computed as start + (stop - start), which need not equal stop.
         _run_size("n", int(round(max(start, start + (stop - start)))))
+    lines = [f"{variable},rate,p_corr,log2_bound_total,log2_term_tag,log2_term_reject,"
+             "log2_term_accept"]
     for i in range(steps):
         value = start + i / (steps - 1) * (stop - start)
         if variable != "gamma":
             value = int(round(value))
         try:
             point = dataclasses.replace(budget, **{variable: value})
-            rate = asymptotic_rate_6state(point.gamma)
             report = diamond_bound(point)
         except ValueError as exc:
             print(f"note: skipping {variable}={value}: {exc}", file=sys.stderr)
             continue
-        yield value, [
-            rate,
-            report.p_corr,
-            report.log2_total,
-            report.log2_term_tag,
-            report.log2_term_reject,
-            report.log2_term_accept,
-        ]
-
-
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    values = _merged(ns)
-    budget = resolve_budget(values)
-    lines = [",".join([ns.variable] + _SWEEP_COLUMNS)]
-    for value, columns in _sweep_rows(ns.variable, ns.start, ns.stop, ns.steps, budget):
-        cells = [f"{value:.10g}"] + [f"{c:.10g}" for c in columns]
-        lines.append(",".join(cells))
+        row = [value, asymptotic_rate_6state(point.gamma), report.p_corr, report.log2_total,
+               report.log2_term_tag, report.log2_term_reject, report.log2_term_accept]
+        lines.append(",".join(f"{cell:.10g}" for cell in row))
     _emit("\n".join(lines) + "\n", values["out"])
     return 0
 
@@ -454,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a simulated session")
     p_run.add_argument("--config", help="JSON file mirroring the flags")
-    p_run.add_argument("--reservoir-capacity", dest="reservoir_capacity", type=_int_at_least(0))
+    p_run.add_argument("--reservoir-capacity", dest="reservoir_capacity", type=_at_least(0))
     _add_common(p_run, _FIELD_TYPES)
     p_run.set_defaults(func=cmd_run)
 
@@ -462,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("variable", choices=["gamma", "n", "q_bits"])
     p_sweep.add_argument("--start", type=_finite_float, required=True)
     p_sweep.add_argument("--stop", type=_finite_float, required=True)
-    p_sweep.add_argument("--steps", type=_int_at_least(2), required=True)
+    p_sweep.add_argument("--steps", type=_at_least(2), required=True)
     _add_common(p_sweep, _SWEEP_FIELDS)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -470,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = p_attack.add_subparsers(dest="attack_kind", required=True)
 
     p_intercept = kinds.add_parser("intercept_resend", help="measure induced errors")
-    p_intercept.add_argument("--qubits", type=_int_at_least(1), default=100000)
+    p_intercept.add_argument("--qubits", type=_at_least(1), default=100000)
     _add_common(p_intercept, _INTERCEPT_FIELDS)
     p_intercept.set_defaults(func=cmd_intercept_resend)
 

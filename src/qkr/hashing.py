@@ -336,6 +336,8 @@ class ToeplitzSeed:
     def __init__(self, modulus: int, in_len: int, out_len: int, diagonal, offset):
         if modulus not in (2, 3):
             raise ValueError("modulus must be 2 or 3")
+        if in_len < 1 or out_len < 1:
+            raise ValueError("in_len and out_len must be at least 1")
         diag = _value_array(diagonal, modulus, "Toeplitz diagonal")
         off = _value_array(offset, modulus, "Toeplitz offset")
         if diag.shape != (in_len + out_len - 1,):

@@ -111,7 +111,7 @@ def _p_corr_mp(n, beta, gamma):
     return mp.fsum(mp.binomial(n, c) * g**c * (1 - g) ** (n - c) for c in range(t + 1))
 
 
-def diamond_bound_log2_mp(alpha, tag_bits, n, kappa, gamma, beta, q_bits, dps=60):
+def diamond_bound_log2_mp(tag_bits, n, kappa, gamma, beta, q_bits, dps=60):
     """High-precision recomputation of the distinguishability bound, done in
     plain linear arithmetic; returns log2 of the total."""
     with mp.workdps(dps):
@@ -320,7 +320,7 @@ def run_session_two_party(
 
 def rounds_text_json(results) -> str:
     """The rounds file as a dict per round serialized by `json.dumps` with
-    sorted keys; `cli._rounds_text` formats the same bytes directly."""
+    sorted keys; `cli._round_line` formats each line's bytes directly."""
 
     def round_json(result) -> dict:
         mu_hat = result.mu_hat
@@ -638,7 +638,6 @@ def resolve_budget(values: dict) -> SecurityBudget:
         raise UsageError(f"lambda: must be one of {sorted(REDUCTION_POLYS)}, got {lam}")
     try:
         return SecurityBudget(
-            alpha=alpha,
             tag_bits=lam,
             n=n,
             kappa=_sized_by_alpha(_default_kappa, n, alpha) if kappa is None else int(kappa),

@@ -182,9 +182,9 @@ def test_criterion_07_bound_dual_route():
     for n in (64, 256, 1024, 4096, 10000):
         for gamma in (0.0, 0.01, 0.05, 0.11, 0.249):
             for kw in (
-                dict(alpha=64, tag_bits=64, n=n, kappa=n // 4, gamma=gamma,
+                dict(tag_bits=64, n=n, kappa=n // 4, gamma=gamma,
                      beta=0.125, q_bits=min_q_bits(n, 64)),
-                dict(alpha=8, tag_bits=8, n=n,
+                dict(tag_bits=8, n=n,
                      kappa=math.ceil(2 * (8 + 15 * math.log2(n + 1))), gamma=gamma,
                      beta=0.3, q_bits=64),
             ):
@@ -196,7 +196,7 @@ def test_criterion_07_bound_dual_route():
                 assert rel < 1e-9
 
     report = diamond_bound(
-        SecurityBudget(alpha=64, tag_bits=64, n=1024, kappa=256, gamma=0.05,
+        SecurityBudget(tag_bits=64, n=1024, kappa=256, gamma=0.05,
                        beta=0.125, q_bits=427)
     )
     expected_reject = 15 * math.log2(1025) - 1 - 427 / 2

@@ -362,7 +362,7 @@ def test_rate_threshold_bisection_vs_grid_scan():
 
 
 def _budget(**kw):
-    base = dict(alpha=64, tag_bits=64, n=1024, kappa=429, gamma=0.0, beta=0.125, q_bits=427)
+    base = dict(tag_bits=64, n=1024, kappa=429, gamma=0.0, beta=0.125, q_bits=427)
     base.update(kw)
     return SecurityBudget(**base)
 
@@ -385,7 +385,7 @@ def test_bound_secure_parameter_example():
     n = 1024
     kappa = math.ceil(2 * (alpha + 15 * math.log2(n + 1)))
     q_bits = min_q_bits(n, alpha)
-    budget = _budget(alpha=alpha, n=n, kappa=kappa, q_bits=q_bits, tag_bits=128)
+    budget = _budget(n=n, kappa=kappa, q_bits=q_bits, tag_bits=128)
     report = diamond_bound(budget)
     assert report.log2_total <= -alpha + 2
     assert report.total <= 2.0 ** (-alpha + 2)
@@ -432,7 +432,6 @@ def _bound_grid():
         for gamma in (0.0, 0.01, 0.05, 0.11, 0.249):
             points.append(
                 dict(
-                    alpha=64,
                     tag_bits=64,
                     n=n,
                     kappa=n // 4,
@@ -443,7 +442,6 @@ def _bound_grid():
             )
             points.append(
                 dict(
-                    alpha=8,
                     tag_bits=8,
                     n=n,
                     kappa=math.ceil(2 * (8 + 15 * math.log2(n + 1))),
@@ -470,8 +468,6 @@ def test_bound_dual_route_high_precision_agreement():
 def test_budget_validation():
     with pytest.raises(ValueError):
         _budget(gamma=0.5)
-    with pytest.raises(ValueError):
-        _budget(alpha=0)
     with pytest.raises(ValueError):
         _budget(q_bits=0)
 

@@ -185,7 +185,7 @@ def test_rounds_text_matches_json_dumps(rounds, seed):
         )
         for mu_bits, tau_bits, consumed, errors in rounds
     ]
-    assert cli._rounds_text(results) == oracles.rounds_text_json(results)
+    assert "".join(map(cli._round_line, results)) == oracles.rounds_text_json(results)
 
 
 def test_rounds_text_matches_json_dumps_on_a_session():
@@ -193,7 +193,7 @@ def test_rounds_text_matches_json_dumps_on_a_session():
         ProtocolParams(n=64, ell=37, kappa=20, tag_bits=8, beta=0.125, q_bits=32),
         ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=0.3), CodeKind.ORACLE, 40, 3,
     )
-    text = cli._rounds_text(session.results)
+    text = "".join(map(cli._round_line, session.results))
     assert {'"mu_hat": null', '"omega": 1'} <= {
         field for line in text.splitlines() for field in line[1:-1].split(", ")
     }
@@ -441,6 +441,25 @@ def test_sweep_bytes_pinned_at_large_n(tmp_path, monkeypatch, stop, steps, csv_s
     assert hashlib.sha256((tmp_path / "f.csv").read_bytes()).hexdigest() == csv_sha256
 
 
+def test_sweep_q_bits_bytes_pinned(capsys):
+    """q_bits sweeps, which sweep_golden.csv does not cover, keep their bytes."""
+    code, stdout, _ = _run(capsys, "sweep", "q_bits", "--start", "100", "--stop", "400",
+                           "--steps", "4", "--n", "256")
+    assert code == 0
+    assert (hashlib.sha256(stdout.encode()).hexdigest()
+            == "b43ccc550e70ee1c7f20fd2ea5c1b5579acc31a9155744b3ce5b283c666403d7")
+
+
+def test_sweep_n_bytes_pinned_with_a_skipped_row(capsys):
+    """An n sweep from 0 skips n = 0 with one note and keeps its other rows."""
+    code, stdout, stderr = _run(capsys, "sweep", "n", "--start", "0", "--stop", "64",
+                                "--steps", "3")
+    assert code == 0
+    assert stderr == "note: skipping n=0: invalid budget sizes\n"
+    assert (hashlib.sha256(stdout.encode()).hexdigest()
+            == "60bbf1a8c8b681ec979078df6e72d79f98c43793a1c769e015374a147783f274")
+
+
 def test_sweep_n_keeps_the_base_kappa_and_q_bits(capsys):
     """`sweep n` derives kappa and q_bits once, from the base n (429 and 427
     at the default n = 1024), and evaluates every swept n with them."""
@@ -449,7 +468,7 @@ def test_sweep_n_keeps_the_base_kappa_and_q_bits(capsys):
     )
     assert code == 0
     report = diamond_bound(SecurityBudget(
-        alpha=64, tag_bits=64, n=10, kappa=429, gamma=0.05, beta=0.125, q_bits=427
+        tag_bits=64, n=10, kappa=429, gamma=0.05, beta=0.125, q_bits=427
     ))
     row = [10, asymptotic_rate_6state(0.05), report.p_corr, report.log2_total,
            report.log2_term_tag, report.log2_term_reject, report.log2_term_accept]
@@ -556,6 +575,17 @@ def test_bad_flags_exit_two(capsys):
         (None, ["run", "--n", "0", "--out", "{missing}/r.jsonl"]),
         (None, ["sweep", "n", "--start", "100", "--stop", "200", "--steps", "2", "--n", "-3"]),
         ({"n": 0}, ["run"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--gamma", "0.1"]),
+        (None, ["sweep", "q_bits", "--start", "100", "--stop", "400", "--steps", "4",
+                "--q-bits", "5"]),
+        (None, ["run", "--alpha", "0.5", "--q-bits", "100", "--rounds", "1",
+                "--out", "{missing}/r.jsonl"]),
+        (None, ["run", "--alpha", "0.5", "--kappa", "100", "--q-bits", "100", "--rounds", "1",
+                "--out", "{missing}/r.jsonl"]),
+        ({"alpha": 0.5, "q_bits": 100}, ["run"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--alpha", "0.5", "--kappa", "100", "--q-bits", "100"]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -571,7 +601,10 @@ def test_bad_flags_exit_two(capsys):
          "sweep-seed-unread", "fuzz-lambda-unread", "intercept-flip-rate-unread",
          "sweep-unsupported-lambda", "given-lambda-never-lowered", "intercept-n-unread",
          "intercept-session-rounds-unread", "intercept-gamma-unread", "n-zero",
-         "sweep-negative-n", "config-zero-n"],
+         "sweep-negative-n", "config-zero-n", "sweep-gamma-flag-unread",
+         "sweep-q-bits-flag-unread", "alpha-below-one-sizes-kappa",
+         "alpha-below-one-sizes-nothing", "config-alpha-below-one",
+         "sweep-alpha-below-one-sizes-nothing"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]

@@ -186,6 +186,18 @@ def test_toeplitz_apply_matches_exact_product(shape, seed_value, all_max):
     assert seed == before
 
 
+@pytest.mark.parametrize(
+    "in_len,out_len,diagonal,offset",
+    [(-1, 3, [0], [0, 0, 0]), (0, 3, [0, 1], [0, 0, 0]), (3, 0, [0, 1], [])],
+    ids=["negative-in", "empty-in", "empty-out"],
+)
+def test_toeplitz_seed_rejects_empty_shapes(in_len, out_len, diagonal, offset):
+    """Diagonal and offset lengths that match a shape with no input or no
+    output are still refused, at construction rather than inside apply."""
+    with pytest.raises(ValueError, match="in_len and out_len must be at least 1"):
+        ToeplitzSeed(2, in_len, out_len, diagonal, offset)
+
+
 def test_fft_length_is_smallest_5_smooth_at_least_length():
     smooth = sorted(
         2**a * 3**b * 5**c
