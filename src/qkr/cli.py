@@ -33,23 +33,6 @@ __all__ = ["main", "build_parser", "resolve_params", "resolve_budget"]
 EXIT_USAGE = 2
 EXIT_RESERVOIR = 3
 
-DEFAULTS = {
-    "n": 1024,
-    "ell": None,
-    "kappa": None,
-    "lambda": None,
-    "beta": 0.125,
-    "gamma": 0.0,
-    "eta": 0.0,
-    "alpha": 64,
-    "q_bits": None,
-    "encoding": "six-state",
-    "code": "oracle",
-    "rounds": 100,
-    "seed": 0,
-    "out": None,
-}
-
 _FALLBACK_TAGS = (64, 8)
 
 # Largest n, kappa or q_bits a run accepts, and the largest base n of a sweep.
@@ -60,41 +43,25 @@ class UsageError(Exception):
     pass
 
 
-def _finite_float(text) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
-    return value
+def _number(parse, low=None, high=None):
+    """`parse` (int or float) of flag text or of a JSON number, refusing in
+    turn: a JSON float for an int (int() would truncate 64.9), a value
+    outside [low, high], a float that is not finite, a value below `low`.
+    argparse names it as `parse`."""
 
-
-def _probability(text) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
-
-
-def _integer(raw) -> int:
-    """An integer from flag text or from a JSON number, which must be
-    integral: int() would truncate 64.9."""
-    if isinstance(raw, float):
-        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
-    return int(raw)
-
-
-_integer.__name__ = "int"
-
-
-def _at_least(low: int, read=_integer):
-    """`read`, refusing values below `low`; argparse names it as `read`."""
-
-    def convert(text):
-        value = read(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text!r}")
+    def convert(raw):
+        if parse is int and isinstance(raw, float):
+            raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
+        value = parse(raw)
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must lie in [{low}, {high}], got {raw!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be a finite number, got {raw!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {raw!r}")
         return value
 
-    convert.__name__ = read.__name__
+    convert.__name__ = parse.__name__
     return convert
 
 
@@ -112,23 +79,25 @@ def _name_of(enum_cls, what: str):
     return convert
 
 
-# How each field is read, from a flag or from the config file.
-_FIELD_TYPES = {
-    "n": _at_least(1),
-    "ell": _integer,
-    "kappa": _integer,
-    "lambda": _integer,
-    "beta": _finite_float,
-    "gamma": _probability,
-    "eta": _probability,
-    "alpha": _at_least(1, _finite_float),
-    "q_bits": _integer,
-    "encoding": _name_of(Encoding, "encoding"),
-    "code": _name_of(CodeKind, "code"),
-    "rounds": _at_least(1),
-    "seed": _integer,
-    "out": str,
+# Each field's default and how it is read, from a flag or from the config file.
+_FIELDS = {
+    "n": (1024, _number(int, low=1)),
+    "ell": (None, _number(int)),
+    "kappa": (None, _number(int)),
+    "lambda": (None, _number(int)),
+    "beta": (0.125, _number(float)),
+    "gamma": (0.0, _number(float, 0, 1)),
+    "eta": (0.0, _number(float, 0, 1)),
+    "alpha": (64, _number(float, low=1)),
+    "q_bits": (None, _number(int)),
+    "encoding": ("six-state", _name_of(Encoding, "encoding")),
+    "code": ("oracle", _name_of(CodeKind, "code")),
+    "rounds": (100, _number(int, low=1)),
+    "seed": (0, _number(int)),
+    "out": (None, str),
 }
+
+DEFAULTS = {key: default for key, (default, _) in _FIELDS.items()}
 
 # Fields whose config value is a JSON string; every other field takes a JSON number.
 _TEXT_FIELDS = ("encoding", "code", "out")
@@ -162,8 +131,8 @@ def _merged(ns: argparse.Namespace) -> dict:
                 if isinstance(value, bool) or not isinstance(value, types):
                     raise UsageError(f"config: field {key!r}: must be a JSON {kind}, got {value!r}")
                 try:
-                    value = _FIELD_TYPES[key](value)
-                except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                    value = _FIELDS[key][1](value)
+                except (TypeError, ValueError, OverflowError, argparse.ArgumentTypeError) as exc:
                     raise UsageError(f"config: field {key!r}: {exc}") from exc
             values[key] = value
     for key in values:
@@ -281,9 +250,9 @@ def resolve_budget(values: dict) -> SecurityBudget:
 
 
 def _channel(values: dict) -> ChannelModel:
-    if float(values["eta"]) > 0.0:
-        return ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=float(values["eta"]))
-    return ChannelModel(ChannelKind.IID_FLIP, gamma=float(values["gamma"]))
+    if values["eta"] > 0.0:
+        return ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=values["eta"])
+    return ChannelModel(ChannelKind.IID_FLIP, gamma=values["gamma"])
 
 
 def _dump(obj: dict) -> str:
@@ -323,7 +292,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     values = _merged(ns)
     params, code_kind = resolve_params(values)
     channel = _channel(values)
-    rounds = int(values["rounds"])
+    rounds = values["rounds"]
     out_path = values["out"] or "rounds.jsonl"
 
     session = run_session(
@@ -331,7 +300,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         channel,
         code_kind,
         rounds,
-        int(values["seed"]),
+        values["seed"],
         reservoir_capacity=ns.reservoir_capacity,
     )
     _emit("".join(map(_round_line, session.results)), out_path)
@@ -348,13 +317,13 @@ def cmd_run(ns: argparse.Namespace) -> int:
         "kappa": params.kappa,
         "lambda": params.tag_bits,
         "beta": params.beta,
-        "gamma": float(values["gamma"]),
-        "eta": float(values["eta"]),
+        "gamma": values["gamma"],
+        "eta": values["eta"],
         "q_bits": params.q_bits,
         "encoding": params.encoding.value,
         "code": code_kind.value,
         "rounds": rounds,
-        "seed": int(values["seed"]),
+        "seed": values["seed"],
         "rounds_file": out_path,
     }
     print(_dump({"config": config_echo, "summary": dataclasses.asdict(session.summary)}))
@@ -397,7 +366,7 @@ def cmd_intercept_resend(ns: argparse.Namespace) -> int:
     the same attack."""
     values = _merged(ns)
     report = intercept_resend_report(
-        Encoding(values["encoding"]), float(values["eta"]), ns.qubits, int(values["seed"])
+        Encoding(values["encoding"]), values["eta"], ns.qubits, values["seed"]
     )
     _emit(_dump(report) + "\n", values["out"])
     return 0
@@ -405,16 +374,14 @@ def cmd_intercept_resend(ns: argparse.Namespace) -> int:
 
 def cmd_tamper_fuzz(ns: argparse.Namespace) -> int:
     values = _merged(ns)
-    report = tamper_fuzz(
-        rounds=int(values["rounds"]), seed=int(values["seed"]), flip_rate=ns.flip_rate
-    )
+    report = tamper_fuzz(rounds=values["rounds"], seed=values["seed"], flip_rate=ns.flip_rate)
     _emit(_dump(report) + "\n", values["out"])
     return 0
 
 
 def _add_common(parser: argparse.ArgumentParser, fields) -> None:
     for key in fields:
-        convert = _FIELD_TYPES[key]
+        convert = _FIELDS[key][1]
         metavar = getattr(convert, "metavar", None)
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=convert, metavar=metavar)
 
@@ -435,15 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a simulated session")
     p_run.add_argument("--config", help="JSON file mirroring the flags")
-    p_run.add_argument("--reservoir-capacity", dest="reservoir_capacity", type=_at_least(0))
-    _add_common(p_run, _FIELD_TYPES)
+    p_run.add_argument("--reservoir-capacity", dest="reservoir_capacity", type=_number(int, low=0))
+    _add_common(p_run, _FIELDS)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="tabulate rate, p_corr and bound terms")
     p_sweep.add_argument("variable", choices=["gamma", "n", "q_bits"])
-    p_sweep.add_argument("--start", type=_finite_float, required=True)
-    p_sweep.add_argument("--stop", type=_finite_float, required=True)
-    p_sweep.add_argument("--steps", type=_at_least(2), required=True)
+    p_sweep.add_argument("--start", type=_number(float), required=True)
+    p_sweep.add_argument("--stop", type=_number(float), required=True)
+    p_sweep.add_argument("--steps", type=_number(int, low=2), required=True)
     _add_common(p_sweep, _SWEEP_FIELDS)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -451,12 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = p_attack.add_subparsers(dest="attack_kind", required=True)
 
     p_intercept = kinds.add_parser("intercept_resend", help="measure induced errors")
-    p_intercept.add_argument("--qubits", type=_at_least(1), default=100000)
+    p_intercept.add_argument("--qubits", type=_number(int, low=1), default=100000)
     _add_common(p_intercept, _INTERCEPT_FIELDS)
     p_intercept.set_defaults(func=cmd_intercept_resend)
 
     p_fuzz = kinds.add_parser("tamper_fuzz", help="count forged accepts")
-    p_fuzz.add_argument("--flip-rate", dest="flip_rate", type=_probability, default=0.3)
+    p_fuzz.add_argument("--flip-rate", dest="flip_rate", type=_number(float, 0, 1), default=0.3)
     _add_common(p_fuzz, _FUZZ_FIELDS)
     p_fuzz.set_defaults(func=cmd_tamper_fuzz, rounds=1_000_000)
 

@@ -18,7 +18,7 @@ from qkr import cli
 from qkr.analysis import SecurityBudget, asymptotic_rate_6state, diamond_bound, p_corr
 from qkr.cli import DEFAULTS, UsageError, build_parser, main, resolve_budget, resolve_params
 from qkr.ecc import CodeKind
-from qkr.primitives import BitString, ProtocolParams
+from qkr.primitives import BitString, Encoding, ProtocolParams
 from qkr.protocol import RoundResult, run_session
 from qkr.qsim import ChannelKind, ChannelModel
 
@@ -641,9 +641,13 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
          "payload: ell + kappa leaves 16 bits; the smallest that hosts a tag is 17 bits, "
          "for lambda 8"),
         (["--n", "0"], "argument --n: must be at least 1, got '0'"),
+        (["--beta", "abc"], "argument --beta: invalid float value: 'abc'"),
+        (["--gamma", "abc"], "argument --gamma: invalid float value: 'abc'"),
+        (["--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),
+        (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
     ],
     ids=["encoding", "code", "oracle-gamma", "identity-n", "repetition3-n", "ell-kappa",
-         "n-zero"],
+         "n-zero", "beta-text", "gamma-text", "alpha-text", "seed-text"],
 )
 def test_usage_error_wording(tmp_path, capsys, argv, message):
     """An unknown name lists the names its field takes; a payload too narrow
@@ -654,6 +658,75 @@ def test_usage_error_wording(tmp_path, capsys, argv, message):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["sweep", "gamma", "--start", "abc", "--stop", "0.1", "--steps", "2"],
+         "argument --start: invalid float value: 'abc'"),
+        (["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "x"],
+         "argument --steps: invalid int value: 'x'"),
+        (["attack", "tamper_fuzz", "--flip-rate", "abc"],
+         "argument --flip-rate: invalid float value: 'abc'"),
+        (["attack", "intercept_resend", "--qubits", "x"],
+         "argument --qubits: invalid int value: 'x'"),
+    ],
+    ids=["sweep-start", "sweep-steps", "fuzz-flip-rate", "intercept-qubits"],
+)
+def test_usage_error_wording_of_other_commands(capsys, argv, message):
+    """A number that does not parse is named by the type it should have."""
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+def test_every_converter_is_named_for_its_usage_errors():
+    """argparse words a value its converter cannot read as `invalid <name>
+    value`, naming the converter. Each converter is named int, float or str,
+    or is a name converter, which words its own errors and sets a metavar."""
+    leaks = [f"{command} {action.option_strings[0]}"
+             for command, action in _actions(build_parser())
+             if action.type is not None and action.metavar is None
+             and action.type.__name__ not in ("int", "float", "str")]
+    assert leaks == []
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [
+        ('{"gamma": 2}', "field 'gamma': must lie in [0, 1], got 2"),
+        ('{"n": 64.9}', "field 'n': must be an integer, got 64.9"),
+        ('{"n": 0}', "field 'n': must be at least 1, got 0"),
+        ('{"alpha": 0.5}', "field 'alpha': must be at least 1, got 0.5"),
+        ('{"beta": 1e400}', "field 'beta': must be a finite number, got inf"),
+        ('{"beta": 1%s}' % ("0" * 400), "field 'beta': int too large to convert to float"),
+    ],
+    ids=["gamma-above-one", "fractional-n", "zero-n", "alpha-below-one", "beta-overflow",
+         "beta-huge-int"],
+)
+def test_config_error_wording(tmp_path, capsys, config, message):
+    """A config field is read by the same converter as its flag."""
+    path = tmp_path / "config.json"
+    path.write_text(config)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.jsonl")]) == 2
+    assert capsys.readouterr().err == f"usage error: config: {message}\n"
+
+
+def test_field_defaults_read_as_themselves():
+    """Each default passes its own field's converter unchanged, so a
+    command uses the merged values as they are."""
+    assert DEFAULTS == {
+        "n": 1024, "ell": None, "kappa": None, "lambda": None, "beta": 0.125, "gamma": 0.0,
+        "eta": 0.0, "alpha": 64, "q_bits": None, "encoding": "six-state", "code": "oracle",
+        "rounds": 100, "seed": 0, "out": None,
+    }
+    for key, (default, convert) in cli._FIELDS.items():
+        if default is not None:
+            assert convert(default) == default, key
+    assert DEFAULTS["encoding"] in {encoding.value for encoding in Encoding}
+    assert DEFAULTS["code"] in {kind.value for kind in CodeKind}
 
 
 def test_out_of_memory_is_one_line_usage_error(tmp_path, monkeypatch, capsys):
@@ -724,15 +797,19 @@ def test_resolvers_match_ladder_oracle(values):
     assert budget_lines == []
 
 
-def _declared_options(parser, command=()):
-    """(command, option) for every option of every subcommand, help aside."""
+def _actions(parser, command=()):
+    """(command, action) for every action of the parser and its subcommands."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
-                yield from _declared_options(sub, command + (name,))
-        for option in action.option_strings:
-            if option not in ("-h", "--help"):
-                yield " ".join(command), option
+                yield from _actions(sub, command + (name,))
+        yield " ".join(command), action
+
+
+def _declared_options(parser):
+    """(command, option) for every option of every subcommand, help aside."""
+    return [(command, option) for command, action in _actions(parser)
+            for option in action.option_strings if option not in ("-h", "--help")]
 
 
 _RUN = ["run", "--n", "64", "--rounds", "2", "--out", "r.jsonl"]
