@@ -22,7 +22,7 @@ from .analysis import (
     required_redundancy,
 )
 from .attacks import intercept_resend_report, tamper_fuzz
-from .ecc import CodeKind, CodeSpec
+from .ecc import CodeKind, make_code
 from .hashing import REDUCTION_POLYS
 from .primitives import Encoding, ProtocolParams
 from .protocol import run_session
@@ -37,6 +37,9 @@ _FALLBACK_TAGS = (64, 8)
 
 # Largest n, kappa or q_bits a run accepts, and the largest base n of a sweep.
 MAX_RUN_SIZE = 2**32
+
+# The least int that float() cannot convert; the bound is evaluated in floats.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 class UsageError(Exception):
@@ -180,7 +183,7 @@ def _tag_bits(lam) -> int:
 def resolve_params(values: dict) -> tuple[ProtocolParams, CodeKind]:
     """Derive, in order, the payload width k_in = ell + kappa, the tag length
     (when unset, the largest that k_in can host), kappa, ell and q_bits. The
-    code's shape rules are checked by `ecc.CodeSpec`."""
+    code's shape rules are checked by building it with `ecc.make_code`."""
     encoding = Encoding(values["encoding"])
     code_kind = CodeKind(values["code"])
     n = _run_size("n", int(values["n"]))
@@ -227,7 +230,7 @@ def resolve_params(values: dict) -> tuple[ProtocolParams, CodeKind]:
             encoding=encoding,
             q_bits=_run_size("q_bits", _size(values, "q_bits", min_q_bits)),
         )
-        CodeSpec.for_params(code_kind, params)
+        make_code(code_kind, params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if values["lambda"] is None and lam != _FALLBACK_TAGS[0]:
@@ -237,7 +240,7 @@ def resolve_params(values: dict) -> tuple[ProtocolParams, CodeKind]:
 
 def resolve_budget(values: dict) -> SecurityBudget:
     try:
-        return SecurityBudget(
+        budget = SecurityBudget(
             tag_bits=_tag_bits(values["lambda"]),
             n=_run_size("n", int(values["n"])),
             kappa=_size(values, "kappa", _default_kappa),
@@ -247,6 +250,10 @@ def resolve_budget(values: dict) -> SecurityBudget:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    for key, size in (("kappa", budget.kappa), ("q_bits", budget.q_bits)):
+        if size >= _FLOAT_OVERFLOW:
+            raise UsageError(f"{key}: too large to evaluate, got a {size.bit_length()}-bit number")
+    return budget
 
 
 def _channel(values: dict) -> ChannelModel:

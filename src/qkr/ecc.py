@@ -55,11 +55,6 @@ class CodeSpec:
         if self.kind is CodeKind.REPETITION3 and n != 3 * k_in:
             raise ValueError(f"repetition3 needs n = 3*k_in, got n={n}, k_in={k_in}")
 
-    @classmethod
-    def for_params(cls, kind: CodeKind, params: ProtocolParams) -> "CodeSpec":
-        t = 0 if kind is CodeKind.IDENTITY else params.t
-        return cls(k_in=params.payload_bits, n_out=params.n, t=t, kind=kind)
-
 
 @dataclass(frozen=True)
 class DecodeOutcome:
@@ -145,10 +140,12 @@ class OracleBddCode(Code):
         return DecodeOutcome(None)
 
 
+# A new code is a `CodeKind` member, its class and one row here.
+_CODES = {CodeKind.IDENTITY: IdentityCode, CodeKind.REPETITION3: Repetition3Code,
+          CodeKind.ORACLE: OracleBddCode}
+
+
 def make_code(kind: CodeKind, params: ProtocolParams) -> Code:
-    spec = CodeSpec.for_params(kind, params)
-    if kind is CodeKind.IDENTITY:
-        return IdentityCode(spec)
-    if kind is CodeKind.REPETITION3:
-        return Repetition3Code(spec)
-    return OracleBddCode(spec)
+    """The code of `kind` for a run; `CodeSpec` refuses a shape it cannot take."""
+    t = 0 if kind is CodeKind.IDENTITY else params.t
+    return _CODES[kind](CodeSpec(k_in=params.payload_bits, n_out=params.n, t=t, kind=kind))

@@ -57,12 +57,11 @@ polynomial in their xor, so no tag is computed there; a session tags with
 the same zero-padded blocks as the scalar form;
 `nonzero_key_words` is `MacKey.from_draw`'s zero-key rule for a column of
 drawn words. `gf64_key_tables` builds the keys' tables once as a (16,
-rows) uint64 array, and `gf64_mul_rows` runs the nibble steps on uint64
-words, starting at the top nonzero nibble of the batch's largest operand,
-so a batch of zero operands (every block of a fuzz at flip rate 0) costs
-one step, not 16. Both lookups gather with `take` on int64 views of the
-shifted words; indexing with the uint64 arrays would make numpy convert
-each index array first, about doubling the cost of each gather.
+rows) uint64 array, and `gf64_mul_rows` runs the 16 nibble steps on
+uint64 words, from the top nibble down. Both lookups gather with `take`
+on int64 views of the shifted words; indexing with the uint64 arrays
+would make numpy convert each index array first, about doubling the cost
+of each gather.
 
 The row tables are 4-bit, not 8-bit: a row's table is 128 bytes against
 2 KB, so a 12000-round fuzz holds 1.5 MB of tables against 24.6 MB, which
@@ -78,7 +77,7 @@ bit-serial row MAC are the references in ``tests/oracles.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import xor
 
 import numpy as np
@@ -269,15 +268,14 @@ def gf64_key_tables(keys: np.ndarray) -> np.ndarray:
 
 def gf64_mul_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Row-wise a * key, given the keys' tables, one nibble of `a` per step
-    from the top nonzero nibble of the largest `a`; uint64 shifts drop the
-    bits that _FOLD64 folds back in. Every gather index is below 16 * rows,
-    so it is read as an int64 view of the uint64 shift."""
+    from the top; uint64 shifts drop the bits that _FOLD64 folds back in.
+    Every gather index is below 16 * rows, so it is read as an int64 view
+    of the uint64 shift."""
     rows = len(a)
     flat = table.ravel()
     cols = np.arange(rows, dtype=np.int64)
-    top = max(0, (int(a.max(initial=0)).bit_length() - 1) // 4 * 4)
-    z = flat.take((a >> top).view(np.int64) * rows + cols)
-    for shift in range(top - 4, -1, -4):
+    z = flat.take((a >> 60).view(np.int64) * rows + cols)
+    for shift in range(56, -1, -4):
         nibbles = ((a >> shift) & 15).view(np.int64)
         z = (z << 4) ^ _FOLD64.take((z >> 60).view(np.int64)) ^ flat.take(nibbles * rows + cols)
     return z
@@ -323,45 +321,34 @@ def _fft_length(length: int) -> int:
 class ToeplitzSeed:
     """Seed of one Toeplitz-affine hash component over GF(modulus).
 
-    `diagonal` has in_len + out_len - 1 entries and defines the constant
-    descending diagonals of the out_len x in_len matrix; `offset` has
-    out_len entries. Both are read-only, which keeps the diagonal's cached
-    spectrum and float64 copy valid for the seed's lifetime.
+    The seed reads its shape from its arrays: `offset` has out_len entries,
+    and `diagonal` has in_len + out_len - 1, the constant descending
+    diagonals of the out_len x in_len matrix. Both are read-only, which
+    keeps the diagonal's cached spectrum and float64 copy valid for the
+    seed's lifetime.
     """
 
     __slots__ = (
         "modulus", "in_len", "out_len", "diagonal", "offset", "_spectrum", "_diagonal_f64"
     )
 
-    def __init__(self, modulus: int, in_len: int, out_len: int, diagonal, offset):
+    def __init__(self, modulus: int, diagonal, offset):
         if modulus not in (2, 3):
             raise ValueError("modulus must be 2 or 3")
-        if in_len < 1 or out_len < 1:
+        self.diagonal = _value_array(diagonal, modulus, "Toeplitz diagonal")
+        self.offset = _value_array(offset, modulus, "Toeplitz offset")
+        self.out_len = len(self.offset)
+        self.in_len = len(self.diagonal) - self.out_len + 1
+        if self.in_len < 1 or self.out_len < 1:
             raise ValueError("in_len and out_len must be at least 1")
-        diag = _value_array(diagonal, modulus, "Toeplitz diagonal")
-        off = _value_array(offset, modulus, "Toeplitz offset")
-        if diag.shape != (in_len + out_len - 1,):
-            raise ValueError("diagonal length must be in_len + out_len - 1")
-        if off.shape != (out_len,):
-            raise ValueError("offset length must be out_len")
         self.modulus = modulus
-        self.in_len = in_len
-        self.out_len = out_len
-        self.diagonal = diag
-        self.offset = off
         self._spectrum = None
         self._diagonal_f64 = None
 
     @classmethod
     def random(cls, src: RandomSource, modulus: int, in_len: int, out_len: int) -> "ToeplitzSeed":
-        total = in_len + out_len - 1
-        if modulus == 2:
-            diag = src.bit_array(total)
-            off = src.bit_array(out_len)
-        else:
-            diag = src.integers_below(modulus, total)
-            off = src.integers_below(modulus, out_len)
-        return cls(modulus, in_len, out_len, diag, off)
+        draw = src.bit_array if modulus == 2 else partial(src.integers_below, modulus)
+        return cls(modulus, draw(in_len + out_len - 1), draw(out_len))
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Matrix-vector product plus offset, reduced modulo the field size.
@@ -404,8 +391,6 @@ class ToeplitzSeed:
         return (
             isinstance(other, ToeplitzSeed)
             and self.modulus == other.modulus
-            and self.in_len == other.in_len
-            and self.out_len == other.out_len
             and np.array_equal(self.diagonal, other.diagonal)
             and np.array_equal(self.offset, other.offset)
         )

@@ -335,9 +335,8 @@ class RandomSource:
         filled = 0
         while filled < count:
             need = count - filled
-            cand = self.bit_array(2 * need * width)
-            if width > 1:
-                cand = cand.reshape(2 * need, width) @ _CHUNK_WEIGHTS[width]
+            bits = self.bit_array(2 * need * width)
+            cand = bits.reshape(2 * need, width) @ _CHUNK_WEIGHTS[width]
             accepted = cand[cand < bound][:need]
             out[filled : filled + accepted.size] = accepted
             filled += accepted.size

@@ -98,8 +98,8 @@ def test_gf64_mul_words_match_bitserial_oracle(pairs):
     ids=["all-zero", "below-16", "empty"],
 )
 def test_gf64_mul_words_small_operands_match_bitserial_oracle(a):
-    """Batches whose largest operand has its top nonzero nibble at the
-    bottom, so the multiply starts at nibble 0."""
+    """Batches whose operands are all zero or below 16, so every nibble
+    step but the last gathers T[0]."""
     b = np.resize(np.array(_EDGE_WORDS + [0x123456789ABCDEF0], dtype=np.uint64), len(a))
     assert np.array_equal(gf64_mul_words(a, b), gf64_mul_words_bitserial(a, b))
 

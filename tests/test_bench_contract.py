@@ -14,7 +14,8 @@ import pytest
 
 from qkr import protocol
 from qkr.ecc import CodeKind
-from qkr.primitives import ProtocolParams
+from qkr.hashing import ToeplitzSeed
+from qkr.primitives import ProtocolParams, RandomSource
 from qkr.qsim import ChannelKind, ChannelModel
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -79,3 +80,21 @@ def test_session_counter_reads_the_summary(monkeypatch, gamma, capacity):
     summary = session.summary
     assert counts["protocol.rounds"] == summary.rounds == len(session.results)
     assert counts["protocol.useful_accepts"] == summary.accepts - summary.mismatches
+
+
+def test_mul_add_counter_reads_the_seed_shape(monkeypatch):
+    """`_count_mul_adds` reads `in_len` and `out_len`, which a seed takes
+    from its arrays: out_len = len(offset), in_len = len(diagonal) -
+    out_len + 1, for a seed built from arrays and for a drawn one."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    import spans
+
+    seeds = [ToeplitzSeed(3, [0, 1, 2, 0, 1, 2, 0], [2, 1, 0]),
+             ToeplitzSeed.random(RandomSource(4), 2, 9, 5)]
+    for seed in seeds:
+        in_len = len(seed.diagonal) - len(seed.offset) + 1
+        counts = Counter()
+        spans._count_mul_adds(counts, (seed,), None)
+        assert counts["hashing.toeplitz.mul_adds"] == in_len * len(seed.offset)
+    assert [(seed.in_len, seed.out_len) for seed in seeds] == [(5, 3), (9, 5)]

@@ -497,6 +497,36 @@ def test_attack_intercept_bytes_pinned(capsys):
             == "e59bec2bb4bb14684c623b4563c2d0b789c93e2603bb738258b13dd208d76333")
 
 
+def test_attack_intercept_bb84_bytes_pinned(capsys):
+    """The BB84 channel report, whose bases are drawn one bit each."""
+    code, stdout, _ = _run(
+        capsys, "attack", "intercept_resend", "--encoding", "bb84", "--eta", "0.7",
+        "--qubits", "5000", "--seed", "2"
+    )
+    assert code == 0
+    assert (hashlib.sha256(stdout.encode()).hexdigest()
+            == "f9c7ca1db53fcd3f3c9c7b959260182df2d401855d0437ecc99cfbd6534d00ed")
+
+
+@pytest.mark.parametrize(
+    "flag,largest_sha256",
+    [("--kappa", "74bb925a1a3f6e5b5154e3a6a26aafdcfb07cd79e39362454ff2f37534f987fc"),
+     ("--q-bits", "1e62175192089332b9c21654aeae71de6c81f654135b494a1d3710831472401f")],
+)
+def test_sweep_sizes_up_to_what_a_float_holds(capsys, flag, largest_sha256):
+    """The bound is evaluated in floats: the largest float, 2^1024 - 2^971,
+    still prints its rows, and 2^1024 - 2^970, the least int that rounds
+    past it, is one usage line."""
+    argv = ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2", "--n", "64"]
+    code, stdout, _ = _run(capsys, *argv, flag, str(2**1024 - 2**971))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == largest_sha256
+    code, stdout, stderr = _run(capsys, *argv, flag, str(2**1024 - 2**970))
+    key = flag[2:].replace("-", "_")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"usage error: {key}: too large to evaluate, got a 1024-bit number\n"
+
+
 def test_attack_tamper_fuzz_report(capsys):
     code, stdout, _ = _run(
         capsys, "attack", "tamper_fuzz", "--rounds", "2000", "--seed", "5"
@@ -586,6 +616,10 @@ def test_bad_flags_exit_two(capsys):
         ({"alpha": 0.5, "q_bits": 100}, ["run"]),
         (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
                 "--alpha", "0.5", "--kappa", "100", "--q-bits", "100"]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--n", "64", "--kappa", "1" + "0" * 400]),
+        (None, ["sweep", "gamma", "--start", "0", "--stop", "0.1", "--steps", "2",
+                "--n", "64", "--q-bits", "1" + "0" * 400]),
     ],
     ids=["config-list", "config-bad-int", "gamma-nan", "gamma-inf", "fuzz-zero-rounds",
          "intercept-zero-qubits", "unwritable-out", "config-null-n", "config-bad-encoding",
@@ -604,7 +638,7 @@ def test_bad_flags_exit_two(capsys):
          "sweep-negative-n", "config-zero-n", "sweep-gamma-flag-unread",
          "sweep-q-bits-flag-unread", "alpha-below-one-sizes-kappa",
          "alpha-below-one-sizes-nothing", "config-alpha-below-one",
-         "sweep-alpha-below-one-sizes-nothing"],
+         "sweep-alpha-below-one-sizes-nothing", "sweep-kappa-huge", "sweep-q-bits-huge"],
 )
 def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
     argv = [arg.replace("{missing}", str(tmp_path / "missing")) for arg in argv]
@@ -645,9 +679,14 @@ def test_bad_input_is_one_line_usage_error(tmp_path, capsys, config, argv):
         (["--gamma", "abc"], "argument --gamma: invalid float value: 'abc'"),
         (["--alpha", "abc"], "argument --alpha: invalid float value: 'abc'"),
         (["--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["--n", "64", "--ell", "60", "--kappa", "4", "--code", "repetition3"],
+         "repetition3 needs n = 3*k_in, got n=64, k_in=64"),
+        (["--n", "64", "--ell", "40", "--kappa", "8", "--lambda", "8", "--code", "identity"],
+         "identity needs n = k_in and t = 0, got n=64, k_in=48, t=0"),
     ],
     ids=["encoding", "code", "oracle-gamma", "identity-n", "repetition3-n", "ell-kappa",
-         "n-zero", "beta-text", "gamma-text", "alpha-text", "seed-text"],
+         "n-zero", "beta-text", "gamma-text", "alpha-text", "seed-text",
+         "repetition3-shape", "identity-shape"],
 )
 def test_usage_error_wording(tmp_path, capsys, argv, message):
     """An unknown name lists the names its field takes; a payload too narrow

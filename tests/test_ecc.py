@@ -21,7 +21,7 @@ def test_spec_validation():
         CodeSpec(k_in=8, n_out=20, t=2, kind=CodeKind.REPETITION3)
     with pytest.raises(ValueError):
         CodeSpec(k_in=8, n_out=24, t=13, kind=CodeKind.REPETITION3)
-    assert CodeSpec.for_params(CodeKind.ORACLE, PARAMS_ORACLE).t == 8
+    assert make_code(CodeKind.ORACLE, PARAMS_ORACLE).spec.t == 8
 
 
 def test_identity_code_examples():

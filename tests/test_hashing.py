@@ -44,8 +44,8 @@ def test_zero_seed_outputs_equal_offsets():
     n, kappa = 4, 2
     u = random_f_seed(src, n, kappa, alphabet_size=3)
     zero_u = (
-        ToeplitzSeed(2, u[0].in_len, n, np.zeros(u[0].in_len + n - 1, int), u[0].offset),
-        ToeplitzSeed(3, u[1].in_len, n, np.zeros(u[1].in_len + n - 1, int), u[1].offset),
+        ToeplitzSeed(2, np.zeros(u[0].in_len + n - 1, int), u[0].offset),
+        ToeplitzSeed(3, np.zeros(u[1].in_len + n - 1, int), u[1].offset),
     )
     x = src.bits(n)
     b = src.basis_string(3, n)
@@ -55,7 +55,7 @@ def test_zero_seed_outputs_equal_offsets():
     assert new_b == BasisString(u[1].offset, 3)
 
     v = random_g_seed(src, n, q_bits=3, alphabet_size=3)
-    zero_v = ToeplitzSeed(3, v.in_len, n, np.zeros(v.in_len + n - 1, int), v.offset)
+    zero_v = ToeplitzSeed(3, np.zeros(v.in_len + n - 1, int), v.offset)
     assert hash_G(zero_v, b, src.bits(3)) == BasisString(v.offset, 3)
 
 
@@ -177,7 +177,7 @@ def test_toeplitz_apply_matches_exact_product(shape, seed_value, all_max):
     src = RandomSource(seed_value, "toeplitz-property")
     seed = ToeplitzSeed.random(src, modulus, in_len, out_len)
     # The constructor copies the arrays, so `before` keeps the seed as drawn.
-    before = ToeplitzSeed(modulus, in_len, out_len, seed.diagonal, seed.offset)
+    before = ToeplitzSeed(modulus, seed.diagonal, seed.offset)
     # The largest symbols give the largest sums; the second input reuses
     # the spectrum cached by the first.
     first = np.full(in_len, modulus - 1) if all_max else src.integers_below(modulus, in_len)
@@ -187,15 +187,16 @@ def test_toeplitz_apply_matches_exact_product(shape, seed_value, all_max):
 
 
 @pytest.mark.parametrize(
-    "in_len,out_len,diagonal,offset",
-    [(-1, 3, [0], [0, 0, 0]), (0, 3, [0, 1], [0, 0, 0]), (3, 0, [0, 1], [])],
+    "diagonal,offset",
+    [([0], [0, 0, 0]), ([0, 1], [0, 0, 0]), ([0, 1], [])],
     ids=["negative-in", "empty-in", "empty-out"],
 )
-def test_toeplitz_seed_rejects_empty_shapes(in_len, out_len, diagonal, offset):
-    """Diagonal and offset lengths that match a shape with no input or no
-    output are still refused, at construction rather than inside apply."""
+def test_toeplitz_seed_rejects_empty_shapes(diagonal, offset):
+    """Diagonal and offset lengths that give a shape with no input or no
+    output (in_len -1 or 0, out_len 0) are refused, at construction rather
+    than inside apply."""
     with pytest.raises(ValueError, match="in_len and out_len must be at least 1"):
-        ToeplitzSeed(2, in_len, out_len, diagonal, offset)
+        ToeplitzSeed(2, diagonal, offset)
 
 
 def test_fft_length_is_smallest_5_smooth_at_least_length():

@@ -35,7 +35,9 @@ def _seed(data):
         return _hex_bits(text, length).bits if modulus == 2 else [int(c) for c in text]
 
     diagonal = part(data["diagonal"], in_len + out_len - 1)
-    return ToeplitzSeed(modulus, in_len, out_len, diagonal, part(data["offset"], out_len))
+    seed = ToeplitzSeed(modulus, diagonal, part(data["offset"], out_len))
+    assert (seed.in_len, seed.out_len) == (in_len, out_len)
+    return seed
 
 
 @pytest.mark.parametrize(

@@ -84,6 +84,4 @@ def seed_from_index(modulus: int, in_len: int, out_len: int, index: int) -> Toep
             value //= modulus
         return out
 
-    return ToeplitzSeed(
-        modulus, in_len, out_len, digits(diag_index, diag_len), digits(off_index, out_len)
-    )
+    return ToeplitzSeed(modulus, digits(diag_index, diag_len), digits(off_index, out_len))
