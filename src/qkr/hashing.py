@@ -411,16 +411,6 @@ def _basis_bits(b: BasisString) -> np.ndarray:
     return _TRIT_BITS[b.symbols].ravel()
 
 
-def _mask_input(x: BitString, b: BasisString, r: BitString) -> np.ndarray:
-    return np.concatenate([x.bits, _basis_bits(b), r.bits])
-
-
-def _basis_component_input(x: BitString, b: BasisString, r: BitString) -> np.ndarray:
-    # Bits are valid residues in either field, so the flattening is the
-    # identity on them; basis symbols pass through unchanged.
-    return np.concatenate([x.bits, b.symbols, r.bits])
-
-
 def f_seed_shapes(n: int, kappa: int, alphabet_size: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """(in_len, out_len) of the mask component and the basis component."""
     bits_per_symbol = 1 if alphabet_size == 2 else 2
@@ -451,8 +441,10 @@ def hash_F(
         raise ValueError("mask component seed must be over GF(2)")
     if seed_basis.modulus != b.alphabet_size:
         raise ValueError("basis component seed modulus must equal the basis alphabet size")
-    new_mask = seed_mask.apply(_mask_input(x, b, r))
-    new_basis = seed_basis.apply(_basis_component_input(x, b, r))
+    new_mask = seed_mask.apply(np.concatenate([x.bits, _basis_bits(b), r.bits]))
+    # Bits are valid residues in either field, so the flattening is the
+    # identity on them; basis symbols pass through unchanged.
+    new_basis = seed_basis.apply(np.concatenate([x.bits, b.symbols, r.bits]))
     return BitString._trusted(new_mask, 2), BasisString._trusted(new_basis, b.alphabet_size)
 
 

@@ -322,14 +322,12 @@ class RandomSource:
         return words < np.uint64(math.ceil(p * 2.0**53) << 11)
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
-        """Uniform integers in [0, bound), bound <= 256, as uint8, by
+        """Uniform integers in [0, bound), 1 <= bound <= 256, as uint8, by
         rejection on minimal bit chunks: each pass draws 2 * need chunks of
         width = bit_length(bound - 1) bits, most significant first, and keeps
-        the first `need` of those below `bound`."""
-        if bound > 256:
-            raise ValueError(f"bound must be at most 256, got {bound}")
-        if bound < 2:
-            return np.zeros(count, dtype=np.uint8)
+        the first `need` of those below `bound`; bound 1 draws nothing."""
+        if not 1 <= bound <= 256:
+            raise ValueError(f"bound must lie in [1, 256], got {bound}")
         width = (bound - 1).bit_length()
         out = np.empty(count, dtype=np.uint8)
         filled = 0

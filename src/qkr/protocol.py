@@ -228,12 +228,10 @@ def bob_decrypt(
     keys.check_dimensions(params)
     if len(qubits) != params.n:
         raise ValueError(f"expected {params.n} qubits")
-    # The channel passes the shared basis string on unchanged, so the check
-    # compares symbols only when it was replaced.
-    if qubits.basis_string() is not keys.b and not np.array_equal(qubits.bases, keys.b.symbols):
+    if qubits.basis != keys.b:
         raise ValueError("honest simulation requires basis labels equal to the shared b")
 
-    x_prime = qubits.payload_bits()
+    x_prime = qubits.payload
     c_prime = x_prime ^ keys.z
     outcome = code.decode(c_prime)
     if not outcome.ok:
@@ -317,8 +315,8 @@ def run_session(
     """Execute up to `rounds` protocol rounds on one shared key state.
 
     The state is updated from Alice's values. On Reject both parties draw the
-    same reservoir bits; on Accept Bob's decoded (x, r, k') are compared with
-    Alice's, and only when they differ is his update computed and compared.
+    same reservoir bits; on Accept Bob's x is compared with Alice's, and only
+    when they differ is his update computed and compared.
     The session stops after the first round whose two next states differ,
     because every later round would run on diverged basis sequences, and
     before a round whose Reject update exhausts the reservoir; that round is
@@ -364,7 +362,9 @@ def run_session(
         if dec.omega:
             if dec.mu_hat != mu:
                 mismatches += 1
-            if (dec.x_hat, dec.r_hat, dec.k_hat_prime) != (secrets.x, secrets.r, secrets.k_prime):
+            # Every encoder is injective, so x alone decides whether Bob's
+            # (x, r, k') differs from Alice's and his own update must run.
+            if dec.x_hat != secrets.x:
                 key_agreement = next_keys == key_update(
                     params, keys, dec.omega, reservoir,
                     x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,

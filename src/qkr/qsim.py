@@ -29,36 +29,26 @@ __all__ = ["QubitSequence", "ChannelKind", "ChannelModel", "transmit"]
 
 
 class QubitSequence:
-    """Qubits in flight: a basis string and a payload bit string of equal
-    length, built with `prepare`."""
+    """Qubits in flight: qubit i is the payload bit `payload[i]` prepared in
+    basis `basis[i]`. Built with `prepare`, which checks equal lengths."""
 
-    __slots__ = ("_bases", "_payloads")
+    __slots__ = ("basis", "payload")
 
     @classmethod
     def prepare(cls, bases: BasisString, payloads: BitString) -> "QubitSequence":
         if len(bases) != len(payloads):
             raise ValueError("bases and payloads must have equal length")
         seq = object.__new__(cls)
-        seq._bases = bases
-        seq._payloads = payloads
+        seq.basis = bases
+        seq.payload = payloads
         return seq
 
     @property
-    def bases(self) -> np.ndarray:
-        return self._bases.symbols
-
-    @property
     def payloads(self) -> np.ndarray:
-        return self._payloads.bits
-
-    def basis_string(self) -> BasisString:
-        return self._bases
-
-    def payload_bits(self) -> BitString:
-        return self._payloads
+        return self.payload.bits
 
     def __len__(self) -> int:
-        return len(self._bases)
+        return len(self.basis)
 
 
 class ChannelKind(Enum):
@@ -94,10 +84,10 @@ def transmit(channel: ChannelModel, qubits: QubitSequence, src: RandomSource) ->
         payloads = np.bitwise_xor(qubits.payloads, flips.astype(np.uint8))
     else:
         attacked = src.bernoulli(channel.eta, n)
-        eve_bases = src.integers_below(qubits.basis_string().alphabet_size, n)
+        eve_bases = src.integers_below(qubits.basis.alphabet_size, n)
         coins = src.bit_array(n)
-        same_basis = eve_bases == qubits.bases
+        same_basis = eve_bases == qubits.basis.symbols
         # Matching basis: the payload survives Eve's measure-and-resend.
         # Mismatched basis: the receiver's matching-basis outcome is uniform.
         payloads = np.where(attacked & ~same_basis, coins, qubits.payloads)
-    return QubitSequence.prepare(qubits.basis_string(), BitString._trusted(payloads, 2))
+    return QubitSequence.prepare(qubits.basis, BitString._trusted(payloads, 2))

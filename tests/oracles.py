@@ -655,4 +655,4 @@ def apply_error_pattern(qubits: QubitSequence, pattern: BitString) -> QubitSeque
     this."""
     if len(pattern) != len(qubits):
         raise ValueError("pattern length must match the qubit count")
-    return QubitSequence.prepare(qubits.basis_string(), qubits.payload_bits() ^ pattern)
+    return QubitSequence.prepare(qubits.basis, qubits.payload ^ pattern)

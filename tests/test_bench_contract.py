@@ -10,13 +10,14 @@ import pathlib
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from qkr import protocol
 from qkr.ecc import CodeKind
 from qkr.hashing import ToeplitzSeed
 from qkr.primitives import ProtocolParams, RandomSource
-from qkr.qsim import ChannelKind, ChannelModel
+from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, transmit
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -98,3 +99,23 @@ def test_mul_add_counter_reads_the_seed_shape(monkeypatch):
         spans._count_mul_adds(counts, (seed,), None)
         assert counts["hashing.toeplitz.mul_adds"] == in_len * len(seed.offset)
     assert [(seed.in_len, seed.out_len) for seed in seeds] == [(5, 3), (9, 5)]
+
+
+def test_flip_counter_reads_the_payload_array(monkeypatch):
+    """`_count_flips` compares `payloads` elementwise, so they must stay an
+    array: with one string per side, `!=` would count 0 or 1 flips and
+    raise nothing."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.delitem(sys.modules, "spans", raising=False)
+    import spans
+
+    n = 200
+    src = RandomSource(6)
+    sent = QubitSequence.prepare(src.basis_string(3, n), src.bits(n))
+    received = transmit(ChannelModel(ChannelKind.IID_FLIP, gamma=0.3), sent, src)
+    flipped = int(np.count_nonzero(np.bitwise_xor(sent.payload.bits, received.payload.bits)))
+    assert flipped > 1
+    counts = Counter()
+    spans._count_flips(counts, (None, sent), received)
+    assert counts["qsim.transmit.flips"] == flipped
+    assert counts["qsim.transmit.qubits"] == n

@@ -107,7 +107,7 @@ def test_strings_are_immutable_and_hashable():
         qubits = QubitSequence.prepare(b, x)
         derived += [b, b[2:7], mask, basis,
                     hash_G(random_g_seed(src, n, q_bits, alphabet), b, q),
-                    qubits.payload_bits(), qubits.basis_string()]
+                    qubits.payload, qubits.basis]
     repetition = Repetition3Code(CodeSpec(4, n, 1, CodeKind.REPETITION3))
     oracle = OracleBddCode(CodeSpec(4, n, 1, CodeKind.ORACLE))
     codeword = oracle.encode(x[:4])
@@ -190,7 +190,7 @@ _DRAW_P = st.sampled_from([0.0, *_PINNED_P, 1.0]) | st.floats(0.0, 1.0)
 _DRAW_CALLS = st.one_of(
     st.tuples(st.just("bit_array"), _DRAW_COUNTS),
     st.tuples(st.just("bernoulli"), _DRAW_P, _DRAW_COUNTS),
-    st.tuples(st.just("integers_below"), st.sampled_from([0, 1, 2, 3, 4, 5, 200]), _DRAW_COUNTS),
+    st.tuples(st.just("integers_below"), st.sampled_from([1, 2, 3, 4, 5, 200]), _DRAW_COUNTS),
 )
 
 
@@ -250,8 +250,10 @@ def test_encoding_parse():
 
 def test_integers_below_refuses_bounds_above_256():
     """Candidates are uint8, so a wider bound would wrap them: a bound of
-    1000 once returned 10-bit candidates cut to 8 bits, none above 255."""
-    for bound in (257, 1000):
+    1000 once returned 10-bit candidates cut to 8 bits, none above 255.
+    [0, bound) is empty for a bound of 0 or below, which once returned
+    zeros."""
+    for bound in (-1, 0, 257, 1000):
         with pytest.raises(ValueError):
             RandomSource(1).integers_below(bound, 8)
     values = RandomSource(1).integers_below(256, 4000)
@@ -259,8 +261,16 @@ def test_integers_below_refuses_bounds_above_256():
     assert values.min() == 0 and values.max() == 255
 
 
-_BOUNDS = (st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 128, 129, 255, 256])
-           | st.integers(0, 256))
+def test_integers_below_bound_one_draws_nothing():
+    src = RandomSource(2, "one")
+    values = src.integers_below(1, 50)
+    assert values.dtype == np.uint8
+    assert np.array_equal(values, np.zeros(50, dtype=np.uint8))
+    assert np.array_equal(src.raw_words(3), RandomSource(2, "one").raw_words(3))
+
+
+_BOUNDS = (st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 128, 129, 255, 256])
+           | st.integers(1, 256))
 
 
 @given(st.integers(0, 2**64 - 1),

@@ -42,11 +42,11 @@ def test_alice_encrypt_shape_and_basis_contract():
     code = make_code(CodeKind.ORACLE, PARAMS)
     qubits, secrets = alice_encrypt(PARAMS, keys, _mu(), RandomSource(2).stream("a"), code)
     assert len(qubits) == PARAMS.n
-    assert qubits.basis_string() == keys.b
+    assert qubits.basis == keys.b
     assert len(secrets.r) == PARAMS.kappa
     assert len(secrets.k_prime) == PARAMS.tag_bits
     assert secrets.x == secrets.c ^ keys.z
-    assert qubits.payload_bits() == secrets.x
+    assert qubits.payload == secrets.x
     assert not hasattr(AliceRoundSecrets, "to_json")
 
 
@@ -57,7 +57,7 @@ def test_alice_encrypt_zero_mask_identity_code_exposes_payload():
     mu = _mu(4, params)
     qubits, secrets = alice_encrypt(params, keys, mu, RandomSource(5).stream("a"), code)
     m = mu + secrets.k_prime + mac_tag(keys.xi, mu + secrets.k_prime)
-    assert qubits.payload_bits() == m + secrets.r
+    assert qubits.payload == m + secrets.r
 
 
 def test_alice_encrypt_validates_plaintext_length():
@@ -129,15 +129,15 @@ def test_bob_rejects_wrong_basis_labels():
 
 
 def test_bob_accepts_an_equal_copy_of_the_basis_string():
-    """The basis check compares symbols when the received string is not the
-    shared object itself."""
+    """The basis check compares the strings' symbols and alphabet, so an equal
+    string that is not the shared object itself passes."""
     keys = _keys(11)
     code = make_code(CodeKind.ORACLE, PARAMS)
     mu = _mu()
     qubits, secrets = alice_encrypt(PARAMS, keys, mu, RandomSource(12).stream("a"), code)
     code.note_transmitted(secrets.c)
     copy = replace(keys, b=BasisString(keys.b.symbols.copy(), 3))
-    assert copy.b is not qubits.basis_string()
+    assert copy.b is not qubits.basis
     dec = bob_decrypt(PARAMS, copy, qubits, code)
     assert dec.omega == 1 and dec.mu_hat == mu
 
@@ -274,8 +274,20 @@ def _step(step, keys=None, code=None, qubits=None):
 
 def _relabelled_qubits():
     qubits, _ = _step("alice_encrypt")
-    bases = BasisString((qubits.bases + 1) % 3, 3)
-    return QubitSequence.prepare(bases, qubits.payload_bits())
+    bases = BasisString((qubits.basis.symbols + 1) % 3, 3)
+    return QubitSequence.prepare(bases, qubits.payload)
+
+
+def _other_alphabet_qubits():
+    """Honest qubits under a six-state b that holds only 0 and 1, relabelled
+    with the same symbols as a two-letter basis string."""
+    honest = _keys(40)
+    keys = replace(honest, b=BasisString(honest.b.symbols % 2, 3))
+    code = make_code(CodeKind.ORACLE, PARAMS)
+    qubits, secrets = alice_encrypt(PARAMS, keys, _mu(), RandomSource(41).stream("a"), code)
+    code.note_transmitted(secrets.c)
+    relabelled = QubitSequence.prepare(BasisString(keys.b.symbols, 2), qubits.payload)
+    return dict(keys=keys, code=code, qubits=relabelled)
 
 
 # Inputs that differ from PARAMS in one dimension, and the check that names it.
@@ -290,6 +302,8 @@ _MISMATCHES = {
              "code dimensions do not match params"),
     "basis-labels": (lambda: dict(qubits=_relabelled_qubits()),
                      "honest simulation requires basis labels equal to the shared b"),
+    "basis-labels-alphabet": (_other_alphabet_qubits,
+                              "honest simulation requires basis labels equal to the shared b"),
 }
 
 
@@ -297,7 +311,8 @@ _MISMATCHES = {
     "step,mismatch",
     [(step, name) for step in ("alice_encrypt", "bob_decrypt", "key_update")
      for name in ("n", "basis-alphabet", "tag-length")]
-    + [("alice_encrypt", "code"), ("bob_decrypt", "basis-labels")],
+    + [("alice_encrypt", "code"), ("bob_decrypt", "basis-labels"),
+       ("bob_decrypt", "basis-labels-alphabet")],
 )
 def test_steps_refuse_inputs_that_do_not_match_params(step, mismatch):
     inputs, message = _MISMATCHES[mismatch]

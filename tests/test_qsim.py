@@ -24,7 +24,7 @@ def test_gamma_zero_is_identity():
     qubits, src = _random_qubits(1, 500)
     out = transmit(ChannelModel(ChannelKind.IID_FLIP, gamma=0.0), qubits, src)
     assert np.array_equal(out.payloads, qubits.payloads)
-    assert np.array_equal(out.bases, qubits.bases)
+    assert np.array_equal(out.basis.symbols, qubits.basis.symbols)
 
 
 def test_gamma_one_flips_everything():
@@ -51,7 +51,7 @@ def test_transmit_preserves_length_and_bases():
         qubits, src = _random_qubits(4, 1000)
         out = transmit(ChannelModel(kind, **kwargs), qubits, src)
         assert len(out) == len(qubits)
-        assert np.array_equal(out.bases, qubits.bases)
+        assert np.array_equal(out.basis.symbols, qubits.basis.symbols)
 
 
 @pytest.mark.parametrize(

@@ -94,8 +94,8 @@ def test_golden_encryption_round():
     qubits, secrets = alice_encrypt(params, keys, mu, master.stream("alice"), code)
 
     assert mu.to_hex() == golden["mu"]
-    assert qubits.basis_string().to_text() == golden["bases"]
-    assert qubits.payload_bits().to_hex() == golden["payloads"]
+    assert qubits.basis.to_text() == golden["bases"]
+    assert qubits.payload.to_hex() == golden["payloads"]
     assert secrets.c.to_hex() == golden["codeword"]
     assert secrets.tau.to_hex() == golden["tau"]
     assert secrets.r.to_hex() == golden["r"]
