@@ -17,11 +17,12 @@ E(xi) of the message flips equals the tag's flips, and `fuzz_batch` reads
 nothing but the keys and the flips: neither the message nor Alice's tag is
 computed. Rows are packed eight bits to a byte, every field whole bytes,
 and E runs on uint64 words through `hashing`'s row multiply. `tamper_fuzz`
-still draws mu, k', r and z, so that the flips come from the same Philox
-words. A flip costs one word, so the flips are drawn a slice of rows at a
-time rather than 80 MB of words for a whole 65536-row chunk. The kernel
-that computed Alice's tag and Bob's check is the reference in
-``tests/oracles.py``.
+skips the Philox words of mu, k', r and z without computing them, so that
+the flips come from the same words as a full round's. A flip costs one
+word, so the flips are drawn a slice of rows at a time rather than 80 MB
+of words for a whole 65536-row chunk; each slice's words are computed on
+two threads (see `RandomSource`). The kernel that computed Alice's tag
+and Bob's check is the reference in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -134,8 +135,8 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
         batch = min(_FUZZ_CHUNK, rounds - done)
         xi = nonzero_key_words(src.raw_words(batch))
         # The words of mu, k', r and z, which Bob's check never reads:
-        # drawn so that the flips come from the same words as a full round's.
-        src.raw_words(sum(-(-batch * bits // 64) for bits in field_bits))
+        # skipped so that the flips come from the same words as a full round's.
+        src.skip(sum(-(-batch * bits // 64) for bits in field_bits))
         out = fuzz_batch(xi, _packed_flips(src, flip_rate, batch, n))
         false_accepts += int(np.sum(out["omega"] & out["plaintext_changed"]))
         forgeries += int(np.sum(out["omega"] & out["message_changed"]))

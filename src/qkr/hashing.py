@@ -68,7 +68,7 @@ The row tables are 4-bit, not 8-bit: a row's table is 128 bytes against
 would dominate its peak memory: a 12000-round `qkr attack tamper_fuzz`
 peaks at 38 MB RSS, of which 32 MB is the interpreter with numpy and qkr
 imported and 6 MB the arrays the fuzz allocates; the default 1M rounds
-peak at 51 MB (measured on x86-64 Linux, Python 3.11, numpy 2.4). A full
+peak at 52 MB (measured on x86-64 Linux, Python 3.11, numpy 2.4). A full
 65536-row chunk holds 8.4 MB of tables against 134 MB. The shift-and-sum
 packer, the row MAC `mac64_rows` with its length block, and the
 bit-serial row MAC are the references in ``tests/oracles.py``.
@@ -270,14 +270,19 @@ def gf64_mul_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Row-wise a * key, given the keys' tables, one nibble of `a` per step
     from the top; uint64 shifts drop the bits that _FOLD64 folds back in.
     Every gather index is below 16 * rows, so it is read as an int64 view
-    of the uint64 shift."""
+    of the uint64 shift. Below the top nibble, the low nibbles that are
+    zero in every row gather nothing: their steps only shift and fold."""
     rows = len(a)
     flat = table.ravel()
     cols = np.arange(rows, dtype=np.int64)
+    # The low bits that are zero in every row, in whole nibbles.
+    low = int(np.bitwise_or.reduce(a))
+    zero_bits = ((low & -low).bit_length() - 1) // 4 * 4 if low else 64
     z = flat.take((a >> 60).view(np.int64) * rows + cols)
     for shift in range(56, -1, -4):
-        nibbles = ((a >> shift) & 15).view(np.int64)
-        z = (z << 4) ^ _FOLD64.take((z >> 60).view(np.int64)) ^ flat.take(nibbles * rows + cols)
+        z = (z << 4) ^ _FOLD64.take((z >> 60).view(np.int64))
+        if shift >= zero_bits:
+            z ^= flat.take(((a >> shift) & 15).view(np.int64) * rows + cols)
     return z
 
 

@@ -104,6 +104,17 @@ def test_gf64_mul_words_small_operands_match_bitserial_oracle(a):
     assert np.array_equal(gf64_mul_words(a, b), gf64_mul_words_bitserial(a, b))
 
 
+@given(st.integers(0, 16), st.lists(st.tuples(_WORDS, _WORDS), min_size=1, max_size=40))
+@settings(max_examples=100, deadline=None)
+def test_gf64_mul_words_trailing_zero_nibbles_match_bitserial_oracle(zero_nibbles, pairs):
+    """Operands whose low `zero_nibbles` nibbles are zero in every row, so
+    those steps only shift and fold; 16 gives the all-zero column."""
+    mask = ~((1 << 4 * zero_nibbles) - 1) & ((1 << 64) - 1)
+    a = np.array([x & mask for x, _ in pairs], dtype=np.uint64)
+    b = np.array([y for _, y in pairs], dtype=np.uint64)
+    assert np.array_equal(gf64_mul_words(a, b), gf64_mul_words_bitserial(a, b))
+
+
 def test_nonzero_key_words_match_mac_key_from_draw():
     words = np.concatenate([np.array(_EDGE_WORDS, dtype=np.uint64),
                             RandomSource(11).stream("keys").raw_words(20)])

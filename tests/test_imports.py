@@ -1,5 +1,7 @@
 import ast
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +39,19 @@ def test_every_exported_name_is_defined():
         module = importlib.import_module(name)
         missing += [(name, entry) for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert missing == []
+
+
+def test_import_and_small_draws_start_no_thread():
+    """`import qkr.cli` and a draw below the split size leave
+    `concurrent.futures` unimported: the worker thread and its import come
+    with the first split draw only."""
+    code = (
+        "import sys, qkr.cli\n"
+        "from qkr.primitives import _SPLIT_WORDS, RandomSource\n"
+        "RandomSource(1).bernoulli(0.3, _SPLIT_WORDS - 1)\n"
+        "print('concurrent.futures' in sys.modules)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

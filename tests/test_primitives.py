@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkr import primitives
 from qkr.ecc import CodeKind, CodeSpec, OracleBddCode, Repetition3Code
 from qkr.hashing import hash_F, hash_G, random_f_seed, random_g_seed
 from qkr.primitives import (
@@ -224,6 +230,118 @@ def test_bernoulli_threshold_neighbours(p):
     expected = np.array([True, False, False])
     for cls in (RandomSource, FloatRandomSource):
         assert np.array_equal(_fixed_words(cls(0), words).bernoulli(p, 3), expected)
+
+
+def _position(source):
+    """A source's stream position: its Philox counter and buffer index. The
+    buffer itself is left out, since `advance` leaves stale entries there
+    that the next draw overwrites."""
+    state = source._gen.state
+    return state["state"]["counter"].tolist(), state["buffer_pos"]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 17, 45001])
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3])
+def test_skip_leaves_the_stream_where_raw_words_does(drawn, count):
+    """From each buffered position (4, 3, 2 or 1 words left after `drawn`
+    words), skipping `count` words reaches the raw draw's position."""
+    skipped = RandomSource(7, "skip")
+    read = RandomSource(7, "skip")
+    skipped.raw_words(drawn)
+    read.raw_words(drawn)
+    skipped.skip(count)
+    read.raw_words(count)
+    assert _position(skipped) == _position(read)
+    assert np.array_equal(skipped.raw_words(9), read.raw_words(9))
+
+
+_SPLIT = primitives._SPLIT_WORDS
+
+
+@pytest.mark.parametrize("count", [_SPLIT - 1, _SPLIT, _SPLIT + 1, 3 * _SPLIT + 7])
+@pytest.mark.parametrize("p", [0.0, 5e-324, 0.3, 1.0])
+@pytest.mark.parametrize("drawn", [0, 3])
+def test_split_bernoulli_matches_one_thread_compare(drawn, p, count):
+    """A draw at and around the split size, odd sizes included, returns the
+    one-thread float compare's array and leaves the stream at its word; p
+    = 0 and p = 1 still draw the words."""
+    new = RandomSource(5, "split")
+    old = FloatRandomSource(5, "split")
+    new.raw_words(drawn)
+    old.raw_words(drawn)
+    got = new.bernoulli(p, count)
+    want = old.bernoulli(p, count)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert _position(new) == _position(old)
+    assert np.array_equal(new.raw_words(9), old.raw_words(9))
+
+
+@pytest.mark.parametrize("count", [_SPLIT, 2 * _SPLIT + 2 * primitives._FILL_WORDS + 5])
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3])
+def test_split_raw_words_match_one_thread_words(drawn, count):
+    """From each buffered position, a split draw, whose halves end inside a
+    fill step, returns the one-thread words and is followed by the same
+    words."""
+    new = RandomSource(6, "split")
+    old = FloatRandomSource(6, "split")
+    new.raw_words(drawn)
+    old.raw_words(drawn)
+    assert np.array_equal(new.raw_words(count), old.raw_words(count))
+    assert _position(new) == _position(old)
+    assert np.array_equal(new.raw_words(9), old.raw_words(9))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_split_draw_in_a_forked_child():
+    """A child forked after a split draw inherits the pool object but not its
+    thread; its own split draw must still finish, with the same words."""
+    code = (
+        "import os, signal, sys, time\n"
+        "import numpy as np\n"
+        "from qkr.primitives import _SPLIT_WORDS, RandomSource\n"
+        "RandomSource(1).raw_words(_SPLIT_WORDS)\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    words = RandomSource(2).raw_words(_SPLIT_WORDS)\n"
+        "    want = RandomSource(2)._gen.random_raw(_SPLIT_WORDS)\n"
+        "    os._exit(0 if np.array_equal(words, want) else 1)\n"
+        "deadline = time.monotonic() + 30\n"
+        "while True:\n"
+        "    done, status = os.waitpid(pid, os.WNOHANG)\n"
+        "    if done:\n"
+        "        sys.exit(os.waitstatus_to_exitcode(status))\n"
+        "    if time.monotonic() > deadline:\n"
+        "        os.kill(pid, signal.SIGKILL)\n"
+        "        sys.exit('the child hung')\n"
+        "    time.sleep(0.01)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_split_bernoulli_repeats_exactly():
+    first = RandomSource(9, "repeat").bernoulli(0.3, 2 * _SPLIT + 1)
+    for _ in range(20):
+        assert np.array_equal(RandomSource(9, "repeat").bernoulli(0.3, 2 * _SPLIT + 1), first)
+
+
+def test_concurrent_split_draws_match_one_thread_compares():
+    """Sources drawn from more threads than cores, with the switch interval
+    shortened, each return the one-thread compare's arrays: the shared
+    worker mixes no draws."""
+    count = 2 * _SPLIT + 3
+    want = [FloatRandomSource(seed, "threads").bernoulli(0.3, count) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = list(pool.map(lambda seed: RandomSource(seed, "threads").bernoulli(0.3, count),
+                                range(6), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_protocol_params_validation():
