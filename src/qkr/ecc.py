@@ -16,6 +16,11 @@ Three code kinds cover the simulation's needs:
 
 All encoders are linear and systematic: the first k_in codeword bits equal
 the payload.
+
+Each code implements `_encode` and `_decode` on uint8 bit arrays, with None
+for a failed decode; a session's rounds call them directly. The public
+`encode` and `decode` check the word's length and wrap the result in a
+`BitString` and a `DecodeOutcome`.
 """
 
 from __future__ import annotations
@@ -76,17 +81,18 @@ class Code:
     def encode(self, payload: BitString) -> BitString:
         if len(payload) != self.spec.k_in:
             raise ValueError(f"payload must have length {self.spec.k_in}")
-        return self._encode(payload)
+        return BitString._trusted(self._encode(payload.bits), 2)
 
     def decode(self, received: BitString) -> DecodeOutcome:
         if len(received) != self.spec.n_out:
             raise ValueError(f"received word must have length {self.spec.n_out}")
-        return self._decode(received)
+        payload = self._decode(received.bits)
+        return DecodeOutcome(None if payload is None else BitString._trusted(payload, 2))
 
-    def _encode(self, payload: BitString) -> BitString:
+    def _encode(self, payload: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _decode(self, received: BitString) -> DecodeOutcome:
+    def _decode(self, received: np.ndarray) -> Optional[np.ndarray]:
         raise NotImplementedError
 
 
@@ -95,18 +101,16 @@ class IdentityCode(Code):
         return payload
 
     def _decode(self, received):
-        return DecodeOutcome(received)
+        return received
 
 
 class Repetition3Code(Code):
     def _encode(self, payload):
-        return BitString._trusted(np.tile(payload.bits, 3), 2)
+        return np.tile(payload, 3)
 
     def _decode(self, received):
-        k = self.spec.k_in
-        copies = received.bits.reshape(3, k)
-        majority = (copies.sum(axis=0) >= 2).astype(np.uint8)
-        return DecodeOutcome(BitString._trusted(majority, 2))
+        copies = received.reshape(3, self.spec.k_in)
+        return (copies.sum(axis=0) >= 2).astype(np.uint8)
 
 
 class OracleBddCode(Code):
@@ -118,26 +122,30 @@ class OracleBddCode(Code):
 
     def __init__(self, spec: CodeSpec):
         super().__init__(spec)
-        self._transmitted: Optional[BitString] = None
+        self._transmitted: Optional[np.ndarray] = None
 
     def note_transmitted(self, codeword: BitString) -> None:
         if len(codeword) != self.spec.n_out:
             raise ValueError(f"codeword must have length {self.spec.n_out}")
+        self._note(codeword.bits)
+
+    def _note(self, codeword: np.ndarray) -> None:
+        """`note_transmitted` on a bit array of length n_out."""
         self._transmitted = codeword
 
     def _encode(self, payload):
         # Zero padding keeps the map linear and systematic; the parity
         # content is irrelevant because decoding consults the true codeword.
-        padding = np.zeros(self.spec.n_out - self.spec.k_in, dtype=np.uint8)
-        return BitString._trusted(np.concatenate([payload.bits, padding]), 2)
+        codeword = np.zeros(self.spec.n_out, dtype=np.uint8)
+        codeword[: self.spec.k_in] = payload
+        return codeword
 
     def _decode(self, received):
         if self._transmitted is None:
             raise RuntimeError("oracle decoder has no transmitted codeword registered")
-        distance = int(np.bitwise_xor(received.bits, self._transmitted.bits).sum())
-        if distance <= self.spec.t:
-            return DecodeOutcome(self._transmitted[: self.spec.k_in])
-        return DecodeOutcome(None)
+        if np.count_nonzero(received != self._transmitted) <= self.spec.t:
+            return self._transmitted[: self.spec.k_in]
+        return None
 
 
 # A new code is a `CodeKind` member, its class and one row here.

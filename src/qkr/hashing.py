@@ -28,6 +28,10 @@ spectrum is computed on the first FFT product and cached on the seed.
 Either path gives the same bytes as the int64 convolution kept in
 ``tests/oracles.py``.
 
+The public `mac_tag`, `hash_F` and `hash_G` take and return strings; each
+wraps one private form on uint8 arrays (`_tag` under a key's table,
+`_hash_F`, `_hash_G`), which a session's rounds call directly.
+
 Message authentication is a polynomial-evaluation MAC over GF(2^lambda): the
 message is split into lambda-bit blocks m_1..m_d, a block holding the bit
 length is appended, and the tag is sum m_i * key^i. A substitution forgery
@@ -167,12 +171,11 @@ def gf_mul(a: int, b: int, tag_bits: int) -> int:
     return _horner([a], _key_table(b, tag_bits), tag_bits)
 
 
-def _message_blocks(message: BitString, tag_bits: int) -> list[int]:
-    """Split into tag_bits-sized blocks (last one zero-padded on the right),
-    then append the bit length as the final block. Every pinned tag length
-    is a whole number of bytes, and `packbits` pads the last byte with
-    zeros, so only whole zero bytes are added to fill the last block."""
-    bits = message.bits
+def _message_blocks(bits: np.ndarray, tag_bits: int) -> list[int]:
+    """Split a bit array into tag_bits-sized blocks (last one zero-padded on
+    the right), then append the bit length as the final block. Every pinned
+    tag length is a whole number of bytes, and `packbits` pads the last byte
+    with zeros, so only whole zero bytes are added to fill the last block."""
     width = tag_bits // 8
     packed = np.packbits(bits).tobytes()
     packed += bytes(-len(packed) % width)
@@ -187,7 +190,19 @@ def polynomial_mac(key_value: int, message: BitString, tag_bits: int) -> int:
     Works for any key value including zero; the zero key maps every message
     to the zero tag, which is why protocol keys are kept nonzero.
     """
-    return _horner(_message_blocks(message, tag_bits), _key_table(key_value, tag_bits), tag_bits)
+    return _tag(_key_table(key_value, tag_bits), message.bits, tag_bits)
+
+
+def _tag(table: list[int], bits: np.ndarray, tag_bits: int) -> int:
+    """The tag of a bit array under the key whose table is `table`."""
+    return _horner(_message_blocks(bits, tag_bits), table, tag_bits)
+
+
+def _drawn_key(bits: np.ndarray) -> np.ndarray:
+    """Key bits from a uniform draw: the single all-zero draw is remapped to
+    all ones, so the draw consumes exactly len(bits) bits and the key is
+    nonzero."""
+    return bits if bits.any() else np.ones(len(bits), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -218,9 +233,7 @@ class MacKey:
     def from_draw(cls, bits: BitString) -> "MacKey":
         """Build a key from a uniform draw, remapping the single all-zero
         value to all-ones so the draw consumes exactly len(bits) bits."""
-        if bits.weight() == 0:
-            bits = BitString(np.ones(len(bits), dtype=np.uint8))
-        return cls(bits)
+        return cls(BitString._trusted(_drawn_key(bits.bits), 2))
 
     @classmethod
     def random(cls, src: RandomSource, tag_bits: int) -> "MacKey":
@@ -231,9 +244,7 @@ def mac_tag(key: MacKey, message: BitString) -> BitString:
     """Authentication tag of `message` under `key`. The substitution bound
     (d+1)/2^lambda holds between messages of equal length, or of lengths
     below 2^lambda bits: the length block wraps modulo 2^lambda."""
-    tag_bits = key.tag_bits
-    value = _horner(_message_blocks(message, tag_bits), key._table, tag_bits)
-    return BitString.from_int(value, tag_bits)
+    return BitString.from_int(_tag(key._table, message.bits, key.tag_bits), key.tag_bits)
 
 
 def mac_verify(key: MacKey, message: BitString, tag: BitString) -> bool:
@@ -404,16 +415,16 @@ class ToeplitzSeed:
         return f"ToeplitzSeed(modulus={self.modulus}, in_len={self.in_len}, out_len={self.out_len})"
 
 
-# The two bits of each symbol of the three-letter basis alphabet.
-_TRIT_BITS = np.array([[0, 0], [0, 1], [1, 0]], dtype=np.uint8)
-
-
-def _basis_bits(b: BasisString) -> np.ndarray:
+def _basis_bits(symbols: np.ndarray, alphabet_size: int) -> np.ndarray:
     """Flatten basis symbols to bits: one bit per symbol for a two-letter
-    alphabet, two bits (00/01/10) per symbol for the three-letter one."""
-    if b.alphabet_size == 2:
-        return b.symbols
-    return _TRIT_BITS[b.symbols].ravel()
+    alphabet, two bits (00/01/10) per symbol for the three-letter one, the
+    high bit `s >> 1` in the even slots and the low bit `s & 1` in the odd."""
+    if alphabet_size == 2:
+        return symbols
+    bits = np.empty(2 * len(symbols), dtype=np.uint8)
+    np.right_shift(symbols, 1, out=bits[0::2])
+    np.bitwise_and(symbols, 1, out=bits[1::2])
+    return bits
 
 
 def f_seed_shapes(n: int, kappa: int, alphabet_size: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -436,27 +447,43 @@ def random_g_seed(src: RandomSource, n: int, q_bits: int, alphabet_size: int) ->
     return ToeplitzSeed.random(src, alphabet_size, n + q_bits, n)
 
 
+def _hash_F(
+    u: tuple[ToeplitzSeed, ToeplitzSeed], x: np.ndarray, b: np.ndarray, r: np.ndarray,
+    alphabet_size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`hash_F` on arrays: the new mask bits and basis symbols from the
+    payload bits x, the basis symbols b over `alphabet_size` and the
+    padding bits r."""
+    seed_mask, seed_basis = u
+    if seed_mask.modulus != 2:
+        raise ValueError("mask component seed must be over GF(2)")
+    if seed_basis.modulus != alphabet_size:
+        raise ValueError("basis component seed modulus must equal the basis alphabet size")
+    new_mask = seed_mask.apply(np.concatenate([x, _basis_bits(b, alphabet_size), r]))
+    # Bits are valid residues in either field, so the flattening is the
+    # identity on them; basis symbols pass through unchanged.
+    return new_mask, seed_basis.apply(np.concatenate([x, b, r]))
+
+
+def _hash_G(v: ToeplitzSeed, b: np.ndarray, q: np.ndarray, alphabet_size: int) -> np.ndarray:
+    """`hash_G` on arrays: the new basis symbols from the basis symbols b
+    over `alphabet_size` and the reservoir bits q."""
+    if v.modulus != alphabet_size:
+        raise ValueError("seed modulus must equal the basis alphabet size")
+    return v.apply(np.concatenate([b, q]))
+
+
 def hash_F(
     u: tuple[ToeplitzSeed, ToeplitzSeed], x: BitString, b: BasisString, r: BitString
 ) -> tuple[BitString, BasisString]:
     """Key-update hash for the Accept path: (mask, basis) refresh from
     the payload, the basis sequence, and the padding string."""
-    seed_mask, seed_basis = u
-    if seed_mask.modulus != 2:
-        raise ValueError("mask component seed must be over GF(2)")
-    if seed_basis.modulus != b.alphabet_size:
-        raise ValueError("basis component seed modulus must equal the basis alphabet size")
-    new_mask = seed_mask.apply(np.concatenate([x.bits, _basis_bits(b), r.bits]))
-    # Bits are valid residues in either field, so the flattening is the
-    # identity on them; basis symbols pass through unchanged.
-    new_basis = seed_basis.apply(np.concatenate([x.bits, b.symbols, r.bits]))
-    return BitString._trusted(new_mask, 2), BasisString._trusted(new_basis, b.alphabet_size)
+    alphabet = b.alphabet_size
+    new_mask, new_basis = _hash_F(u, x.bits, b.symbols, r.bits, alphabet)
+    return BitString._trusted(new_mask, 2), BasisString._trusted(new_basis, alphabet)
 
 
 def hash_G(v: ToeplitzSeed, b: BasisString, q: BitString) -> BasisString:
     """Key-update hash for the Reject path: basis refresh from the old basis
     sequence and fresh reservoir bits."""
-    if v.modulus != b.alphabet_size:
-        raise ValueError("seed modulus must equal the basis alphabet size")
-    new_basis = v.apply(np.concatenate([b.symbols, q.bits]))
-    return BasisString._trusted(new_basis, b.alphabet_size)
+    return BasisString._trusted(_hash_G(v, b.symbols, q.bits, b.alphabet_size), b.alphabet_size)

@@ -56,6 +56,20 @@ def _value_array(values, modulus, what):
     return out
 
 
+def _bits_to_int(bits: np.ndarray) -> int:
+    """The integer whose binary digits are `bits`, most significant first."""
+    packed = np.packbits(bits).tobytes()
+    return int.from_bytes(packed, "big") >> (-len(bits) % 8)
+
+
+def _int_to_bits(value: int, length: int) -> np.ndarray:
+    """The `length` binary digits of `value`, most significant first, as a
+    fresh uint8 array; `value` must lie in [0, 2^length)."""
+    nbytes = (length + 7) // 8
+    bits = np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))
+    return bits[8 * nbytes - length :]
+
+
 def _check_alphabet(alphabet_size: int) -> int:
     if alphabet_size not in (2, 3):
         raise ValueError("alphabet_size must be 2 or 3")
@@ -139,17 +153,14 @@ class BitString(_SymbolString):
         value = operator.index(value)
         if value < 0 or value >> length:
             raise ValueError(f"value does not fit in {length} bits")
-        nbytes = (length + 7) // 8
-        bits = np.unpackbits(np.frombuffer(value.to_bytes(nbytes, "big"), dtype=np.uint8))
-        return cls._trusted(bits[8 * nbytes - length :], 2)
+        return cls._trusted(_int_to_bits(value, length), 2)
 
     @property
     def bits(self) -> np.ndarray:
         return self._values
 
     def to_int(self) -> int:
-        packed = np.packbits(self._values).tobytes()
-        return int.from_bytes(packed, "big") >> (-len(self._values) % 8)
+        return _bits_to_int(self._values)
 
     def to_hex(self) -> str:
         digits = max(1, (len(self) + 3) // 4)

@@ -24,6 +24,20 @@ The simulation binds the receiver's measurement basis to the true b; an
 adversary acts only on the qubit sequence in flight. Nothing alters the
 feedback on its way back, so `run_session` does not run the sender's
 feedback check: a tag computed with the shared key always verifies.
+
+Each step has one implementation on plain uint8 arrays (`_encrypt`,
+`_decrypt`, `_accept_update`, `_reject_update`), built on the array forms of
+the MAC and the hashes in `hashing`, of `Code._encode` and `_decode`, and of
+the channel in `qsim`. The public steps (`alice_encrypt`, `bob_decrypt`,
+`key_update`, `feedback_tag`) are the validating edge: each checks its
+inputs against the params, calls the kernel on the strings' arrays, and
+wraps the result in strings and a `KeyState`. `run_session` holds z, b and
+the feedback key's bits and table as arrays for the whole session, runs the
+same checks on them every round (key shapes, the plaintext's length, the
+code's dimensions, the basis labels Bob measures in), and builds strings
+only for what leaves it, `RoundResult.mu_hat` and `tau_fb`. Every draw
+keeps its stream and order: a Reject draws z, then k, then q through
+`Reservoir.draw_bits`.
 """
 
 from __future__ import annotations
@@ -37,15 +51,25 @@ from .ecc import Code, CodeKind, OracleBddCode, make_code
 from .hashing import (
     MacKey,
     ToeplitzSeed,
-    hash_F,
-    hash_G,
+    _drawn_key,
+    _hash_F,
+    _hash_G,
+    _key_table,
+    _tag,
     mac_tag,
     mac_verify,
     random_f_seed,
     random_g_seed,
 )
-from .primitives import BasisString, BitString, ProtocolParams, RandomSource
-from .qsim import ChannelModel, QubitSequence, transmit
+from .primitives import (
+    BasisString,
+    BitString,
+    ProtocolParams,
+    RandomSource,
+    _bits_to_int,
+    _int_to_bits,
+)
+from .qsim import ChannelModel, QubitSequence, _channel
 
 __all__ = [
     "KeyState",
@@ -101,12 +125,24 @@ class KeyState:
         )
 
     def check_dimensions(self, params: ProtocolParams) -> None:
-        if len(self.z) != params.n or len(self.b) != params.n:
-            raise ValueError("key state does not match params: n mismatch")
-        if self.b.alphabet_size != params.alphabet_size:
-            raise ValueError("key state does not match params: basis alphabet mismatch")
-        if self.xi.tag_bits != params.tag_bits or self.k.tag_bits != params.tag_bits:
-            raise ValueError("key state does not match params: tag length mismatch")
+        _check_keys(
+            params, self.z.bits, self.b.symbols, self.b.alphabet_size,
+            self.xi.tag_bits, self.k.tag_bits,
+        )
+
+
+def _check_keys(
+    params: ProtocolParams, z: np.ndarray, b: np.ndarray, alphabet_size: int,
+    xi_bits: int, k_bits: int,
+) -> None:
+    """A key state's checks against params, on its mask bits z, its basis
+    symbols b over `alphabet_size` and the tag lengths of its two MAC keys."""
+    if len(z) != params.n or len(b) != params.n:
+        raise ValueError("key state does not match params: n mismatch")
+    if alphabet_size != params.alphabet_size:
+        raise ValueError("key state does not match params: basis alphabet mismatch")
+    if xi_bits != params.tag_bits or k_bits != params.tag_bits:
+        raise ValueError("key state does not match params: tag length mismatch")
 
 
 class Reservoir:
@@ -191,6 +227,83 @@ class SessionResult:
     exhausted: Optional[ReservoirExhausted]
 
 
+def _check_encrypt(params: ProtocolParams, mu: np.ndarray, code: Code) -> None:
+    """The Encryption step's checks of the plaintext bits and the code."""
+    if len(mu) != params.mu_bits:
+        raise ValueError(f"plaintext must have length {params.mu_bits}")
+    if code.spec.k_in != params.payload_bits or code.spec.n_out != params.n:
+        raise ValueError("code dimensions do not match params")
+
+
+def _check_qubits(
+    params: ProtocolParams, basis: np.ndarray, basis_alphabet: int, b: np.ndarray,
+    alphabet_size: int,
+) -> None:
+    """The Decryption step's checks of the qubits in flight: n of them,
+    labelled with the shared basis symbols b over `alphabet_size`."""
+    if len(basis) != params.n:
+        raise ValueError(f"expected {params.n} qubits")
+    if basis_alphabet != alphabet_size or basis.tobytes() != b.tobytes():
+        raise ValueError("honest simulation requires basis labels equal to the shared b")
+
+
+def _encrypt(
+    params: ProtocolParams, z: np.ndarray, xi: MacKey, mu: np.ndarray, src: RandomSource,
+    code: Code,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Encryption on bit arrays: draw r, then k', tag mu || k' under xi,
+    encode mu || k' || tau || r and mask it with z. Returns (x, c, r, k',
+    tau)."""
+    tag_start = params.ell - params.tag_bits
+    r = src.bit_array(params.kappa)
+    k_prime = src.bit_array(params.tag_bits)
+    payload = np.empty(params.payload_bits, dtype=np.uint8)
+    payload[: params.mu_bits] = mu
+    payload[params.mu_bits : tag_start] = k_prime
+    tau = _int_to_bits(_tag(xi._table, payload[:tag_start], params.tag_bits), params.tag_bits)
+    payload[tag_start : params.ell] = tau
+    payload[params.ell :] = r
+    c = code._encode(payload)
+    return c ^ z, c, r, k_prime, tau
+
+
+def _decrypt(
+    params: ProtocolParams, z: np.ndarray, xi: MacKey, received: np.ndarray, code: Code
+) -> tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Decryption on bit arrays: unmask, decode, re-encode and check the
+    message tag. Returns (omega, payload, x_hat); the payload
+    mu || k' || tau || r and x_hat are None when decoding fails."""
+    payload = code._decode(received ^ z)
+    if payload is None:
+        return 0, None, None
+    tag_start = params.ell - params.tag_bits
+    x_hat = code._encode(payload) ^ z
+    tag = _tag(xi._table, payload[:tag_start], params.tag_bits)
+    return int(tag == _bits_to_int(payload[tag_start : params.ell])), payload, x_hat
+
+
+def _accept_update(
+    u: tuple[ToeplitzSeed, ToeplitzSeed], b: np.ndarray, alphabet_size: int, x: np.ndarray,
+    r: np.ndarray, k_next: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Accept update on arrays: the next (z, b, k) from hash_F(x, b, r)
+    and the next feedback key's draw."""
+    z, b = _hash_F(u, x, b, r, alphabet_size)
+    return z, b, _drawn_key(k_next)
+
+
+def _reject_update(
+    params: ProtocolParams, v: ToeplitzSeed, b: np.ndarray, alphabet_size: int,
+    reservoir: Reservoir,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Reject update on arrays: draw z, then k, then q from the
+    reservoir; the next (z, b, k) with b = hash_G(b, q)."""
+    z = reservoir.draw_bits(params.n).bits
+    k = _drawn_key(reservoir.draw_bits(params.tag_bits).bits)
+    q = reservoir.draw_bits(params.q_bits).bits
+    return z, _hash_G(v, b, q, alphabet_size), k
+
+
 def alice_encrypt(
     params: ProtocolParams,
     keys: KeyState,
@@ -200,17 +313,11 @@ def alice_encrypt(
 ) -> tuple[QubitSequence, AliceRoundSecrets]:
     """Encryption step: returns the n prepared qubits and the round secrets."""
     keys.check_dimensions(params)
-    if len(mu) != params.mu_bits:
-        raise ValueError(f"plaintext must have length {params.mu_bits}")
-    if code.spec.k_in != params.payload_bits or code.spec.n_out != params.n:
-        raise ValueError("code dimensions do not match params")
-
-    r = src.bits(params.kappa)
-    k_prime = src.bits(params.tag_bits)
-    tagged = mu + k_prime
-    tau = mac_tag(keys.xi, tagged)
-    c = code.encode(tagged + tau + r)
-    x = c ^ keys.z
+    _check_encrypt(params, mu.bits, code)
+    x, c, r, k_prime, tau = (
+        BitString._trusted(bits, 2)
+        for bits in _encrypt(params, keys.z.bits, keys.xi, mu.bits, src, code)
+    )
     qubits = QubitSequence.prepare(keys.b, x)
     return qubits, AliceRoundSecrets(r=r, k_prime=k_prime, x=x, c=c, tau=tau)
 
@@ -226,29 +333,21 @@ def bob_decrypt(
     Failures surface as omega=0, never as exceptions.
     """
     keys.check_dimensions(params)
-    if len(qubits) != params.n:
-        raise ValueError(f"expected {params.n} qubits")
-    if qubits.basis != keys.b:
-        raise ValueError("honest simulation requires basis labels equal to the shared b")
-
-    x_prime = qubits.payload
-    c_prime = x_prime ^ keys.z
-    outcome = code.decode(c_prime)
-    if not outcome.ok:
+    _check_qubits(
+        params, qubits.basis.symbols, qubits.basis.alphabet_size, keys.b.symbols,
+        keys.b.alphabet_size,
+    )
+    omega, payload, x_hat = _decrypt(params, keys.z.bits, keys.xi, qubits.payloads, code)
+    if payload is None:
         return BobDecryption(omega=0, mu_hat=None, k_hat_prime=None, r_hat=None, x_hat=None)
-
-    # payload = mu_hat + k_hat_prime + tau_hat + r_hat; the tag covers the
-    # bits before tau_hat.
-    payload = outcome.payload
-    tag_start = params.ell - params.tag_bits
-    mu_hat = payload[: params.mu_bits]
-    k_hat_prime = payload[params.mu_bits : tag_start]
-    tau_hat = payload[tag_start : params.ell]
-    r_hat = payload[params.ell :]
-    x_hat = code.encode(payload) ^ keys.z
-    omega = 1 if mac_verify(keys.xi, payload[:tag_start], tau_hat) else 0
+    # payload = mu_hat + k_hat_prime + tau_hat + r_hat
+    payload = BitString._trusted(payload, 2)
     return BobDecryption(
-        omega=omega, mu_hat=mu_hat, k_hat_prime=k_hat_prime, r_hat=r_hat, x_hat=x_hat
+        omega=omega,
+        mu_hat=payload[: params.mu_bits],
+        k_hat_prime=payload[params.mu_bits : params.ell - params.tag_bits],
+        r_hat=payload[params.ell :],
+        x_hat=BitString._trusted(x_hat, 2),
     )
 
 
@@ -291,16 +390,19 @@ def key_update(
     and both hash seeds are reused in either case.
     """
     keys.check_dimensions(params)
+    alphabet = keys.b.alphabet_size
     if omega:
         if x is None or r is None or k_next is None:
             raise ValueError("accept-path update needs x, r, and the next feedback key")
-        new_z, new_b = hash_F(keys.u, x, keys.b, r)
-        return replace(keys, z=new_z, b=new_b, k=MacKey.from_draw(k_next))
-    new_z = reservoir.draw_bits(params.n)
-    new_k = MacKey.from_draw(reservoir.draw_bits(params.tag_bits))
-    q = reservoir.draw_bits(params.q_bits)
-    new_b = hash_G(keys.v, keys.b, q)
-    return replace(keys, z=new_z, b=new_b, k=new_k)
+        z, b, k = _accept_update(keys.u, keys.b.symbols, alphabet, x.bits, r.bits, k_next.bits)
+    else:
+        z, b, k = _reject_update(params, keys.v, keys.b.symbols, alphabet, reservoir)
+    return replace(
+        keys,
+        z=BitString._trusted(z, 2),
+        b=BasisString._trusted(b, alphabet),
+        k=MacKey(BitString._trusted(k, 2)),
+    )
 
 
 def run_session(
@@ -325,6 +427,10 @@ def run_session(
     (0.0 for no rounds), reservoir consumption and injected errors, the count
     of accepted rounds whose recovered plaintext differs from the sent one,
     and whether the keys still agree.
+
+    The rounds run the array steps on the state's arrays, with every check
+    the public steps make; strings are built only for `RoundResult.mu_hat`
+    and `tau_fb`.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -336,51 +442,67 @@ def run_session(
     reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
 
     code = make_code(code_kind, params)
+    note = code._note if isinstance(code, OracleBddCode) else None
+    # The key state as arrays, with the feedback key's table; xi, u and v
+    # never change.
+    z, b, k = keys.z.bits, keys.b.symbols, keys.k.key.bits
+    k_table = keys.k._table
+    alphabet, xi, u, v = keys.b.alphabet_size, keys.xi, keys.u, keys.v
+    tag_bits, mu_bits, ell = params.tag_bits, params.mu_bits, params.ell
     results = []
     mismatches = 0
     key_agreement = True
     exhausted = None
 
     for i in range(rounds):
-        mu = message_source(i) if message_source else msg_src.bits(params.mu_bits)
+        mu = message_source(i).bits if message_source else msg_src.bit_array(mu_bits)
 
-        qubits, secrets = alice_encrypt(params, keys, mu, alice_src, code)
-        if isinstance(code, OracleBddCode):
-            code.note_transmitted(secrets.c)
-        received = transmit(channel, qubits, channel_src)
+        _check_keys(params, z, b, alphabet, xi.tag_bits, len(k))
+        _check_encrypt(params, mu, code)
+        x, c, r, k_prime, _ = _encrypt(params, z, xi, mu, alice_src, code)
+        if note is not None:
+            note(c)
+        received = _channel(channel, b, alphabet, x, channel_src)
 
-        dec = bob_decrypt(params, keys, received, code)
+        # The channel keeps the labels the qubits were sent with, b.
+        _check_qubits(params, b, alphabet, b, alphabet)
+        omega, payload, x_hat = _decrypt(params, z, xi, received, code)
         consumed_before = reservoir.consumed_bits
         try:
-            next_keys = key_update(
-                params, keys, dec.omega, reservoir,
-                x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
-            )
+            if omega:
+                next_state = _accept_update(u, b, alphabet, x, r, k_prime)
+            else:
+                next_state = _reject_update(params, v, b, alphabet, reservoir)
         except ReservoirExhausted as exc:
             exhausted = exc
             break
-        if dec.omega:
-            if dec.mu_hat != mu:
+        mu_hat = None
+        if omega:
+            mu_hat = payload[:mu_bits]
+            if mu_hat.tobytes() != mu.tobytes():
                 mismatches += 1
             # Every encoder is injective, so x alone decides whether Bob's
             # (x, r, k') differs from Alice's and his own update must run.
-            if dec.x_hat != secrets.x:
-                key_agreement = next_keys == key_update(
-                    params, keys, dec.omega, reservoir,
-                    x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,
+            if x_hat.tobytes() != x.tobytes():
+                bob_state = _accept_update(
+                    u, b, alphabet, x_hat, payload[ell:], payload[mu_bits : ell - tag_bits]
                 )
+                key_agreement = all(
+                    mine.tobytes() == his.tobytes() for mine, his in zip(next_state, bob_state)
+                )
+            mu_hat = BitString._trusted(mu_hat, 2)
+        tau_fb = _tag(k_table, _VERDICTS[omega].bits, tag_bits)
         results.append(
             RoundResult(
-                omega=dec.omega,
-                mu_hat=dec.mu_hat if dec.omega else None,
-                tau_fb=feedback_tag(keys, dec.omega),
+                omega=omega,
+                mu_hat=mu_hat,
+                tau_fb=BitString.from_int(tau_fb, tag_bits),
                 consumed_bits=reservoir.consumed_bits - consumed_before,
-                errors_injected=int(
-                    np.bitwise_xor(qubits.payloads, received.payloads).sum()
-                ),
+                errors_injected=int(np.count_nonzero(x != received)),
             )
         )
-        keys = next_keys
+        z, b, k = next_state
+        k_table = _key_table(_bits_to_int(k), tag_bits)
         if not key_agreement:
             break
 

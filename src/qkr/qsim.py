@@ -12,6 +12,9 @@ conditional distributions on the payload:
   delivered payload is a fresh coin. The induced error rate is therefore
   eta * (1 - 1/|B|) / 2: 1/4 for two bases, 1/3 for three.
 
+A session's rounds call the channel on the basis-symbol and payload
+arrays; `transmit` wraps it for `QubitSequence`s.
+
 The two-qubit Pauli twirl that the security proof relies on is checked
 with a small density-matrix engine kept with the tests (`tests/density.py`).
 """
@@ -75,19 +78,28 @@ class ChannelModel:
             raise ValueError("eta must lie in [0, 1]")
 
 
+def _channel(
+    channel: ChannelModel, basis: np.ndarray, alphabet_size: int, payload: np.ndarray,
+    src: RandomSource,
+) -> np.ndarray:
+    """`transmit` on arrays: the payload bits that arrive when the payload
+    bits `payload` travel in the basis symbols `basis` over `alphabet_size`,
+    as a fresh array; the basis labels arrive unchanged."""
+    n = len(payload)
+    if channel.kind is ChannelKind.IID_FLIP:
+        return np.bitwise_xor(payload, src.bernoulli(channel.gamma, n))
+    attacked = src.bernoulli(channel.eta, n)
+    eve_bases = src.integers_below(alphabet_size, n)
+    coins = src.bit_array(n)
+    same_basis = eve_bases == basis
+    # Matching basis: the payload survives Eve's measure-and-resend.
+    # Mismatched basis: the receiver's matching-basis outcome is uniform.
+    return np.where(attacked & ~same_basis, coins, payload)
+
+
 def transmit(channel: ChannelModel, qubits: QubitSequence, src: RandomSource) -> QubitSequence:
     """Send the qubits through the channel; length and basis labels are
     preserved, only payloads are disturbed."""
-    n = len(qubits)
-    if channel.kind is ChannelKind.IID_FLIP:
-        flips = src.bernoulli(channel.gamma, n)
-        payloads = np.bitwise_xor(qubits.payloads, flips.astype(np.uint8))
-    else:
-        attacked = src.bernoulli(channel.eta, n)
-        eve_bases = src.integers_below(qubits.basis.alphabet_size, n)
-        coins = src.bit_array(n)
-        same_basis = eve_bases == qubits.basis.symbols
-        # Matching basis: the payload survives Eve's measure-and-resend.
-        # Mismatched basis: the receiver's matching-basis outcome is uniform.
-        payloads = np.where(attacked & ~same_basis, coins, qubits.payloads)
-    return QubitSequence.prepare(qubits.basis, BitString._trusted(payloads, 2))
+    basis = qubits.basis
+    payload = _channel(channel, basis.symbols, basis.alphabet_size, qubits.payloads, src)
+    return QubitSequence.prepare(basis, BitString._trusted(payload, 2))

@@ -18,7 +18,7 @@ from qkr.analysis import SecurityBudget, min_q_bits, required_redundancy
 from qkr.cli import UsageError
 from qkr.ecc import CodeKind
 from qkr.hashing import REDUCTION_POLYS, bytes_to_words, gf64_key_tables, gf64_mul_rows
-from qkr.primitives import Encoding, ProtocolParams, RandomSource
+from qkr.primitives import BitString, Encoding, ProtocolParams, RandomSource
 from qkr.qsim import QubitSequence
 
 
@@ -212,6 +212,90 @@ def message_blocks_loop(bits, tag_bits: int) -> list[int]:
     return blocks
 
 
+# The four protocol steps at string level, as `protocol` had them before a
+# session's rounds ran on arrays; the public steps now wrap array kernels.
+
+def alice_encrypt_strings(params, keys, mu, src, code):
+    """Encryption on strings: returns the n prepared qubits and the round
+    secrets."""
+    from qkr.hashing import mac_tag
+    from qkr.protocol import AliceRoundSecrets
+
+    keys.check_dimensions(params)
+    if len(mu) != params.mu_bits:
+        raise ValueError(f"plaintext must have length {params.mu_bits}")
+    if code.spec.k_in != params.payload_bits or code.spec.n_out != params.n:
+        raise ValueError("code dimensions do not match params")
+
+    r = src.bits(params.kappa)
+    k_prime = src.bits(params.tag_bits)
+    tagged = mu + k_prime
+    tau = mac_tag(keys.xi, tagged)
+    c = code.encode(tagged + tau + r)
+    x = c ^ keys.z
+    qubits = QubitSequence.prepare(keys.b, x)
+    return qubits, AliceRoundSecrets(r=r, k_prime=k_prime, x=x, c=c, tau=tau)
+
+
+def bob_decrypt_strings(params, keys, qubits, code):
+    """Decryption on strings: measure, unmask, decode, and check the
+    message tag; failures surface as omega=0."""
+    from qkr.hashing import mac_verify
+    from qkr.protocol import BobDecryption
+
+    keys.check_dimensions(params)
+    if len(qubits) != params.n:
+        raise ValueError(f"expected {params.n} qubits")
+    if qubits.basis != keys.b:
+        raise ValueError("honest simulation requires basis labels equal to the shared b")
+
+    c_prime = qubits.payload ^ keys.z
+    outcome = code.decode(c_prime)
+    if not outcome.ok:
+        return BobDecryption(omega=0, mu_hat=None, k_hat_prime=None, r_hat=None, x_hat=None)
+    payload = outcome.payload
+    tag_start = params.ell - params.tag_bits
+    mu_hat = payload[: params.mu_bits]
+    k_hat_prime = payload[params.mu_bits : tag_start]
+    tau_hat = payload[tag_start : params.ell]
+    r_hat = payload[params.ell :]
+    x_hat = code.encode(payload) ^ keys.z
+    omega = 1 if mac_verify(keys.xi, payload[:tag_start], tau_hat) else 0
+    return BobDecryption(
+        omega=omega, mu_hat=mu_hat, k_hat_prime=k_hat_prime, r_hat=r_hat, x_hat=x_hat
+    )
+
+
+def feedback_tag_strings(keys, omega):
+    """The feedback MAC of the one-bit verdict under the key k."""
+    from qkr.hashing import mac_tag
+
+    if omega not in (0, 1):
+        raise ValueError(f"omega must be 0 or 1, got {omega!r}")
+    return mac_tag(keys.k, BitString([int(omega)]))
+
+
+def key_update_strings(params, keys, omega, reservoir, *, x=None, r=None, k_next=None):
+    """The next key state on strings: hash_F of (x, b, r) and k' on Accept;
+    z, k and q drawn from the reservoir in that order, and hash_G, on
+    Reject."""
+    from dataclasses import replace
+
+    from qkr.hashing import MacKey, hash_F, hash_G
+
+    keys.check_dimensions(params)
+    if omega:
+        if x is None or r is None or k_next is None:
+            raise ValueError("accept-path update needs x, r, and the next feedback key")
+        new_z, new_b = hash_F(keys.u, x, keys.b, r)
+        return replace(keys, z=new_z, b=new_b, k=MacKey.from_draw(k_next))
+    new_z = reservoir.draw_bits(params.n)
+    new_k = MacKey.from_draw(reservoir.draw_bits(params.tag_bits))
+    q = reservoir.draw_bits(params.q_bits)
+    new_b = hash_G(keys.v, keys.b, q)
+    return replace(keys, z=new_z, b=new_b, k=new_k)
+
+
 def run_session_two_party(
     params,
     channel,
@@ -221,15 +305,14 @@ def run_session_two_party(
     message_source=None,
     reservoir_capacity=None,
 ):
-    """A session with both parties' key states kept in full: two `KeyState`s,
-    two reservoirs over the same seeded stream, both parties' `key_update`
-    every round and a full state comparison. Stops after the first round
-    whose states differ, because every later round would run on diverged
-    basis sequences, and before a round whose update exhausts a reservoir.
-    The summary comes from running totals, each completed round's
-    consumption added as it ends."""
+    """A session on the string-level steps with both parties' key states
+    kept in full: two `KeyState`s, two reservoirs over the same seeded
+    stream, both parties' key update every round and a full state
+    comparison. Stops after the first round whose states differ, because
+    every later round would run on diverged basis sequences, and before a
+    round whose update exhausts a reservoir. The summary comes from running
+    totals, each completed round's consumption added as it ends."""
     from qkr.ecc import OracleBddCode, make_code
-    from qkr.primitives import RandomSource
     from qkr.protocol import (
         KeyState,
         Reservoir,
@@ -238,10 +321,6 @@ def run_session_two_party(
         SessionResult,
         SessionSummary,
         alice_check_feedback,
-        alice_encrypt,
-        bob_decrypt,
-        feedback_tag,
-        key_update,
     )
     from qkr.qsim import transmit
 
@@ -262,23 +341,23 @@ def run_session_two_party(
 
     for i in range(rounds):
         mu = message_source(i) if message_source else msg_src.bits(params.mu_bits)
-        qubits, secrets = alice_encrypt(params, alice_keys, mu, alice_src, code)
+        qubits, secrets = alice_encrypt_strings(params, alice_keys, mu, alice_src, code)
         if isinstance(code, OracleBddCode):
             code.note_transmitted(secrets.c)
         received = transmit(channel, qubits, channel_src)
         errors_injected = int(np.bitwise_xor(qubits.payloads, received.payloads).sum())
 
-        dec = bob_decrypt(params, bob_keys, received, code)
-        tau_fb = feedback_tag(bob_keys, dec.omega)
+        dec = bob_decrypt_strings(params, bob_keys, received, code)
+        tau_fb = feedback_tag_strings(bob_keys, dec.omega)
         assert alice_check_feedback(alice_keys, dec.omega, tau_fb)
 
         consumed_before = alice_reservoir.consumed_bits
         try:
-            alice_keys = key_update(
+            alice_keys = key_update_strings(
                 params, alice_keys, dec.omega, alice_reservoir,
                 x=secrets.x, r=secrets.r, k_next=secrets.k_prime,
             )
-            bob_keys = key_update(
+            bob_keys = key_update_strings(
                 params, bob_keys, dec.omega, bob_reservoir,
                 x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime,
             )

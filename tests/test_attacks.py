@@ -232,13 +232,15 @@ def test_fuzz_batch_matches_scalar_reference_at_low_flip_rates(flip_rate):
 
 
 class _Replay:
+    """Stands in for the `RandomSource` that Encryption draws r and k' from."""
+
     def __init__(self, *strings):
         self.queue = list(strings)
 
-    def bits(self, count):
+    def bit_array(self, count):
         value = self.queue.pop(0)
         assert len(value) == count
-        return value
+        return value.bits
 
 
 def _protocol_rounds(xi, mu, k_prime, r, z, flips):

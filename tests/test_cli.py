@@ -218,6 +218,39 @@ def test_run_stops_at_key_divergence(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv,stdout_sha256,rounds_sha256,rounds",
+    [
+        (["--code", "repetition3", "--n", "96", "--gamma", "0.05", "--rounds", "30",
+          "--seed", "1"],
+         "fc8b895a39fba5b71bff1e50da1afccbf1c926f512ac7b48f41392669beb49e2",
+         "0fa75aa5a826910577f286697218e3d71ff294171246796721e2881c8951441e",
+         6),
+        (["--code", "identity", "--n", "64", "--gamma", "0.02", "--rounds", "20",
+          "--seed", "2"],
+         "a9ff63670ead1da7cb53dc73f41b7089b897374b0d02d81daf85064df7d3fde6",
+         "39a44a7707e4017a21f175611fb0939127af26b4a18ccdb75781e4377c627ad3",
+         2),
+    ],
+    ids=["repetition3-divergence", "identity-error-in-r"],
+)
+def test_run_bytes_pinned_where_bob_runs_his_own_update(tmp_path, monkeypatch, capsys, argv,
+                                                        stdout_sha256, rounds_sha256, rounds):
+    """Bob accepts a round whose x differs from Alice's, so his own Accept
+    update runs and differs from hers: majority decoding hands him a wrong
+    r under a tag that verifies, or the identity code passes an error in r
+    straight through. The session ends after that round, with the keys no
+    longer in agreement. The digests were recorded with the string-level
+    protocol steps, before a session's rounds ran on arrays."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(capsys, "run", "--out", "r.jsonl", *argv)
+    assert code == 0
+    summary = json.loads(stdout)["summary"]
+    assert (summary["rounds"], summary["key_agreement"]) == (rounds, False)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
+
+
+@pytest.mark.parametrize(
     "argv,stdout_sha256,rounds_sha256",
     [
         (["--rounds", "3"],

@@ -474,7 +474,7 @@ def test_packed_bit_paths_match_per_bit_loops(bits, tag_bits):
     assert s.to_int() == value
     assert BitString.from_int(value, len(bits)) == s
     assert list(BitString.from_int(value, len(bits))) == int_to_bits_loop(value, len(bits))
-    assert _message_blocks(s, tag_bits) == message_blocks_loop(bits, tag_bits)
+    assert _message_blocks(s.bits, tag_bits) == message_blocks_loop(bits, tag_bits)
 
 
 @given(st.data(), st.sampled_from([8, 64, 128]))
@@ -502,4 +502,4 @@ def test_message_blocks_at_block_boundaries(tag_bits):
     src = RandomSource(9, "blocks")
     for length in (0, 1, 7, 8, 9, tag_bits - 1, tag_bits, tag_bits + 1, 2 * tag_bits + 3):
         bits = src.bits(length)
-        assert _message_blocks(bits, tag_bits) == message_blocks_loop(bits.bits, tag_bits)
+        assert _message_blocks(bits.bits, tag_bits) == message_blocks_loop(bits.bits, tag_bits)

@@ -1,10 +1,13 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qkr.ecc import CodeKind, make_code
-from qkr.hashing import MacKey, mac_tag
+from qkr.ecc import CodeKind, OracleBddCode, make_code
+from qkr.hashing import FFT_MIN_MUL_ADDS, MacKey, f_seed_shapes, mac_tag
 from qkr.primitives import BasisString, BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import (
     AliceRoundSecrets,
@@ -18,9 +21,16 @@ from qkr.protocol import (
     key_update,
     run_session,
 )
-from qkr.qsim import ChannelKind, ChannelModel, QubitSequence
+from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, transmit
 
-from oracles import apply_error_pattern, run_session_two_party
+from oracles import (
+    alice_encrypt_strings,
+    apply_error_pattern,
+    bob_decrypt_strings,
+    feedback_tag_strings,
+    key_update_strings,
+    run_session_two_party,
+)
 
 PARAMS = ProtocolParams(n=64, ell=32, kappa=8, tag_bits=8, beta=0.125, q_bits=32)
 
@@ -545,6 +555,150 @@ def test_session_record_is_the_fold_of_its_rounds(code_kind, gamma, capacity, en
         )
     if capacity == "first":
         assert (s.rounds, s.accept_rate, s.consumed_bits) == (0, 0.0, 0)
+
+
+# The array round against the string-level steps
+
+
+def _session_case(encoding, code_kind, tag_bits, mu_bits, kappa, spare, beta, q_bits):
+    """Params for one session: ell holds two tags and mu_bits of plaintext,
+    and n is the code's length for ell + kappa payload bits (`spare` more
+    for the oracle)."""
+    ell = 2 * tag_bits + mu_bits
+    payload = ell + kappa
+    n = {CodeKind.IDENTITY: payload, CodeKind.REPETITION3: 3 * payload,
+         CodeKind.ORACLE: payload + spare}[code_kind]
+    return ProtocolParams(n=n, ell=ell, kappa=kappa, tag_bits=tag_bits, beta=beta,
+                          encoding=encoding, q_bits=q_bits)
+
+
+@st.composite
+def _session_params(draw, code_kind):
+    return _session_case(
+        draw(st.sampled_from(list(Encoding))),
+        code_kind,
+        draw(st.sampled_from([8, 64, 128])),
+        draw(st.integers(1, 24)),
+        draw(st.integers(0, 24)),
+        draw(st.integers(0, 400)),
+        draw(st.sampled_from([0.0625, 0.125, 0.25])),
+        draw(st.integers(1, 64)),
+    )
+
+
+_CODE_KINDS = st.sampled_from(list(CodeKind))
+_CHANNELS = st.one_of(
+    st.sampled_from([0.0, 0.02, 0.1, 0.3]).map(
+        lambda gamma: ChannelModel(ChannelKind.IID_FLIP, gamma=gamma)),
+    st.sampled_from([0.3, 1.0]).map(
+        lambda eta: ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=eta)),
+)
+
+
+def _cut_capacity(params, rejects, cut):
+    """Room for `rejects` whole Rejects and `cut` bits of the next one."""
+    return rejects * (params.n + params.tag_bits + params.q_bits) + cut
+
+
+@st.composite
+def _sessions(draw):
+    """run_session's arguments. A capacity, when set, ends inside a Reject:
+    after up to three whole ones, before or after the next one's z or k
+    draw, or one bit short of its q draw."""
+    code_kind = draw(_CODE_KINDS)
+    params = draw(_session_params(code_kind))
+    n, tag_bits, q_bits = params.n, params.tag_bits, params.q_bits
+    cuts = [0, n - 1, n, n + tag_bits, n + tag_bits + q_bits - 1]
+    capacity = draw(st.none() | st.builds(
+        partial(_cut_capacity, params), st.integers(0, 3), st.sampled_from(cuts)))
+    fixed = draw(st.none() | st.integers(0, 2**params.mu_bits - 1))
+    message = None if fixed is None else BitString.from_int(fixed, params.mu_bits)
+    return dict(
+        params=params, channel=draw(_CHANNELS), code_kind=code_kind,
+        rounds=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**16)),
+        message_source=None if message is None else lambda i: message,
+        reservoir_capacity=capacity,
+    )
+
+
+def _fft_session(encoding, code_kind, tag_bits, channel, capacity_cut=None):
+    """A session whose mask product takes the FFT path."""
+    params = _session_case(encoding, code_kind, tag_bits, 9, 20, 200, 0.125, 40)
+    (in_len, out_len), _ = f_seed_shapes(params.n, params.kappa, params.alphabet_size)
+    if in_len * out_len < FFT_MIN_MUL_ADDS:
+        raise ValueError(f"{params} keeps the mask product below the FFT path")
+    return dict(
+        params=params, channel=channel, code_kind=code_kind, rounds=8, seed=3,
+        message_source=None,
+        reservoir_capacity=None if capacity_cut is None else _cut_capacity(params, *capacity_cut),
+    )
+
+
+_FFT_SESSIONS = [
+    _fft_session(Encoding.SIX_STATE, CodeKind.ORACLE, 128,
+                 ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=0.37)),
+    _fft_session(Encoding.BB84, CodeKind.REPETITION3, 64,
+                 ChannelModel(ChannelKind.IID_FLIP, gamma=0.1), capacity_cut=(2, 500)),
+]
+
+
+@given(_sessions())
+@example(_FFT_SESSIONS[0])
+@example(_FFT_SESSIONS[1])
+@settings(max_examples=60, deadline=None)
+def test_session_matches_string_reference(kwargs):
+    """The array round gives the transcript, summary and ending of the
+    two-party session on the string-level steps, at every tag length, on
+    both sides of the FFT threshold, and when a capacity cuts a Reject."""
+    _assert_same_session(run_session(**kwargs), run_session_two_party(**kwargs))
+
+
+def test_session_counts_an_accepted_wrong_plaintext():
+    """At lambda 8 the identity code passes channel errors in mu || k' to
+    the verifier, which accepts a changed message for a few keys in 256:
+    in this session Bob accepts a wrong plaintext in round 2, counts it as a
+    mismatch, and his own update ends the session."""
+    kwargs = dict(
+        params=_code_params(CodeKind.IDENTITY),
+        channel=ChannelModel(ChannelKind.IID_FLIP, gamma=0.05),
+        code_kind=CodeKind.IDENTITY, rounds=30, seed=71,
+    )
+    one = run_session(**kwargs)
+    _assert_same_session(one, run_session_two_party(**kwargs))
+    s = one.summary
+    assert (s.rounds, s.accepts, s.mismatches, s.key_agreement) == (3, 2, 1, False)
+
+
+@given(_CODE_KINDS.flatmap(lambda kind: st.tuples(st.just(kind), _session_params(kind))),
+       _CHANNELS, st.integers(0, 2**16))
+@settings(max_examples=40, deadline=None)
+def test_public_steps_match_string_reference(code_and_params, channel, seed):
+    """Each public step, a validating edge around its array kernel, returns
+    what its string-level body returned, and draws the same bits."""
+    code_kind, params = code_and_params
+    keys = KeyState.random(params, RandomSource(seed).stream("keys"))
+    mu = RandomSource(seed).stream("mu").bits(params.mu_bits)
+    code = make_code(code_kind, params)
+    qubits, secrets = alice_encrypt(params, keys, mu, RandomSource(seed).stream("a"), code)
+    ref_qubits, ref_secrets = alice_encrypt_strings(
+        params, keys, mu, RandomSource(seed).stream("a"), code)
+    assert (qubits.basis, qubits.payload, secrets) == (
+        ref_qubits.basis, ref_qubits.payload, ref_secrets)
+    if isinstance(code, OracleBddCode):
+        code.note_transmitted(secrets.c)
+    received = transmit(channel, qubits, RandomSource(seed).stream("channel"))
+    dec = bob_decrypt(params, keys, received, code)
+    assert dec == bob_decrypt_strings(params, keys, received, code)
+    for omega in (0, 1):
+        assert feedback_tag(keys, omega) == feedback_tag_strings(keys, omega)
+    if dec.x_hat is not None:
+        values = dict(x=dec.x_hat, r=dec.r_hat, k_next=dec.k_hat_prime)
+        assert key_update(params, keys, 1, None, **values) == key_update_strings(
+            params, keys, 1, None, **values)
+    reservoirs = [Reservoir(RandomSource(seed).stream("res")) for _ in range(2)]
+    assert key_update(params, keys, 0, reservoirs[0]) == key_update_strings(
+        params, keys, 0, reservoirs[1])
+    assert reservoirs[0].consumed_bits == reservoirs[1].consumed_bits
 
 
 # ---------------------------------------------------------------------------
