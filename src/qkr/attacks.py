@@ -31,7 +31,7 @@ import numpy as np
 
 from .hashing import bytes_to_words, gf64_key_tables, gf64_mul_rows, nonzero_key_words
 from .primitives import Encoding, ProtocolParams, RandomSource
-from .qsim import ChannelKind, ChannelModel, QubitSequence, transmit
+from .qsim import ChannelKind, ChannelModel, _channel
 
 __all__ = [
     "gf64_mul_words",
@@ -171,12 +171,12 @@ def intercept_resend_report(encoding: Encoding, eta: float, num_qubits: int, see
     """Measure the payload error rate that measure-and-resend at rate `eta`
     induces over `num_qubits` random qubits."""
     src = RandomSource(seed).stream("intercept")
-    bases = src.basis_string(encoding.alphabet_size, num_qubits)
-    payloads = src.bits(num_qubits)
-    qubits = QubitSequence.prepare(bases, payloads)
+    alphabet = encoding.alphabet_size
+    bases = src.integers_below(alphabet, num_qubits)
+    payloads = src.bit_array(num_qubits)
     channel = ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=eta)
-    received = transmit(channel, qubits, src.stream("channel"))
-    errors = int(np.sum(received.payloads != qubits.payloads))
+    received = _channel(channel, bases, alphabet, payloads, src.stream("channel"))
+    errors = int(np.count_nonzero(received != payloads))
     return {
         "kind": "intercept_resend",
         "encoding": encoding.value,

@@ -25,19 +25,21 @@ adversary acts only on the qubit sequence in flight. Nothing alters the
 feedback on its way back, so `run_session` does not run the sender's
 feedback check: a tag computed with the shared key always verifies.
 
-Each step has one implementation on plain uint8 arrays (`_encrypt`,
+Each step has one implementation on plain uint8 arrays (`_payload`,
 `_decrypt`, `_accept_update`, `_reject_update`), built on the array forms of
 the MAC and the hashes in `hashing`, of `Code._encode` and `_decode`, and of
-the channel in `qsim`. The public steps (`alice_encrypt`, `bob_decrypt`,
+the channel in `qsim`. A round sends one payload mu || k' || tau || r:
+`_payload` builds it, and its callers encode and mask it and read r, k' and
+tau as its slices. The public steps (`alice_encrypt`, `bob_decrypt`,
 `key_update`, `feedback_tag`) are the validating edge: each checks its
 inputs against the params, calls the kernel on the strings' arrays, and
-wraps the result in strings and a `KeyState`. `run_session` holds z, b and
-the feedback key's bits and table as arrays for the whole session, runs the
-same checks on them every round (key shapes, the plaintext's length, the
-code's dimensions, the basis labels Bob measures in), and builds strings
-only for what leaves it, `RoundResult.mu_hat` and `tau_fb`. Every draw
-keeps its stream and order: a Reject draws z, then k, then q through
-`Reservoir.draw_bits`.
+wraps the result in strings and a `KeyState`. `run_session` builds the key
+state, the code and the qubits' labels from the params itself, so the one
+input it checks each round is the plaintext a caller's `message_source`
+returns. It holds z, b and the feedback key's bits and table as arrays for
+the whole session and builds strings only for what leaves it,
+`RoundResult.mu_hat` and `tau_fb`. Every draw keeps its stream and order: a
+Reject draws z, then k, then q through `Reservoir.draw_bits`.
 """
 
 from __future__ import annotations
@@ -125,24 +127,12 @@ class KeyState:
         )
 
     def check_dimensions(self, params: ProtocolParams) -> None:
-        _check_keys(
-            params, self.z.bits, self.b.symbols, self.b.alphabet_size,
-            self.xi.tag_bits, self.k.tag_bits,
-        )
-
-
-def _check_keys(
-    params: ProtocolParams, z: np.ndarray, b: np.ndarray, alphabet_size: int,
-    xi_bits: int, k_bits: int,
-) -> None:
-    """A key state's checks against params, on its mask bits z, its basis
-    symbols b over `alphabet_size` and the tag lengths of its two MAC keys."""
-    if len(z) != params.n or len(b) != params.n:
-        raise ValueError("key state does not match params: n mismatch")
-    if alphabet_size != params.alphabet_size:
-        raise ValueError("key state does not match params: basis alphabet mismatch")
-    if xi_bits != params.tag_bits or k_bits != params.tag_bits:
-        raise ValueError("key state does not match params: tag length mismatch")
+        if len(self.z) != params.n or len(self.b) != params.n:
+            raise ValueError("key state does not match params: n mismatch")
+        if self.b.alphabet_size != params.alphabet_size:
+            raise ValueError("key state does not match params: basis alphabet mismatch")
+        if self.xi.tag_bits != params.tag_bits or self.k.tag_bits != params.tag_bits:
+            raise ValueError("key state does not match params: tag length mismatch")
 
 
 class Reservoir:
@@ -227,59 +217,31 @@ class SessionResult:
     exhausted: Optional[ReservoirExhausted]
 
 
-def _check_encrypt(params: ProtocolParams, mu: np.ndarray, code: Code) -> None:
-    """The Encryption step's checks of the plaintext bits and the code."""
-    if len(mu) != params.mu_bits:
-        raise ValueError(f"plaintext must have length {params.mu_bits}")
-    if code.spec.k_in != params.payload_bits or code.spec.n_out != params.n:
-        raise ValueError("code dimensions do not match params")
-
-
-def _check_qubits(
-    params: ProtocolParams, basis: np.ndarray, basis_alphabet: int, b: np.ndarray,
-    alphabet_size: int,
-) -> None:
-    """The Decryption step's checks of the qubits in flight: n of them,
-    labelled with the shared basis symbols b over `alphabet_size`."""
-    if len(basis) != params.n:
-        raise ValueError(f"expected {params.n} qubits")
-    if basis_alphabet != alphabet_size or basis.tobytes() != b.tobytes():
-        raise ValueError("honest simulation requires basis labels equal to the shared b")
-
-
-def _encrypt(
-    params: ProtocolParams, z: np.ndarray, xi: MacKey, mu: np.ndarray, src: RandomSource,
-    code: Code,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Encryption on bit arrays: draw r, then k', tag mu || k' under xi,
-    encode mu || k' || tau || r and mask it with z. Returns (x, c, r, k',
-    tau)."""
+def _payload(params: ProtocolParams, xi: MacKey, mu: np.ndarray, src: RandomSource) -> np.ndarray:
+    """The round's payload mu || k' || tau || r as bits: draw r, then k',
+    and tag mu || k' under xi."""
     tag_start = params.ell - params.tag_bits
-    r = src.bit_array(params.kappa)
-    k_prime = src.bit_array(params.tag_bits)
     payload = np.empty(params.payload_bits, dtype=np.uint8)
     payload[: params.mu_bits] = mu
-    payload[params.mu_bits : tag_start] = k_prime
-    tau = _int_to_bits(_tag(xi._table, payload[:tag_start], params.tag_bits), params.tag_bits)
-    payload[tag_start : params.ell] = tau
-    payload[params.ell :] = r
-    c = code._encode(payload)
-    return c ^ z, c, r, k_prime, tau
+    payload[params.ell :] = src.bit_array(params.kappa)
+    payload[params.mu_bits : tag_start] = src.bit_array(params.tag_bits)
+    tau = _tag(xi._table, payload[:tag_start], params.tag_bits)
+    payload[tag_start : params.ell] = _int_to_bits(tau, params.tag_bits)
+    return payload
 
 
 def _decrypt(
     params: ProtocolParams, z: np.ndarray, xi: MacKey, received: np.ndarray, code: Code
-) -> tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Decryption on bit arrays: unmask, decode, re-encode and check the
-    message tag. Returns (omega, payload, x_hat); the payload
-    mu || k' || tau || r and x_hat are None when decoding fails."""
+) -> tuple[int, Optional[np.ndarray]]:
+    """Decryption on bit arrays: unmask, decode and check the message tag.
+    Returns (omega, payload); the payload mu || k' || tau || r is None when
+    decoding fails."""
     payload = code._decode(received ^ z)
     if payload is None:
-        return 0, None, None
+        return 0, None
     tag_start = params.ell - params.tag_bits
-    x_hat = code._encode(payload) ^ z
     tag = _tag(xi._table, payload[:tag_start], params.tag_bits)
-    return int(tag == _bits_to_int(payload[tag_start : params.ell])), payload, x_hat
+    return int(tag == _bits_to_int(payload[tag_start : params.ell])), payload
 
 
 def _accept_update(
@@ -313,13 +275,19 @@ def alice_encrypt(
 ) -> tuple[QubitSequence, AliceRoundSecrets]:
     """Encryption step: returns the n prepared qubits and the round secrets."""
     keys.check_dimensions(params)
-    _check_encrypt(params, mu.bits, code)
-    x, c, r, k_prime, tau = (
-        BitString._trusted(bits, 2)
-        for bits in _encrypt(params, keys.z.bits, keys.xi, mu.bits, src, code)
+    if len(mu) != params.mu_bits:
+        raise ValueError(f"plaintext must have length {params.mu_bits}")
+    if code.spec.k_in != params.payload_bits or code.spec.n_out != params.n:
+        raise ValueError("code dimensions do not match params")
+    payload = BitString._trusted(_payload(params, keys.xi, mu.bits, src), 2)
+    c = BitString._trusted(code._encode(payload.bits), 2)
+    x = c ^ keys.z
+    tag_start = params.ell - params.tag_bits
+    secrets = AliceRoundSecrets(
+        r=payload[params.ell :], k_prime=payload[params.mu_bits : tag_start], x=x, c=c,
+        tau=payload[tag_start : params.ell],
     )
-    qubits = QubitSequence.prepare(keys.b, x)
-    return qubits, AliceRoundSecrets(r=r, k_prime=k_prime, x=x, c=c, tau=tau)
+    return QubitSequence.prepare(keys.b, x), secrets
 
 
 def bob_decrypt(
@@ -333,13 +301,14 @@ def bob_decrypt(
     Failures surface as omega=0, never as exceptions.
     """
     keys.check_dimensions(params)
-    _check_qubits(
-        params, qubits.basis.symbols, qubits.basis.alphabet_size, keys.b.symbols,
-        keys.b.alphabet_size,
-    )
-    omega, payload, x_hat = _decrypt(params, keys.z.bits, keys.xi, qubits.payloads, code)
+    if len(qubits) != params.n:
+        raise ValueError(f"expected {params.n} qubits")
+    if qubits.basis != keys.b:
+        raise ValueError("honest simulation requires basis labels equal to the shared b")
+    omega, payload = _decrypt(params, keys.z.bits, keys.xi, qubits.payloads, code)
     if payload is None:
         return BobDecryption(omega=0, mu_hat=None, k_hat_prime=None, r_hat=None, x_hat=None)
+    x_hat = BitString._trusted(code._encode(payload) ^ keys.z.bits, 2)
     # payload = mu_hat + k_hat_prime + tau_hat + r_hat
     payload = BitString._trusted(payload, 2)
     return BobDecryption(
@@ -347,7 +316,7 @@ def bob_decrypt(
         mu_hat=payload[: params.mu_bits],
         k_hat_prime=payload[params.mu_bits : params.ell - params.tag_bits],
         r_hat=payload[params.ell :],
-        x_hat=BitString._trusted(x_hat, 2),
+        x_hat=x_hat,
     )
 
 
@@ -428,9 +397,10 @@ def run_session(
     of accepted rounds whose recovered plaintext differs from the sent one,
     and whether the keys still agree.
 
-    The rounds run the array steps on the state's arrays, with every check
-    the public steps make; strings are built only for `RoundResult.mu_hat`
-    and `tau_fb`.
+    The rounds run the array steps on the state's arrays. The key state,
+    the code and the qubits' labels are built here from `params`, so the one
+    input checked each round is the plaintext `message_source` returns;
+    strings are built only for `RoundResult.mu_hat` and `tau_fb`.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -448,29 +418,33 @@ def run_session(
     z, b, k = keys.z.bits, keys.b.symbols, keys.k.key.bits
     k_table = keys.k._table
     alphabet, xi, u, v = keys.b.alphabet_size, keys.xi, keys.u, keys.v
-    tag_bits, mu_bits, ell = params.tag_bits, params.mu_bits, params.ell
+    tag_bits, mu_bits = params.tag_bits, params.mu_bits
+    # Where k' and r sit in a payload mu || k' || tau || r.
+    k_part, r_part = slice(mu_bits, params.ell - tag_bits), slice(params.ell, None)
     results = []
     mismatches = 0
     key_agreement = True
     exhausted = None
 
     for i in range(rounds):
-        mu = message_source(i).bits if message_source else msg_src.bit_array(mu_bits)
-
-        _check_keys(params, z, b, alphabet, xi.tag_bits, len(k))
-        _check_encrypt(params, mu, code)
-        x, c, r, k_prime, _ = _encrypt(params, z, xi, mu, alice_src, code)
+        if message_source is None:
+            mu = msg_src.bit_array(mu_bits)
+        else:
+            mu = message_source(i).bits
+            if len(mu) != mu_bits:
+                raise ValueError(f"plaintext must have length {mu_bits}")
+        sent = _payload(params, xi, mu, alice_src)
+        c = code._encode(sent)
         if note is not None:
             note(c)
+        x = c ^ z
         received = _channel(channel, b, alphabet, x, channel_src)
 
-        # The channel keeps the labels the qubits were sent with, b.
-        _check_qubits(params, b, alphabet, b, alphabet)
-        omega, payload, x_hat = _decrypt(params, z, xi, received, code)
+        omega, payload = _decrypt(params, z, xi, received, code)
         consumed_before = reservoir.consumed_bits
         try:
             if omega:
-                next_state = _accept_update(u, b, alphabet, x, r, k_prime)
+                next_state = _accept_update(u, b, alphabet, x, sent[r_part], sent[k_part])
             else:
                 next_state = _reject_update(params, v, b, alphabet, reservoir)
         except ReservoirExhausted as exc:
@@ -481,12 +455,12 @@ def run_session(
             mu_hat = payload[:mu_bits]
             if mu_hat.tobytes() != mu.tobytes():
                 mismatches += 1
-            # Every encoder is injective, so x alone decides whether Bob's
-            # (x, r, k') differs from Alice's and his own update must run.
-            if x_hat.tobytes() != x.tobytes():
-                bob_state = _accept_update(
-                    u, b, alphabet, x_hat, payload[ell:], payload[mu_bits : ell - tag_bits]
-                )
+            # Every encoder is injective, so Bob's (x, r, k') differs from
+            # Alice's exactly when his payload does; only then is his x
+            # encoded and his own update run.
+            if payload.tobytes() != sent.tobytes():
+                x_hat = code._encode(payload) ^ z
+                bob_state = _accept_update(u, b, alphabet, x_hat, payload[r_part], payload[k_part])
                 key_agreement = all(
                     mine.tobytes() == his.tobytes() for mine, his in zip(next_state, bob_state)
                 )

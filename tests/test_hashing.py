@@ -74,6 +74,27 @@ def test_hash_f_deterministic_and_dimension_checked():
         hash_G(v, b, src.bits(5))
 
 
+def test_hashes_refuse_seeds_over_the_wrong_field():
+    """Each seed component must be over the field its output lives in: the
+    mask component over GF(2), the basis components over GF(|B|)."""
+    src = RandomSource(3).stream("seeds")
+    n, kappa, q_bits = 6, 3, 4
+    mask_seed, basis_seed = random_f_seed(src, n, kappa, alphabet_size=3)
+    (mask_in, mask_out), (basis_in, basis_out) = f_seed_shapes(n, kappa, 3)
+    x, b, r = src.bits(n), src.basis_string(3, n), src.bits(kappa)
+    gf3_mask = ToeplitzSeed.random(src, 3, mask_in, mask_out)
+    with pytest.raises(ValueError, match=r"^mask component seed must be over GF\(2\)$"):
+        hash_F((gf3_mask, basis_seed), x, b, r)
+    gf2_basis = ToeplitzSeed.random(src, 2, basis_in, basis_out)
+    with pytest.raises(
+        ValueError, match="^basis component seed modulus must equal the basis alphabet size$"
+    ):
+        hash_F((mask_seed, gf2_basis), x, b, r)
+    gf2_v = random_g_seed(src, n, q_bits, alphabet_size=2)
+    with pytest.raises(ValueError, match="^seed modulus must equal the basis alphabet size$"):
+        hash_G(gf2_v, b, src.bits(q_bits))
+
+
 def test_bb84_toy_joint_pairwise_independence_exhaustive():
     """Literal enumeration of the full product seed space at n=2, kappa=1:
     every ordered pair of distinct inputs hits every output pair equally

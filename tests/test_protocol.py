@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkr.ecc import CodeKind, OracleBddCode, make_code
-from qkr.hashing import FFT_MIN_MUL_ADDS, MacKey, f_seed_shapes, mac_tag
+from qkr.hashing import (
+    FFT_MIN_MUL_ADDS,
+    MacKey,
+    ToeplitzSeed,
+    f_seed_shapes,
+    mac_tag,
+    random_g_seed,
+)
 from qkr.primitives import BasisString, BitString, Encoding, ProtocolParams, RandomSource
 from qkr.protocol import (
     AliceRoundSecrets,
@@ -247,6 +254,39 @@ def test_zero_draw_remaps_feedback_key():
     assert updated.k.key == BitString([1] * PARAMS.tag_bits)
 
 
+def _wrong_field_seed(keys, component):
+    """`keys` with one hash seed component over the wrong field: the mask
+    component of u over GF(3), the basis component of u or v over GF(2)."""
+    src = RandomSource(44).stream("seeds")
+    (mask_in, mask_out), (basis_in, basis_out) = f_seed_shapes(PARAMS.n, PARAMS.kappa, 3)
+    if component == "u-mask":
+        return replace(keys, u=(ToeplitzSeed.random(src, 3, mask_in, mask_out), keys.u[1]))
+    if component == "u-basis":
+        return replace(keys, u=(keys.u[0], ToeplitzSeed.random(src, 2, basis_in, basis_out)))
+    return replace(keys, v=random_g_seed(src, PARAMS.n, PARAMS.q_bits, 2))
+
+
+@pytest.mark.parametrize(
+    "component,omega,message",
+    [
+        ("u-mask", 1, r"^mask component seed must be over GF\(2\)$"),
+        ("u-basis", 1, "^basis component seed modulus must equal the basis alphabet size$"),
+        ("v", 0, "^seed modulus must equal the basis alphabet size$"),
+    ],
+)
+def test_key_update_refuses_hash_seeds_over_the_wrong_field(component, omega, message):
+    """A hand-built key state's seeds are checked where the update hashes."""
+    keys = _wrong_field_seed(_keys(44), component)
+    round_values = dict(
+        x=keys.z, r=BitString.zeros(PARAMS.kappa), k_next=BitString.zeros(PARAMS.tag_bits)
+    )
+    with pytest.raises(ValueError, match=message):
+        key_update(
+            PARAMS, keys, omega, Reservoir(RandomSource(45).stream("res")),
+            **(round_values if omega else {}),
+        )
+
+
 def test_reservoir_counter_is_sum_of_draws():
     res = Reservoir(RandomSource(30).stream("res"))
     res.draw_bits(10)
@@ -407,6 +447,18 @@ def test_session_with_caller_message_source():
         message_source=lambda i: fixed,
     )
     assert all(r.mu_hat == fixed for r in result.results)
+
+
+def test_session_refuses_a_plaintext_of_the_wrong_length():
+    """The plaintext a caller's message source returns is checked every
+    round, not only in the first."""
+    fixed = BitString([1, 0] * (PARAMS.mu_bits // 2))
+    short = BitString.zeros(PARAMS.mu_bits - 1)
+    with pytest.raises(ValueError, match=f"^plaintext must have length {PARAMS.mu_bits}$"):
+        run_session(
+            PARAMS, ChannelModel(ChannelKind.IID_FLIP, gamma=0.0), CodeKind.ORACLE, 10,
+            seed=36, message_source=lambda i: short if i == 3 else fixed,
+        )
 
 
 def test_session_rounds_validation():
