@@ -18,11 +18,19 @@ nothing but the keys and the flips: neither the message nor Alice's tag is
 computed. Rows are packed eight bits to a byte, every field whole bytes,
 and E runs on uint64 words through `hashing`'s row multiply. `tamper_fuzz`
 skips the Philox words of mu, k', r and z without computing them, so that
-the flips come from the same words as a full round's. A flip costs one
-word, so the flips are drawn a slice of rows at a time rather than 80 MB
-of words for a whole 65536-row chunk; each slice's words are computed on
-two threads (see `RandomSource`). The kernel that computed Alice's tag
-and Bob's check is the reference in ``tests/oracles.py``.
+the flips come from the same words as a full round's. It then splits each
+batch's rows at the middle (see `RandomSource._split`): the calling thread
+takes the first half and a worker thread the second, from a copy of the
+stream set ahead by the first half's flips. Each half draws its rows'
+flips about `_FILL_WORDS` words at a time, compares and packs each chunk
+as soon as it is computed (a flip costs one word, so a whole 65536-row
+batch's words would be 80 MB), and counts its rows' verdicts; the two
+halves' counts are summed. The worker calls none of the public functions
+of this module or of `RandomSource`: the benchmark's tracer wraps those,
+and keeps one span stack per process. The one-thread driver that drew
+2048-row `bernoulli` slices and checked each batch with one `fuzz_batch`,
+and the kernel that computed Alice's tag and Bob's check, are references
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +38,14 @@ from __future__ import annotations
 import numpy as np
 
 from .hashing import bytes_to_words, gf64_key_tables, gf64_mul_rows, nonzero_key_words
-from .primitives import Encoding, ProtocolParams, RandomSource
+from .primitives import (
+    _FILL_WORDS,
+    Encoding,
+    ProtocolParams,
+    RandomSource,
+    _fill_below,
+    _threshold,
+)
 from .qsim import ChannelKind, ChannelModel, _channel
 
 __all__ = [
@@ -54,12 +69,10 @@ def pack_bits_to_words(bits: np.ndarray) -> np.ndarray:
     return bytes_to_words(np.packbits(bits, axis=1))
 
 
-# The sizes of a tamper round, the most rounds drawn and checked as one
-# batch, and the rows of flips drawn at a time within one: a flip costs a
-# Philox word, so a whole chunk's would be 80 MB.
+# The sizes of a tamper round, and the most rounds drawn and checked as one
+# batch.
 _FUZZ_PARAMS = ProtocolParams(n=152, ell=144, kappa=8, tag_bits=64, beta=0.0)
 _FUZZ_CHUNK = 1 << 16
-_FLIP_ROWS = 2048
 
 # Byte offsets of a packed codeword row: mu, then k', then the tag.
 _MU_BYTES = _FUZZ_PARAMS.mu_bits // 8
@@ -89,24 +102,53 @@ def fuzz_batch(xi: np.ndarray, flips: np.ndarray) -> dict:
     so neither the message nor Alice's tag is an input. Returns the per-row
     verdicts and change flags.
     """
-    message_flips = flips[:, :_MESSAGE_BYTES]
-    error = _error_polynomial(gf64_key_tables(xi), message_flips)
-    omega = error == bytes_to_words(flips[:, _MESSAGE_BYTES:_TAG_END])[:, 0]
+    omega, message_changed, plaintext_changed = _verdicts(xi, flips)
     return {
         "omega": omega,
-        "message_changed": np.any(message_flips, axis=1),
-        "plaintext_changed": np.any(message_flips[:, :_MU_BYTES], axis=1),
+        "message_changed": message_changed,
+        "plaintext_changed": plaintext_changed,
     }
 
 
-def _packed_flips(src: RandomSource, flip_rate: float, rows: int, n: int) -> np.ndarray:
-    """`np.packbits(src.bernoulli(flip_rate, rows * n).reshape(rows, n),
-    axis=1)`, drawn `_FLIP_ROWS` rows at a time."""
+def _verdicts(xi: np.ndarray, flips: np.ndarray) -> tuple:
+    """`fuzz_batch`'s kernel: the rows' verdicts, and whether their flips
+    change the message and the plaintext."""
+    message_flips = flips[:, :_MESSAGE_BYTES]
+    error = _error_polynomial(gf64_key_tables(xi), message_flips)
+    omega = error == bytes_to_words(flips[:, _MESSAGE_BYTES:_TAG_END])[:, 0]
+    # One OR per byte column: numpy reduces a row of a few bytes slowly.
+    changed = np.zeros(len(flips), dtype=np.uint8)
+    for column in message_flips[:, :_MU_BYTES].T:
+        changed |= column
+    plaintext_changed = changed != 0
+    for column in message_flips[:, _MU_BYTES:].T:
+        changed |= column
+    return omega, changed != 0, plaintext_changed
+
+
+def _chunk_rows(n: int) -> int:
+    """The whole rows of `n` flips that `_packed_flips` draws at a time:
+    about `_FILL_WORDS` words, at least one row."""
+    return max(1, _FILL_WORDS // n)
+
+
+def _packed_flips(gen: np.random.Philox, threshold: int, rows: int, n: int) -> np.ndarray:
+    """`np.packbits(bernoulli(p, rows * n).reshape(rows, n), axis=1)` for
+    the `RandomSource` whose generator is `gen`, with `threshold` =
+    `primitives._threshold(p)`, drawn and packed `_chunk_rows(n)` rows at a
+    time: no more than one chunk's words and unpacked flips is held."""
     flips = np.empty((rows, -(-n // 8)), dtype=np.uint8)
-    for start in range(0, rows, _FLIP_ROWS):
-        stop = min(start + _FLIP_ROWS, rows)
-        drawn = src.bernoulli(flip_rate, (stop - start) * n).reshape(stop - start, n)
-        flips[start:stop] = np.packbits(drawn, axis=1)
+    step = _chunk_rows(n)
+    drawn = np.empty(min(step, rows) * n, dtype=bool)
+    for start in range(0, rows, step):
+        stop = min(start + step, rows)
+        chunk = drawn[: (stop - start) * n]
+        _fill_below(gen, threshold, chunk)
+        if n % 8:
+            flips[start:stop] = np.packbits(chunk.reshape(stop - start, n), axis=1)
+        else:
+            # Rows of whole bytes pack as one run.
+            flips[start:stop] = np.packbits(chunk).reshape(stop - start, n // 8)
     return flips
 
 
@@ -125,11 +167,10 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
     mu_bits, tag_bits, n = params.mu_bits, params.tag_bits, params.n
     field_bits = (mu_bits, tag_bits, params.kappa, n)
     src = RandomSource(seed).stream("tamper_fuzz")
+    threshold = _threshold(flip_rate)
 
-    false_accepts = 0
-    forgeries = 0
-    accepts = 0
-    attempts = 0
+    # False accepts, forgeries, accepts and attempts.
+    counts = np.zeros(4, dtype=np.int64)
     done = 0
     while done < rounds:
         batch = min(_FUZZ_CHUNK, rounds - done)
@@ -137,13 +178,20 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
         # The words of mu, k', r and z, which Bob's check never reads:
         # skipped so that the flips come from the same words as a full round's.
         src.skip(sum(-(-batch * bits // 64) for bits in field_bits))
-        out = fuzz_batch(xi, _packed_flips(src, flip_rate, batch, n))
-        false_accepts += int(np.sum(out["omega"] & out["plaintext_changed"]))
-        forgeries += int(np.sum(out["omega"] & out["message_changed"]))
-        accepts += int(np.sum(out["omega"]))
-        attempts += int(np.sum(out["message_changed"]))
+
+        def rows_counts(gen, start, stop):
+            flips = _packed_flips(gen, threshold, stop - start, n)
+            omega, message_changed, plaintext_changed = _verdicts(xi[start:stop], flips)
+            return np.count_nonzero(
+                [omega & plaintext_changed, omega & message_changed, omega, message_changed],
+                axis=1,
+            )
+
+        for half in src._split(batch, batch // 2, rows_counts, width=n):
+            counts += half
         done += batch
 
+    false_accepts, forgeries, accepts, attempts = counts.tolist()
     return {
         "kind": "tamper_fuzz",
         "rounds": rounds,

@@ -279,19 +279,20 @@ class ProtocolParams:
 _CHUNK_WEIGHTS = [(1 << np.arange(width - 1, -1, -1)).astype(np.uint8) for width in range(9)]
 
 
-# The fewest words that `raw_words` computes on two threads. On a shared
-# 2-vCPU x86-64 host (numpy 2.4) splitting wins from about 2^15 words; 2^16
-# words take 0.11 ms split against 0.16 ms on one thread.
+# The fewest words that `raw_words` and `bernoulli` compute on two threads.
+# On a shared 2-vCPU x86-64 host (numpy 2.4) splitting wins from about 2^15
+# words; 2^16 words take 0.11 ms split against 0.16 ms on one thread.
 _SPLIT_WORDS = 1 << 16
-# Each thread computes its half this many words at a time into the one
-# output array, so the words are never held twice.
+# Each thread computes its half this many words at a time: `raw_words` into
+# the one output array, so the words are never held twice, and `bernoulli`
+# comparing each chunk as it comes, so the words are never held whole.
 _FILL_WORDS = 1 << 14
 _WORKER = None
 _WORKER_LOCK = threading.Lock()
 
 
 def _worker():
-    """The one-thread pool that computes the second half of a split draw,
+    """The one-thread pool that computes the second half of a split stretch,
     created on first use so that importing qkr starts no thread."""
     global _WORKER
     with _WORKER_LOCK:
@@ -321,6 +322,26 @@ def _fill_words(gen: np.random.Philox, out: np.ndarray) -> None:
         part[...] = gen.random_raw(len(part))
 
 
+def _threshold(p: float) -> int:
+    """The integer that `bernoulli(p)` compares each word below:
+    ``ceil(p * 2^53) << 11``, 0 for p <= 0 or NaN, and 2^64 for p >= 1."""
+    if not p > 0.0:
+        return 0
+    if p >= 1.0:
+        return 1 << 64
+    return math.ceil(p * 2.0**53) << 11
+
+
+def _fill_below(gen: np.random.Philox, threshold: int, out: np.ndarray) -> None:
+    """Set the bool array `out` to whether each of the next ``len(out)``
+    words of `gen` lies below `threshold`."""
+    words = gen.random_raw(len(out))
+    if threshold >> 64:
+        out.fill(True)
+    else:
+        np.less(words, np.uint64(threshold), out=out)
+
+
 def _advance_words(gen: np.random.Philox, count: int) -> None:
     """Move `gen` past `count` words without computing whole blocks: use up
     its buffered words, jump over whole 4-word blocks with `advance`, and
@@ -344,19 +365,24 @@ class RandomSource:
     independent streams. A source is single-owner; `stream()` forks an
     independent substream under a child label.
 
-    Every draw consumes whole 64-bit words through `raw_words`. A draw of
-    at least `_SPLIT_WORDS` words computes its second half on a worker
-    thread, from a copy of the generator set that many words ahead (Philox
-    is counter-based), while the caller computes the first: the same words,
-    in the same order, ending at the same stream position, whichever thread
-    computes them. `skip(count)` moves the stream as `raw_words(count)`
-    does, without computing the words it passes over. `floats` maps a word
-    w to ``(w >> 11) * 2^-53``. `bernoulli(p)` returns ``floats() < p`` by
-    the integer-threshold rule ``w < T << 11`` with ``T = ceil(p * 2^53)``:
-    for p in (0, 1), ``p * 2^53`` is exact (scaling by a power of two does
-    not round, and the result is not subnormal), and the integer ``w >> 11``
-    is below it exactly when it is below T. p <= 0 (or NaN) gives all False
-    and p >= 1 all True, still drawing `count` words.
+    Every draw consumes whole 64-bit words. `_split(stop, cut, work)` runs
+    `work` on the two halves of a stretch of the stream: the caller's
+    thread draws the first `cut` units from the generator, and a worker
+    thread draws the rest from a copy of it set that many words ahead
+    (Philox is counter-based); the stream then stands at the stretch's
+    end. The same words land in the same places, whichever thread computes
+    them. `raw_words` and `bernoulli` split a draw of at least
+    `_SPLIT_WORDS` words at its middle, each half computed `_FILL_WORDS`
+    words at a time; `bernoulli` compares each chunk as it is computed, so
+    it never holds the words. `skip(count)` moves the stream as
+    `raw_words(count)` does, without computing the words it passes over.
+    `floats` maps a word w to ``(w >> 11) * 2^-53``. `bernoulli(p)` returns
+    ``floats() < p`` by the integer-threshold rule ``w < T << 11`` with
+    ``T = ceil(p * 2^53)``: for p in (0, 1), ``p * 2^53`` is exact (scaling
+    by a power of two does not round, and the result is not subnormal), and
+    the integer ``w >> 11`` is below it exactly when it is below T. p <= 0
+    (or NaN) gives all False and p >= 1 all True, still drawing `count`
+    words.
     """
 
     def __init__(self, seed: int, label: str = ""):
@@ -376,17 +402,28 @@ class RandomSource:
             # With a size, random_raw returns a fresh uint64 array of that shape.
             return self._gen.random_raw(count)
         words = np.empty(count, dtype=np.uint64)
-        half = count // 2
+        self._split(count, count // 2,
+                    lambda gen, start, stop: _fill_words(gen, words[start:stop]))
+        return words
+
+    def _split(self, stop: int, cut: int, work, width: int = 1) -> tuple:
+        """Return ``(work(gen, 0, cut), work(ahead, cut, stop))``, the first
+        computed on this thread and the second on the worker thread. Each
+        call must draw `width` words per unit of its range from the
+        generator it is given; `ahead` is a copy of this stream's generator
+        moved ``cut * width`` words on, and the stream is left where the
+        second call ends. The worker runs one task at a time, so `work`
+        must not split again."""
         ahead = np.random.Philox(key=0)
         ahead.state = self._gen.state
-        _advance_words(ahead, half)
-        second = _worker().submit(_fill_words, ahead, words[half:])
+        _advance_words(ahead, cut * width)
+        second = _worker().submit(work, ahead, cut, stop)
         try:
-            _fill_words(self._gen, words[:half])
+            first = work(self._gen, 0, cut)
         finally:
-            second.result()
+            rest = second.result()
         self._gen.state = ahead.state
-        return words
+        return first, rest
 
     def bit_array(self, count: int) -> np.ndarray:
         """`count` bits, each word's bits most significant first."""
@@ -406,12 +443,20 @@ class RandomSource:
     def bernoulli(self, p: float, count: int) -> np.ndarray:
         """`floats(count) < p` by one integer compare per word (see the class
         docstring)."""
-        words = self.raw_words(count)
-        if not p > 0.0:
-            return np.zeros(words.shape, dtype=bool)
-        if p >= 1.0:
-            return np.ones(words.shape, dtype=bool)
-        return words < np.uint64(math.ceil(p * 2.0**53) << 11)
+        threshold = _threshold(p)
+        if count < _SPLIT_WORDS:
+            words = self.raw_words(count)
+            if threshold >> 64:
+                return np.ones(words.shape, dtype=bool)
+            return words < np.uint64(threshold)
+        out = np.empty(count, dtype=bool)
+
+        def compare(gen, start, stop):
+            for lo in range(start, stop, _FILL_WORDS):
+                _fill_below(gen, threshold, out[lo:min(lo + _FILL_WORDS, stop)])
+
+        self._split(count, count // 2, compare)
+        return out
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
         """Uniform integers in [0, bound), 1 <= bound <= 256, as uint8, by

@@ -15,9 +15,16 @@ import mpmath as mp
 import numpy as np
 
 from qkr.analysis import SecurityBudget, min_q_bits, required_redundancy
+from qkr.attacks import _FUZZ_CHUNK, _FUZZ_PARAMS, fuzz_batch
 from qkr.cli import UsageError
 from qkr.ecc import CodeKind
-from qkr.hashing import REDUCTION_POLYS, bytes_to_words, gf64_key_tables, gf64_mul_rows
+from qkr.hashing import (
+    REDUCTION_POLYS,
+    bytes_to_words,
+    gf64_key_tables,
+    gf64_mul_rows,
+    nonzero_key_words,
+)
 from qkr.primitives import BitString, Encoding, ProtocolParams, RandomSource
 from qkr.qsim import QubitSequence
 
@@ -540,6 +547,48 @@ def fuzz_batch_two_tags(xi: np.ndarray, mu: np.ndarray, k_prime: np.ndarray,
         "omega": omega,
         "message_changed": message_changed,
         "plaintext_changed": plaintext_changed,
+    }
+
+
+def tamper_fuzz_sliced(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
+    """`attacks.tamper_fuzz` as it ran on one thread before each batch's
+    rows were split in two: the flips of a batch drawn 2048 rows at a time,
+    each slice one `RandomSource.bernoulli` draw packed row by row, and the
+    whole batch checked by one `fuzz_batch`."""
+    params = _FUZZ_PARAMS
+    n = params.n
+    field_bits = (params.mu_bits, params.tag_bits, params.kappa, n)
+    src = RandomSource(seed).stream("tamper_fuzz")
+    false_accepts = forgeries = accepts = attempts = 0
+    done = 0
+    while done < rounds:
+        batch = min(_FUZZ_CHUNK, rounds - done)
+        xi = nonzero_key_words(src.raw_words(batch))
+        src.skip(sum(-(-batch * bits // 64) for bits in field_bits))
+        flips = np.empty((batch, -(-n // 8)), dtype=np.uint8)
+        for start in range(0, batch, 2048):
+            stop = min(start + 2048, batch)
+            drawn = src.bernoulli(flip_rate, (stop - start) * n).reshape(stop - start, n)
+            flips[start:stop] = np.packbits(drawn, axis=1)
+        out = fuzz_batch(xi, flips)
+        false_accepts += int(np.sum(out["omega"] & out["plaintext_changed"]))
+        forgeries += int(np.sum(out["omega"] & out["message_changed"]))
+        accepts += int(np.sum(out["omega"]))
+        attempts += int(np.sum(out["message_changed"]))
+        done += batch
+    return {
+        "kind": "tamper_fuzz",
+        "rounds": rounds,
+        "tag_bits": params.tag_bits,
+        "mu_bits": params.mu_bits,
+        "kappa": params.kappa,
+        "codeword_bits": n,
+        "flip_rate": flip_rate,
+        "forgery_attempts": attempts,
+        "accepts": accepts,
+        "false_accepts": false_accepts,
+        "successful_forgeries": forgeries,
+        "seed": seed,
     }
 
 

@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkr import primitives
 from qkr.attacks import (
-    _FLIP_ROWS,
     _FUZZ_PARAMS,
+    _chunk_rows,
     _error_polynomial,
     _packed_flips,
     expected_intercept_error_rate,
@@ -27,7 +29,7 @@ from qkr.hashing import (
     mac_verify,
     nonzero_key_words,
 )
-from qkr.primitives import BitString, Encoding, RandomSource
+from qkr.primitives import BitString, Encoding, RandomSource, _threshold
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt
 
 from oracles import (
@@ -37,6 +39,7 @@ from oracles import (
     mac64_rows,
     mac64_words_bitserial,
     pack_bits_to_words_shift_sum,
+    tamper_fuzz_sliced,
 )
 
 
@@ -157,16 +160,20 @@ def test_bytes_to_words_match_shift_sum_oracle(data, rows, length):
 
 
 @given(st.integers(0, 2**64 - 1),
-       st.sampled_from([0.0, 0.001, 0.3, 1.0]),
-       st.sampled_from([_FLIP_ROWS - 1, _FLIP_ROWS, _FLIP_ROWS + 1, 3 * _FLIP_ROWS + 5]),
+       st.sampled_from([0.0, 0.001, 0.3, 1.0, float("nan")]),
+       st.sampled_from([-1, 0, 1, None]),
        st.sampled_from([152, 13]))
 @settings(max_examples=20, deadline=None)
-def test_packed_flips_match_one_bernoulli_draw(seed, flip_rate, rows, n):
-    """Flips drawn a slice of rows at a time are the packed rows of one
-    draw of the whole batch, and leave the stream at the same word."""
+def test_packed_flips_match_one_bernoulli_draw(seed, flip_rate, offset, n):
+    """Flips drawn and packed a chunk of rows at a time are the packed rows
+    of one draw of the whole batch, and leave the stream at the same word.
+    The row counts sit one below, at and one above a chunk, or span several
+    chunks and a few rows."""
+    chunk = _chunk_rows(n)
+    rows = 3 * chunk + 5 if offset is None else chunk + offset
     sliced = RandomSource(seed, "flips")
     whole = RandomSource(seed, "flips")
-    got = _packed_flips(sliced, flip_rate, rows, n)
+    got = _packed_flips(sliced._gen, _threshold(flip_rate), rows, n)
     want = np.packbits(whole.bernoulli(flip_rate, rows * n).reshape(rows, n), axis=1)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(sliced.raw_words(2), whole.raw_words(2))
@@ -373,6 +380,30 @@ def test_tamper_fuzz_million_rounds_no_false_accepts():
     # heavy tampering means essentially every round attempted a substitution
     assert report["forgery_attempts"] > 990_000
     assert report["rounds"] == 1_000_000
+
+
+class _Inline:
+    """An executor that runs each task on the calling thread as it is
+    submitted, so the second half of a split runs before the first."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("flip_rate", [0.0, 0.001, 0.3, 1.0])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 5001, 65537])
+def test_tamper_fuzz_matches_one_thread_slices(monkeypatch, rounds, flip_rate):
+    """The report with each batch's rows split between two threads equals
+    the one-thread driver's, and so does the report with the worker's half
+    run inline, first, on the calling thread. 5001 rounds split into halves
+    of 2500 and 2501 rows; 65537 rounds make a full batch and a one-row
+    batch whose first half is empty."""
+    want = tamper_fuzz_sliced(rounds, 11, flip_rate)
+    assert tamper_fuzz(rounds, 11, flip_rate) == want
+    monkeypatch.setattr(primitives, "_worker", _Inline)
+    assert tamper_fuzz(rounds, 11, flip_rate) == want
 
 
 def test_tamper_fuzz_deterministic():
