@@ -144,11 +144,7 @@ def _packed_flips(gen: np.random.Philox, threshold: int, rows: int, n: int) -> n
         stop = min(start + step, rows)
         chunk = drawn[: (stop - start) * n]
         _fill_below(gen, threshold, chunk)
-        if n % 8:
-            flips[start:stop] = np.packbits(chunk.reshape(stop - start, n), axis=1)
-        else:
-            # Rows of whole bytes pack as one run.
-            flips[start:stop] = np.packbits(chunk).reshape(stop - start, n // 8)
+        flips[start:stop] = np.packbits(chunk.reshape(stop - start, n), axis=1)
     return flips
 
 

@@ -279,13 +279,12 @@ class ProtocolParams:
 _CHUNK_WEIGHTS = [(1 << np.arange(width - 1, -1, -1)).astype(np.uint8) for width in range(9)]
 
 
-# The fewest words that `raw_words` and `bernoulli` compute on two threads.
-# On a shared 2-vCPU x86-64 host (numpy 2.4) splitting wins from about 2^15
-# words; 2^16 words take 0.11 ms split against 0.16 ms on one thread.
+# The fewest words that `raw_words` computes on two threads. On a shared
+# 2-vCPU x86-64 host (numpy 2.4) splitting wins from about 2^15 words; 2^16
+# words take 0.11 ms split against 0.16 ms on one thread.
 _SPLIT_WORDS = 1 << 16
-# Each thread computes its half this many words at a time: `raw_words` into
-# the one output array, so the words are never held twice, and `bernoulli`
-# comparing each chunk as it comes, so the words are never held whole.
+# Each thread computes its half this many words at a time into the one
+# output array, so the words are never held twice.
 _FILL_WORDS = 1 << 14
 _WORKER = None
 _WORKER_LOCK = threading.Lock()
@@ -371,18 +370,16 @@ class RandomSource:
     thread draws the rest from a copy of it set that many words ahead
     (Philox is counter-based); the stream then stands at the stretch's
     end. The same words land in the same places, whichever thread computes
-    them. `raw_words` and `bernoulli` split a draw of at least
-    `_SPLIT_WORDS` words at its middle, each half computed `_FILL_WORDS`
-    words at a time; `bernoulli` compares each chunk as it is computed, so
-    it never holds the words. `skip(count)` moves the stream as
-    `raw_words(count)` does, without computing the words it passes over.
-    `floats` maps a word w to ``(w >> 11) * 2^-53``. `bernoulli(p)` returns
-    ``floats() < p`` by the integer-threshold rule ``w < T << 11`` with
-    ``T = ceil(p * 2^53)``: for p in (0, 1), ``p * 2^53`` is exact (scaling
-    by a power of two does not round, and the result is not subnormal), and
-    the integer ``w >> 11`` is below it exactly when it is below T. p <= 0
-    (or NaN) gives all False and p >= 1 all True, still drawing `count`
-    words.
+    them. `raw_words` splits a draw of at least `_SPLIT_WORDS` words at its
+    middle, each half computed `_FILL_WORDS` words at a time into the one
+    output array. `skip(count)` moves the stream as `raw_words(count)`
+    does, without computing the words it passes over. `floats` maps a word
+    w to ``(w >> 11) * 2^-53``. `bernoulli(p)` returns ``floats() < p`` by
+    the integer-threshold rule ``w < T << 11`` with ``T = ceil(p * 2^53)``:
+    for p in (0, 1), ``p * 2^53`` is exact (scaling by a power of two does
+    not round, and the result is not subnormal), and the integer ``w >> 11``
+    is below it exactly when it is below T. p <= 0 (or NaN) gives all False
+    and p >= 1 all True, still drawing `count` words.
     """
 
     def __init__(self, seed: int, label: str = ""):
@@ -443,20 +440,11 @@ class RandomSource:
     def bernoulli(self, p: float, count: int) -> np.ndarray:
         """`floats(count) < p` by one integer compare per word (see the class
         docstring)."""
+        words = self.raw_words(count)
         threshold = _threshold(p)
-        if count < _SPLIT_WORDS:
-            words = self.raw_words(count)
-            if threshold >> 64:
-                return np.ones(words.shape, dtype=bool)
-            return words < np.uint64(threshold)
-        out = np.empty(count, dtype=bool)
-
-        def compare(gen, start, stop):
-            for lo in range(start, stop, _FILL_WORDS):
-                _fill_below(gen, threshold, out[lo:min(lo + _FILL_WORDS, stop)])
-
-        self._split(count, count // 2, compare)
-        return out
+        if threshold >> 64:
+            return np.ones(words.shape, dtype=bool)
+        return words < np.uint64(threshold)
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
         """Uniform integers in [0, bound), 1 <= bound <= 256, as uint8, by

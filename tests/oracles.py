@@ -553,12 +553,14 @@ def fuzz_batch_two_tags(xi: np.ndarray, mu: np.ndarray, k_prime: np.ndarray,
 def tamper_fuzz_sliced(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
     """`attacks.tamper_fuzz` as it ran on one thread before each batch's
     rows were split in two: the flips of a batch drawn 2048 rows at a time,
-    each slice one `RandomSource.bernoulli` draw packed row by row, and the
-    whole batch checked by one `fuzz_batch`."""
+    each slice one `bernoulli` draw packed row by row, and the whole batch
+    checked by one `fuzz_batch`. The stream is a `FloatRandomSource`, so
+    every word is computed on the calling thread and compared as a float,
+    by none of the split or threshold code that `tamper_fuzz` runs."""
     params = _FUZZ_PARAMS
     n = params.n
     field_bits = (params.mu_bits, params.tag_bits, params.kappa, n)
-    src = RandomSource(seed).stream("tamper_fuzz")
+    src = FloatRandomSource(seed, "tamper_fuzz")
     false_accepts = forgeries = accepts = attempts = 0
     done = 0
     while done < rounds:
