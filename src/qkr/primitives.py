@@ -163,6 +163,8 @@ class BitString(_SymbolString):
         return _bits_to_int(self._values)
 
     def to_hex(self) -> str:
+        if self._values.size and not self._values.size % 8:
+            return np.packbits(self._values).tobytes().hex()
         digits = max(1, (len(self) + 3) // 4)
         return format(self.to_int(), f"0{digits}x")
 
@@ -279,6 +281,12 @@ class ProtocolParams:
 _CHUNK_WEIGHTS = [(1 << np.arange(width - 1, -1, -1)).astype(np.uint8) for width in range(9)]
 
 
+def _candidates(bits: np.ndarray, chunks: int, width: int) -> np.ndarray:
+    """The values of the `chunks` chunks of `width` bits that make up each
+    row of `bits` (last axis), most significant bit first."""
+    return bits.reshape(*bits.shape[:-1], chunks, width) @ _CHUNK_WEIGHTS[width]
+
+
 # The fewest words that `raw_words` computes on two threads. On a shared
 # 2-vCPU x86-64 host (numpy 2.4) splitting wins from about 2^15 words; 2^16
 # words take 0.11 ms split against 0.16 ms on one thread.
@@ -321,6 +329,12 @@ def _fill_words(gen: np.random.Philox, out: np.ndarray) -> None:
         part[...] = gen.random_raw(len(part))
 
 
+def _word_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` bits of each row of the uint64 array `words` (last
+    axis), each word's bits most significant first."""
+    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=-1, count=count)
+
+
 def _threshold(p: float) -> int:
     """The integer that `bernoulli(p)` compares each word below:
     ``ceil(p * 2^53) << 11``, 0 for p <= 0 or NaN, and 2^64 for p >= 1."""
@@ -329,6 +343,14 @@ def _threshold(p: float) -> int:
     if p >= 1.0:
         return 1 << 64
     return math.ceil(p * 2.0**53) << 11
+
+
+def _below(words: np.ndarray, p: float) -> np.ndarray:
+    """`bernoulli(p)` of the drawn `words`, as a bool array of their shape."""
+    threshold = _threshold(p)
+    if threshold >> 64:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(threshold)
 
 
 def _fill_below(gen: np.random.Philox, threshold: int, out: np.ndarray) -> None:
@@ -372,8 +394,12 @@ class RandomSource:
     end. The same words land in the same places, whichever thread computes
     them. `raw_words` splits a draw of at least `_SPLIT_WORDS` words at its
     middle, each half computed `_FILL_WORDS` words at a time into the one
-    output array. `skip(count)` moves the stream as `raw_words(count)`
-    does, without computing the words it passes over. `floats` maps a word
+    output array. `bit_rows(rows, count)` takes `rows` rows of
+    `bit_array(count)` from one `raw_words` call, each row its own whole
+    words, and `bit_array` is its one-row case; a session draws each
+    stream's values a block of rounds at a time this way. `skip(count)`
+    moves the stream as `raw_words(count)` does, without computing the
+    words it passes over. `floats` maps a word
     w to ``(w >> 11) * 2^-53``. `bernoulli(p)` returns ``floats() < p`` by
     the integer-threshold rule ``w < T << 11`` with ``T = ceil(p * 2^53)``:
     for p in (0, 1), ``p * 2^53`` is exact (scaling by a power of two does
@@ -422,10 +448,24 @@ class RandomSource:
         self._gen.state = ahead.state
         return first, rest
 
+    def _mark(self):
+        """The stream's position, for `_resume`."""
+        return self._gen.state
+
+    def _resume(self, mark, words: int) -> None:
+        """Put the stream `words` words past the position `mark`."""
+        self._gen.state = mark
+        _advance_words(self._gen, words)
+
+    def bit_rows(self, rows: int, count: int) -> np.ndarray:
+        """A (rows, count) array from one draw: row i holds the bits that
+        the i-th of `rows` successive `bit_array(count)` calls returns."""
+        per_row = (count + 63) // 64
+        return _word_bits(self.raw_words(rows * per_row).reshape(rows, per_row), count)
+
     def bit_array(self, count: int) -> np.ndarray:
         """`count` bits, each word's bits most significant first."""
-        words = self.raw_words((count + 63) // 64)
-        return np.unpackbits(words.astype(">u8").view(np.uint8), count=count)
+        return self.bit_rows(1, count)[0]
 
     def bits(self, count: int) -> BitString:
         return BitString._trusted(self.bit_array(count), 2)
@@ -440,11 +480,7 @@ class RandomSource:
     def bernoulli(self, p: float, count: int) -> np.ndarray:
         """`floats(count) < p` by one integer compare per word (see the class
         docstring)."""
-        words = self.raw_words(count)
-        threshold = _threshold(p)
-        if threshold >> 64:
-            return np.ones(words.shape, dtype=bool)
-        return words < np.uint64(threshold)
+        return _below(self.raw_words(count), p)
 
     def integers_below(self, bound: int, count: int) -> np.ndarray:
         """Uniform integers in [0, bound), 1 <= bound <= 256, as uint8, by
@@ -453,17 +489,20 @@ class RandomSource:
         the first `need` of those below `bound`; bound 1 draws nothing."""
         if not 1 <= bound <= 256:
             raise ValueError(f"bound must lie in [1, 256], got {bound}")
-        width = (bound - 1).bit_length()
         out = np.empty(count, dtype=np.uint8)
-        filled = 0
-        while filled < count:
-            need = count - filled
-            bits = self.bit_array(2 * need * width)
-            cand = bits.reshape(2 * need, width) @ _CHUNK_WEIGHTS[width]
+        self._fill_below_bound(bound, out, 0)
+        return out
+
+    def _fill_below_bound(self, bound: int, out: np.ndarray, filled: int) -> None:
+        """Fill ``out[filled:]`` by `integers_below`'s rejection passes,
+        the first drawn from the next word."""
+        width = (bound - 1).bit_length()
+        while filled < len(out):
+            need = len(out) - filled
+            cand = _candidates(self.bit_array(2 * need * width), 2 * need, width)
             accepted = cand[cand < bound][:need]
             out[filled : filled + accepted.size] = accepted
             filled += accepted.size
-        return out
 
     def trits(self, count: int) -> TritString:
         return TritString._trusted(self.integers_below(3, count), 3)

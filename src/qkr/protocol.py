@@ -38,8 +38,22 @@ state, the code and the qubits' labels from the params itself, so the one
 input it checks each round is the plaintext a caller's `message_source`
 returns. It holds z, b and the feedback key's bits and table as arrays for
 the whole session and builds strings only for what leaves it,
-`RoundResult.mu_hat` and `tau_fb`. Every draw keeps its stream and order: a
-Reject draws z, then k, then q through `Reservoir.draw_bits`.
+`RoundResult.mu_hat` and `tau_fb`.
+
+Only z, b and k are recycled, so the rest of a round does not depend on
+the key state: its plaintext (the "messages" stream), its r and k' (the
+"alice" stream, r's words before k''s), the tag of mu || k' under the
+never-rotated xi, and the channel's draws (the "channel" stream).
+`_round_inputs` draws these a block of rounds at a time, one draw per
+stream per block, as many rounds as fit in `_FILL_WORDS` words of the
+stream that takes the most per round. Philox is counter-based and every
+draw takes whole words, so each stream's words are read in the order and
+places that a round at a time reads them, and every block size gives the
+same bytes; words drawn past a session's last round are never read. The
+round body keeps the steps that read the key state: encode, mask, the
+channel's `_arrive`, decode, Bob's tag check, the update, the feedback tag
+and the record. A Reject draws z, then k, then q through
+`Reservoir.draw_bits`.
 """
 
 from __future__ import annotations
@@ -64,6 +78,7 @@ from .hashing import (
     random_g_seed,
 )
 from .primitives import (
+    _FILL_WORDS,
     BasisString,
     BitString,
     ProtocolParams,
@@ -71,7 +86,7 @@ from .primitives import (
     _bits_to_int,
     _int_to_bits,
 )
-from .qsim import ChannelModel, QubitSequence, _channel
+from .qsim import ChannelModel, QubitSequence, _arrive, _channel_rows, _row_words
 
 __all__ = [
     "KeyState",
@@ -218,16 +233,58 @@ class SessionResult:
 
 
 def _payload(params: ProtocolParams, xi: MacKey, mu: np.ndarray, src: RandomSource) -> np.ndarray:
-    """The round's payload mu || k' || tau || r as bits: draw r, then k',
-    and tag mu || k' under xi."""
+    """The payload rows mu || k' || tau || r, one per row of plaintexts
+    `mu`: draw every row's r, then its k', in one draw, and tag each
+    row's mu || k' under xi."""
     tag_start = params.ell - params.tag_bits
-    payload = np.empty(params.payload_bits, dtype=np.uint8)
-    payload[: params.mu_bits] = mu
-    payload[params.ell :] = src.bit_array(params.kappa)
-    payload[params.mu_bits : tag_start] = src.bit_array(params.tag_bits)
-    tau = _tag(xi._table, payload[:tag_start], params.tag_bits)
-    payload[tag_start : params.ell] = _int_to_bits(tau, params.tag_bits)
+    r_words = (params.kappa + 63) // 64
+    drawn = src.bit_rows(len(mu), 64 * r_words + params.tag_bits)
+    payload = np.empty((len(mu), params.payload_bits), dtype=np.uint8)
+    payload[:, : params.mu_bits] = mu
+    payload[:, params.ell :] = drawn[:, : params.kappa]
+    payload[:, params.mu_bits : tag_start] = drawn[:, 64 * r_words :]
+    for row in payload:
+        tau = _tag(xi._table, row[:tag_start], params.tag_bits)
+        row[tag_start : params.ell] = _int_to_bits(tau, params.tag_bits)
     return payload
+
+
+def _round_inputs(
+    params: ProtocolParams, channel: ChannelModel, xi: MacKey, rounds: int,
+    message_source: Optional[Callable[[int], BitString]], master: RandomSource,
+):
+    """Yield each round's plaintext, payload and channel draws: the half of
+    a round that no key update touches. Each stream is drawn a block of
+    rounds at a time, as many rounds as fit in `_FILL_WORDS` words of the
+    stream that takes the most per round (at least one), and never past
+    `rounds`. A caller's `message_source` is called as its round begins,
+    and that round's payload drawn alone."""
+    alice_src = master.stream("alice")
+    channel_src = master.stream("channel")
+    msg_src = master.stream("messages")
+    n, alphabet, mu_bits = params.n, params.alphabet_size, params.mu_bits
+    widest = max(
+        _row_words(channel, alphabet, n),
+        (params.kappa + 63) // 64 + (params.tag_bits + 63) // 64,
+        (mu_bits + 63) // 64,
+    )
+    block = max(1, _FILL_WORDS // widest)
+    done = 0
+    while done < rounds:
+        draws = _channel_rows(channel, alphabet, n, min(block, rounds - done), channel_src)
+        count = len(draws[0])
+        if message_source is None:
+            mu_rows = msg_src.bit_rows(count, mu_bits)
+            sent_rows = _payload(params, xi, mu_rows, alice_src)
+        for j, draw in enumerate(zip(*draws)):
+            if message_source is None:
+                yield mu_rows[j], sent_rows[j], draw
+                continue
+            mu = message_source(done + j).bits
+            if len(mu) != mu_bits:
+                raise ValueError(f"plaintext must have length {mu_bits}")
+            yield mu, _payload(params, xi, mu[None], alice_src)[0], draw
+        done += count
 
 
 def _decrypt(
@@ -279,7 +336,7 @@ def alice_encrypt(
         raise ValueError(f"plaintext must have length {params.mu_bits}")
     if code.spec.k_in != params.payload_bits or code.spec.n_out != params.n:
         raise ValueError("code dimensions do not match params")
-    payload = BitString._trusted(_payload(params, keys.xi, mu.bits, src), 2)
+    payload = BitString._trusted(_payload(params, keys.xi, mu.bits[None], src)[0], 2)
     c = BitString._trusted(code._encode(payload.bits), 2)
     x = c ^ keys.z
     tag_start = params.ell - params.tag_bits
@@ -406,9 +463,6 @@ def run_session(
         raise ValueError("rounds must be at least 1")
     master = RandomSource(seed)
     keys = KeyState.random(params, master.stream("keys"))
-    alice_src = master.stream("alice")
-    channel_src = master.stream("channel")
-    msg_src = master.stream("messages")
     reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
 
     code = make_code(code_kind, params)
@@ -426,19 +480,12 @@ def run_session(
     key_agreement = True
     exhausted = None
 
-    for i in range(rounds):
-        if message_source is None:
-            mu = msg_src.bit_array(mu_bits)
-        else:
-            mu = message_source(i).bits
-            if len(mu) != mu_bits:
-                raise ValueError(f"plaintext must have length {mu_bits}")
-        sent = _payload(params, xi, mu, alice_src)
+    for mu, sent, draw in _round_inputs(params, channel, xi, rounds, message_source, master):
         c = code._encode(sent)
         if note is not None:
             note(c)
         x = c ^ z
-        received = _channel(channel, b, alphabet, x, channel_src)
+        received = _arrive(channel, draw, b, x)
 
         omega, payload = _decrypt(params, z, xi, received, code)
         consumed_before = reservoir.consumed_bits

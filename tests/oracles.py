@@ -26,7 +26,7 @@ from qkr.hashing import (
     nonzero_key_words,
 )
 from qkr.primitives import BitString, Encoding, ProtocolParams, RandomSource
-from qkr.qsim import QubitSequence
+from qkr.qsim import ChannelKind, QubitSequence
 
 
 def p_corr_enumeration(n: int, beta: float, gamma: float) -> float:
@@ -303,6 +303,31 @@ def key_update_strings(params, keys, omega, reservoir, *, x=None, r=None, k_next
     return replace(keys, z=new_z, b=new_b, k=new_k)
 
 
+def channel_draws_reference(channel, alphabet_size: int, n: int, src) -> tuple:
+    """One round's channel draws taken alone, as `qsim` took them before a
+    session drew a block of rounds at once: the flips (iid flip), or
+    whether each qubit is attacked, then Eve's bases, then the receiver's
+    coins (intercept-resend). `src` should be a `FloatRandomSource`, so
+    that no production draw is shared."""
+    if channel.kind is ChannelKind.IID_FLIP:
+        return (src.bernoulli(channel.gamma, n),)
+    return (src.bernoulli(channel.eta, n), src.integers_below(alphabet_size, n), src.bit_array(n))
+
+
+def transmit_reference(channel, qubits: QubitSequence, src) -> QubitSequence:
+    """`qsim.transmit` with the round's draws taken alone: the flips xor
+    the payloads, or an attacked qubit whose basis Eve missed arrives as
+    the receiver's coin."""
+    basis = qubits.basis
+    draw = channel_draws_reference(channel, basis.alphabet_size, len(qubits), src)
+    if channel.kind is ChannelKind.IID_FLIP:
+        payload = np.bitwise_xor(qubits.payloads, draw[0])
+    else:
+        attacked, eve_bases, coins = draw
+        payload = np.where(attacked & (eve_bases != basis.symbols), coins, qubits.payloads)
+    return QubitSequence.prepare(basis, BitString(payload))
+
+
 def run_session_two_party(
     params,
     channel,
@@ -318,7 +343,9 @@ def run_session_two_party(
     comparison. Stops after the first round whose states differ, because
     every later round would run on diverged basis sequences, and before a
     round whose update exhausts a reservoir. The summary comes from running
-    totals, each completed round's consumption added as it ends."""
+    totals, each completed round's consumption added as it ends. Every
+    stream is a `FloatRandomSource` drawn a round at a time, and the
+    channel is `transmit_reference`."""
     from qkr.ecc import OracleBddCode, make_code
     from qkr.protocol import (
         KeyState,
@@ -329,16 +356,17 @@ def run_session_two_party(
         SessionSummary,
         alice_check_feedback,
     )
-    from qkr.qsim import transmit
 
-    master = RandomSource(seed)
-    alice_keys = KeyState.random(params, master.stream("keys"))
+    def stream(label):
+        return FloatRandomSource(seed, label)
+
+    alice_keys = KeyState.random(params, stream("keys"))
     bob_keys = alice_keys
-    alice_src = master.stream("alice")
-    channel_src = master.stream("channel")
-    msg_src = master.stream("messages")
-    alice_reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
-    bob_reservoir = Reservoir(master.stream("reservoir"), reservoir_capacity)
+    alice_src = stream("alice")
+    channel_src = stream("channel")
+    msg_src = stream("messages")
+    alice_reservoir = Reservoir(stream("reservoir"), reservoir_capacity)
+    bob_reservoir = Reservoir(stream("reservoir"), reservoir_capacity)
 
     code = make_code(code_kind, params)
     results = []
@@ -351,7 +379,7 @@ def run_session_two_party(
         qubits, secrets = alice_encrypt_strings(params, alice_keys, mu, alice_src, code)
         if isinstance(code, OracleBddCode):
             code.note_transmitted(secrets.c)
-        received = transmit(channel, qubits, channel_src)
+        received = transmit_reference(channel, qubits, channel_src)
         errors_injected = int(np.bitwise_xor(qubits.payloads, received.payloads).sum())
 
         dec = bob_decrypt_strings(params, bob_keys, received, code)

@@ -239,15 +239,19 @@ def test_fuzz_batch_matches_scalar_reference_at_low_flip_rates(flip_rate):
 
 
 class _Replay:
-    """Stands in for the `RandomSource` that Encryption draws r and k' from."""
+    """Stands in for the `RandomSource` that Encryption draws r and k' from:
+    one row of bits, r's words and then k''s."""
 
-    def __init__(self, *strings):
-        self.queue = list(strings)
+    def __init__(self, r, k_prime):
+        self.r, self.k_prime = r, k_prime
 
-    def bit_array(self, count):
-        value = self.queue.pop(0)
-        assert len(value) == count
-        return value.bits
+    def bit_rows(self, rows, count):
+        r_end = 64 * -(-len(self.r) // 64)
+        assert (rows, count) == (1, r_end + len(self.k_prime))
+        row = np.zeros(count, dtype=np.uint8)
+        row[: len(self.r)] = self.r.bits
+        row[r_end:] = self.k_prime.bits
+        return row[None]
 
 
 def _protocol_rounds(xi, mu, k_prime, r, z, flips):

@@ -387,6 +387,32 @@ def test_run_eta_bytes_pinned(tmp_path, monkeypatch, capsys, argv, stdout_sha256
     assert 1.0 - json.loads(stdout)["summary"]["accept_rate"] == reject_rate
 
 
+@pytest.mark.parametrize(
+    "argv,stdout_sha256,rounds_sha256",
+    [
+        (["--n", "64", "--eta", "0.3", "--rounds", "600", "--seed", "7"],
+         "9026b3a4325e9e9d49cb32fb280a4934c27e5efff2e1944160f0209f0cbab401",
+         "a03db464d40ce9a0cfc0d01d609b359ea7be03c79baae0e52aa1173e81c78c81"),
+        (["--gamma", "0.05", "--rounds", "40", "--seed", "4"],
+         "634737de8df774797eba8b480548f8ff484c39615252fde93b94ea17b21af388",
+         "a97bfef31e3c9d853211e4aa4c3516eb3059e5016e7e728f4cef44574eec7e1d"),
+    ],
+    ids=["n64-eta0.3-600", "n1024-gamma0.05-40"],
+)
+def test_run_bytes_pinned_across_blocks(tmp_path, monkeypatch, capsys, argv, stdout_sha256,
+                                        rounds_sha256):
+    """A session draws its plaintexts, pads, next feedback keys and channel
+    a block of rounds at a time: 237 rounds at n = 64 under intercept-resend
+    and 16 at n = 1024, so each of these runs three blocks, the last one
+    short. The digests were recorded with every draw taken a round at a
+    time."""
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(capsys, "run", "--out", "r.jsonl", *argv)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_sha256
+    assert hashlib.sha256((tmp_path / "r.jsonl").read_bytes()).hexdigest() == rounds_sha256
+
+
 def test_cli_import_leaves_numpy_fft_unloaded():
     """numpy.fft loads on the first large Toeplitz product, not at start-up."""
     src = str(Path(qkr.__file__).resolve().parents[1])

@@ -76,6 +76,16 @@ def test_hex_and_int_roundtrip_property(case):
     assert int(text, 16) == value
 
 
+@given(st.integers(0, 136).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 2**n - 1))))
+@settings(max_examples=300, deadline=None)
+def test_to_hex_matches_formatting_the_int(case):
+    """Whole bytes are written from the packed bits, other lengths from the
+    int; both give the zero-padded digits of `to_int`, and length 0 "0"."""
+    length, value = case
+    s = BitString.from_int(value, length)
+    assert s.to_hex() == format(s.to_int(), f"0{max(1, -(-length // 4))}x")
+
+
 def test_concatenation_and_slicing():
     s = BitString.from_text("101") + BitString.from_text("01")
     assert s == BitString.from_text("10101")
@@ -213,6 +223,20 @@ def test_draws_match_float_oracle(seed, calls):
         want = getattr(old, name)(*args)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+@given(st.integers(0, 2**64 - 1), st.integers(0, 6), _DRAW_COUNTS.filter(lambda c: c <= 400))
+@settings(max_examples=200, deadline=None)
+def test_bit_rows_match_successive_bit_arrays(seed, rows, count):
+    """`bit_rows` gives the rows that `rows` successive `bit_array` calls
+    return, and leaves the stream where they do."""
+    new = RandomSource(seed, "rows")
+    old = FloatRandomSource(seed, "rows")
+    got = new.bit_rows(rows, count)
+    assert got.dtype == np.uint8 and got.shape == (rows, count)
+    for row in got:
+        assert np.array_equal(row, old.bit_array(count))
+    assert np.array_equal(new.raw_words(2), old.raw_words(2))
 
 
 def _fixed_words(source, words):

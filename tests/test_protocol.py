@@ -28,7 +28,8 @@ from qkr.protocol import (
     key_update,
     run_session,
 )
-from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, transmit
+from qkr import protocol
+from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, _row_words, transmit
 
 from oracles import (
     alice_encrypt_strings,
@@ -609,6 +610,64 @@ def test_session_record_is_the_fold_of_its_rounds(code_kind, gamma, capacity, en
         assert (s.rounds, s.accept_rate, s.consumed_bits) == (0, 0.0, 0)
 
 
+def _blocked_session_cases():
+    """Sessions whose block edges matter: intercept-resend with both
+    updates, a repetition3 divergence in the middle of the third block of
+    three, and a capacity that cuts the first Reject of the second block."""
+    rep3 = _code_params(CodeKind.REPETITION3)
+    oracle = _code_params(CodeKind.ORACLE)
+    return {
+        "intercept-resend": dict(
+            params=oracle, channel=ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=0.3),
+            code_kind=CodeKind.ORACLE, rounds=30, seed=0),
+        "rep3-diverged": dict(
+            params=rep3, channel=ChannelModel(ChannelKind.IID_FLIP, gamma=0.05),
+            code_kind=CodeKind.REPETITION3, rounds=30, seed=2),
+        "oracle-cut": dict(
+            params=oracle, channel=ChannelModel(ChannelKind.IID_FLIP, gamma=0.4),
+            code_kind=CodeKind.ORACLE, rounds=30, seed=0,
+            reservoir_capacity=_cutting_capacity(oracle)),
+    }
+
+
+def _blocks_of(monkeypatch, per_block, kwargs):
+    """Cut the block word budget to `per_block` rounds of the session's
+    widest stream, its channel, and record the rounds each block asks for."""
+    params = kwargs["params"]
+    widest = _row_words(kwargs["channel"], params.alphabet_size, params.n)
+    monkeypatch.setattr(protocol, "_FILL_WORDS", per_block * widest)
+    asked = []
+    draw = protocol._channel_rows
+
+    def recorded(channel, alphabet, n, rows, src):
+        asked.append(rows)
+        return draw(channel, alphabet, n, rows, src)
+
+    monkeypatch.setattr(protocol, "_channel_rows", recorded)
+    return asked
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+@pytest.mark.parametrize("case", list(_blocked_session_cases()))
+def test_session_is_the_same_at_every_block_size(monkeypatch, per_block, case):
+    """One, three or all rounds per block give the same session, which is
+    the two-party reference's; the draws past a session's last round are
+    never read."""
+    kwargs = _blocked_session_cases()[case]
+    whole = run_session(**kwargs)
+    asked = _blocks_of(monkeypatch, per_block, kwargs)
+    blocked = run_session(**kwargs)
+    _assert_same_session(blocked, whole)
+    _assert_same_session(blocked, run_session_two_party(**kwargs))
+    rounds = blocked.summary.rounds
+    begun = rounds + (blocked.exhausted is not None)
+    assert asked == [per_block] * -(-begun // per_block)
+    if case == "rep3-diverged":
+        assert not blocked.summary.key_agreement and rounds == 8
+    if case == "oracle-cut":
+        assert isinstance(blocked.exhausted, ReservoirExhausted) and rounds == 3
+
+
 # The array round against the string-level steps
 
 
@@ -703,6 +762,18 @@ def test_session_matches_string_reference(kwargs):
     two-party session on the string-level steps, at every tag length, on
     both sides of the FFT threshold, and when a capacity cuts a Reject."""
     _assert_same_session(run_session(**kwargs), run_session_two_party(**kwargs))
+
+
+@given(_sessions(), st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_session_matches_string_reference_across_blocks(kwargs, per_block):
+    """The same at one to three rounds per block, so that a session's 1-8
+    rounds cross block edges."""
+    params = kwargs["params"]
+    widest = _row_words(kwargs["channel"], params.alphabet_size, params.n)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "_FILL_WORDS", per_block * widest)
+        _assert_same_session(run_session(**kwargs), run_session_two_party(**kwargs))
 
 
 def test_session_counts_an_accepted_wrong_plaintext():

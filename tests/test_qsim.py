@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkr.primitives import BasisString, BitString, RandomSource
-from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, transmit
+from qkr.qsim import ChannelKind, ChannelModel, QubitSequence, _channel_rows, transmit
 
 from density import BELL_BASIS, DensityMatrix, pauli_twirl, trace_distance
-from oracles import apply_error_pattern
+from oracles import (
+    FloatRandomSource,
+    apply_error_pattern,
+    channel_draws_reference,
+    transmit_reference,
+)
 
 
 def _random_qubits(seed, n, alphabet=3):
@@ -77,6 +84,66 @@ def test_channel_model_validation():
         ChannelModel(ChannelKind.IID_FLIP, gamma=1.5)
     with pytest.raises(ValueError):
         ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=-0.1)
+
+
+_CHANNEL_CASES = st.one_of(
+    st.sampled_from([0.0, 0.3, 1.0]).map(
+        lambda gamma: ChannelModel(ChannelKind.IID_FLIP, gamma=gamma)),
+    st.sampled_from([0.0, 0.3, 1.0]).map(
+        lambda eta: ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=eta)),
+)
+
+
+def _short_blocks(channel, alphabet, n, rows, seed):
+    """Draw `rows` rounds a block at a time, each block asking for every
+    round left, and check each round against its draws taken alone: the
+    same arrays, and the same next word once all are drawn. Returns how
+    many blocks ended early at a round whose first pass kept too few of
+    Eve's bases."""
+    blocked = RandomSource(seed, "channel")
+    alone = FloatRandomSource(seed, "channel")
+    done = short = 0
+    while done < rows:
+        draws = _channel_rows(channel, alphabet, n, rows - done, blocked)
+        count = len(draws[0])
+        assert 1 <= count <= rows - done
+        short += count < rows - done
+        for i in range(count):
+            want = channel_draws_reference(channel, alphabet, n, alone)
+            assert len(draws) == len(want)
+            for got, expected in zip(draws, want):
+                assert got.shape[1:] == (n,)
+                assert got[i].dtype == expected.dtype
+                assert np.array_equal(got[i], expected)
+        done += count
+    assert np.array_equal(blocked.raw_words(2), alone.raw_words(2))
+    return short
+
+
+@given(_CHANNEL_CASES, st.sampled_from([2, 3]), st.sampled_from([1, 2, 3, 5]),
+       st.integers(1, 40), st.integers(0, 2**32))
+@settings(max_examples=300, deadline=None)
+def test_channel_rows_match_rounds_drawn_alone(channel, alphabet, n, rows, seed):
+    _short_blocks(channel, alphabet, n, rows, seed)
+
+
+def test_channel_rows_end_a_block_where_the_first_pass_falls_short():
+    """At n = 1 over three bases, Eve's first pass keeps no basis with
+    chance 1/16 per round: that round finishes alone and ends the block."""
+    channel = ChannelModel(ChannelKind.INTERCEPT_RESEND, eta=0.3)
+    short = sum(_short_blocks(channel, 3, 1, 20, seed) for seed in range(200))
+    assert short > 100
+
+
+@given(_CHANNEL_CASES, st.sampled_from([2, 3]), st.integers(1, 300), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_transmit_matches_reference_channel(channel, alphabet, n, seed):
+    qubits, _ = _random_qubits(seed, n, alphabet)
+    got = transmit(channel, qubits, RandomSource(seed, "channel"))
+    want = transmit_reference(channel, qubits, FloatRandomSource(seed, "channel"))
+    assert got.basis == want.basis
+    assert got.payloads.dtype == np.uint8
+    assert np.array_equal(got.payloads, want.payloads)
 
 
 def test_apply_error_pattern_flips_exactly():
