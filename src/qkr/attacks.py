@@ -38,14 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hashing import bytes_to_words, gf64_key_tables, gf64_mul_rows, nonzero_key_words
-from .primitives import (
-    _FILL_WORDS,
-    Encoding,
-    ProtocolParams,
-    RandomSource,
-    _fill_below,
-    _threshold,
-)
+from .primitives import _FILL_WORDS, Encoding, ProtocolParams, RandomSource, _below
 from .qsim import ChannelKind, ChannelModel, _channel
 
 __all__ = [
@@ -126,25 +119,17 @@ def _verdicts(xi: np.ndarray, flips: np.ndarray) -> tuple:
     return omega, changed != 0, plaintext_changed
 
 
-def _chunk_rows(n: int) -> int:
-    """The whole rows of `n` flips that `_packed_flips` draws at a time:
-    about `_FILL_WORDS` words, at least one row."""
-    return max(1, _FILL_WORDS // n)
-
-
-def _packed_flips(gen: np.random.Philox, threshold: int, rows: int, n: int) -> np.ndarray:
+def _packed_flips(gen: np.random.Philox, p: float, rows: int, n: int) -> np.ndarray:
     """`np.packbits(bernoulli(p, rows * n).reshape(rows, n), axis=1)` for
-    the `RandomSource` whose generator is `gen`, with `threshold` =
-    `primitives._threshold(p)`, drawn and packed `_chunk_rows(n)` rows at a
-    time: no more than one chunk's words and unpacked flips is held."""
+    the `RandomSource` whose generator is `gen`, drawn and packed a chunk of
+    whole rows at a time, about `_FILL_WORDS` words and at least one row:
+    no more than one chunk's words and unpacked flips is held."""
     flips = np.empty((rows, -(-n // 8)), dtype=np.uint8)
-    step = _chunk_rows(n)
-    drawn = np.empty(min(step, rows) * n, dtype=bool)
+    step = max(1, _FILL_WORDS // n)
     for start in range(0, rows, step):
         stop = min(start + step, rows)
-        chunk = drawn[: (stop - start) * n]
-        _fill_below(gen, threshold, chunk)
-        flips[start:stop] = np.packbits(chunk.reshape(stop - start, n), axis=1)
+        words = gen.random_raw((stop - start) * n).reshape(stop - start, n)
+        flips[start:stop] = np.packbits(_below(words, p), axis=1)
     return flips
 
 
@@ -163,7 +148,6 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
     mu_bits, tag_bits, n = params.mu_bits, params.tag_bits, params.n
     field_bits = (mu_bits, tag_bits, params.kappa, n)
     src = RandomSource(seed).stream("tamper_fuzz")
-    threshold = _threshold(flip_rate)
 
     # False accepts, forgeries, accepts and attempts.
     counts = np.zeros(4, dtype=np.int64)
@@ -176,7 +160,7 @@ def tamper_fuzz(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
         src.skip(sum(-(-batch * bits // 64) for bits in field_bits))
 
         def rows_counts(gen, start, stop):
-            flips = _packed_flips(gen, threshold, stop - start, n)
+            flips = _packed_flips(gen, flip_rate, stop - start, n)
             omega, message_changed, plaintext_changed = _verdicts(xi[start:stop], flips)
             return np.count_nonzero(
                 [omega & plaintext_changed, omega & message_changed, omega, message_changed],

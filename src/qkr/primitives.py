@@ -287,20 +287,17 @@ def _candidates(bits: np.ndarray, chunks: int, width: int) -> np.ndarray:
     return bits.reshape(*bits.shape[:-1], chunks, width) @ _CHUNK_WEIGHTS[width]
 
 
-# The fewest words that `raw_words` computes on two threads. On a shared
-# 2-vCPU x86-64 host (numpy 2.4) splitting wins from about 2^15 words; 2^16
-# words take 0.11 ms split against 0.16 ms on one thread.
-_SPLIT_WORDS = 1 << 16
-# Each thread computes its half this many words at a time into the one
-# output array, so the words are never held twice.
+# About the most words one draw holds at a time: a session's block of
+# rounds and a tamper-fuzz chunk of flips are sized to it.
 _FILL_WORDS = 1 << 14
 _WORKER = None
 _WORKER_LOCK = threading.Lock()
 
 
 def _worker():
-    """The one-thread pool that computes the second half of a split stretch,
-    created on first use so that importing qkr starts no thread."""
+    """The one-thread pool that computes the second half of a `_split`
+    stretch, created on the tamper fuzz's first batch, so that importing
+    qkr or running a session starts no thread."""
     global _WORKER
     with _WORKER_LOCK:
         if _WORKER is None:
@@ -312,7 +309,7 @@ def _worker():
 
 def _forget_worker():
     """A forked child has no worker thread, though it inherits the pool
-    object: let its first split draw start one of its own."""
+    object: let its first `_split` start one of its own."""
     global _WORKER, _WORKER_LOCK
     _WORKER = None
     _WORKER_LOCK = threading.Lock()
@@ -322,45 +319,21 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _fill_words(gen: np.random.Philox, out: np.ndarray) -> None:
-    """Write the next ``len(out)`` words of `gen` into `out`."""
-    for start in range(0, len(out), _FILL_WORDS):
-        part = out[start:start + _FILL_WORDS]
-        part[...] = gen.random_raw(len(part))
-
-
 def _word_bits(words: np.ndarray, count: int) -> np.ndarray:
     """The first `count` bits of each row of the uint64 array `words` (last
     axis), each word's bits most significant first."""
     return np.unpackbits(words.astype(">u8").view(np.uint8), axis=-1, count=count)
 
 
-def _threshold(p: float) -> int:
-    """The integer that `bernoulli(p)` compares each word below:
-    ``ceil(p * 2^53) << 11``, 0 for p <= 0 or NaN, and 2^64 for p >= 1."""
-    if not p > 0.0:
-        return 0
-    if p >= 1.0:
-        return 1 << 64
-    return math.ceil(p * 2.0**53) << 11
-
-
 def _below(words: np.ndarray, p: float) -> np.ndarray:
-    """`bernoulli(p)` of the drawn `words`, as a bool array of their shape."""
-    threshold = _threshold(p)
-    if threshold >> 64:
+    """`bernoulli(p)` of the drawn `words`, as a bool array of their shape:
+    whether each word lies below ``ceil(p * 2^53) << 11``, all False for
+    p <= 0 or NaN and all True for p >= 1."""
+    if not p > 0.0:
+        return np.zeros(words.shape, dtype=bool)
+    if p >= 1.0:
         return np.ones(words.shape, dtype=bool)
-    return words < np.uint64(threshold)
-
-
-def _fill_below(gen: np.random.Philox, threshold: int, out: np.ndarray) -> None:
-    """Set the bool array `out` to whether each of the next ``len(out)``
-    words of `gen` lies below `threshold`."""
-    words = gen.random_raw(len(out))
-    if threshold >> 64:
-        out.fill(True)
-    else:
-        np.less(words, np.uint64(threshold), out=out)
+    return words < np.uint64(math.ceil(p * 2.0**53) << 11)
 
 
 def _advance_words(gen: np.random.Philox, count: int) -> None:
@@ -386,15 +359,15 @@ class RandomSource:
     independent streams. A source is single-owner; `stream()` forks an
     independent substream under a child label.
 
-    Every draw consumes whole 64-bit words. `_split(stop, cut, work)` runs
+    Every draw consumes whole 64-bit words, and `raw_words` is one Philox
+    call on the caller's thread. `_split(stop, cut, work, width)` runs
     `work` on the two halves of a stretch of the stream: the caller's
     thread draws the first `cut` units from the generator, and a worker
-    thread draws the rest from a copy of it set that many words ahead
-    (Philox is counter-based); the stream then stands at the stretch's
+    thread draws the rest from a copy of it set ``cut * width`` words
+    ahead (Philox is counter-based); the stream then stands at the stretch's
     end. The same words land in the same places, whichever thread computes
-    them. `raw_words` splits a draw of at least `_SPLIT_WORDS` words at its
-    middle, each half computed `_FILL_WORDS` words at a time into the one
-    output array. `bit_rows(rows, count)` takes `rows` rows of
+    them. Only the tamper fuzz splits; a session starts no thread.
+    `bit_rows(rows, count)` takes `rows` rows of
     `bit_array(count)` from one `raw_words` call, each row its own whole
     words, and `bit_array` is its one-row case; a session draws each
     stream's values a block of rounds at a time this way. `skip(count)`
@@ -421,15 +394,10 @@ class RandomSource:
     def raw_words(self, count: int) -> np.ndarray:
         if count <= 0:
             return np.empty(0, dtype=np.uint64)
-        if count < _SPLIT_WORDS:
-            # With a size, random_raw returns a fresh uint64 array of that shape.
-            return self._gen.random_raw(count)
-        words = np.empty(count, dtype=np.uint64)
-        self._split(count, count // 2,
-                    lambda gen, start, stop: _fill_words(gen, words[start:stop]))
-        return words
+        # With a size, random_raw returns a fresh uint64 array of that shape.
+        return self._gen.random_raw(count)
 
-    def _split(self, stop: int, cut: int, work, width: int = 1) -> tuple:
+    def _split(self, stop: int, cut: int, work, width: int) -> tuple:
         """Return ``(work(gen, 0, cut), work(ahead, cut, stop))``, the first
         computed on this thread and the second on the worker thread. Each
         call must draw `width` words per unit of its range from the

@@ -623,17 +623,11 @@ def tamper_fuzz_sliced(rounds: int, seed: int, flip_rate: float = 0.3) -> dict:
 
 
 class FloatRandomSource(RandomSource):
-    """`RandomSource` with its draws as they were before the integer forms
-    and the split draw: `raw_words` computes every word on the calling
-    thread, `bernoulli` compares floats, `bit_array` unpacks a big-endian
-    byte copy and slices it, and `integers_below` gathers each bit column
-    by a strided slice. Seeded alike, both sources must return the same
-    arrays and stay at the same stream position."""
-
-    def raw_words(self, count: int) -> np.ndarray:
-        if count <= 0:
-            return np.empty(0, dtype=np.uint64)
-        return self._gen.random_raw(count)
+    """`RandomSource` with its draws as they were before the integer forms:
+    `bernoulli` compares floats, `bit_array` unpacks a big-endian byte copy
+    and slices it, and `integers_below` gathers each bit column by a
+    strided slice. Seeded alike, both sources must return the same arrays
+    and stay at the same stream position."""
 
     def bit_array(self, count: int) -> np.ndarray:
         if count == 0:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from qkr import primitives
 from qkr.attacks import (
     _FUZZ_PARAMS,
-    _chunk_rows,
     _error_polynomial,
     _packed_flips,
     expected_intercept_error_rate,
@@ -29,7 +28,7 @@ from qkr.hashing import (
     mac_verify,
     nonzero_key_words,
 )
-from qkr.primitives import BitString, Encoding, RandomSource, _threshold
+from qkr.primitives import BitString, Encoding, RandomSource
 from qkr.protocol import KeyState, alice_encrypt, bob_decrypt
 
 from oracles import (
@@ -169,11 +168,11 @@ def test_packed_flips_match_one_bernoulli_draw(seed, flip_rate, offset, n):
     of one draw of the whole batch, and leave the stream at the same word.
     The row counts sit one below, at and one above a chunk, or span several
     chunks and a few rows."""
-    chunk = _chunk_rows(n)
+    chunk = max(1, primitives._FILL_WORDS // n)
     rows = 3 * chunk + 5 if offset is None else chunk + offset
     sliced = RandomSource(seed, "flips")
     whole = RandomSource(seed, "flips")
-    got = _packed_flips(sliced._gen, _threshold(flip_rate), rows, n)
+    got = _packed_flips(sliced._gen, flip_rate, rows, n)
     want = np.packbits(whole.bernoulli(flip_rate, rows * n).reshape(rows, n), axis=1)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(sliced.raw_words(2), whole.raw_words(2))

@@ -262,15 +262,20 @@ def test_run_bytes_pinned_where_bob_runs_his_own_update(tmp_path, monkeypatch, c
         (["--rounds", "3", "--lambda", "64"],
          "11da4e12dc7e962f8831e1e890bfe8252929a4c44402c415d407c3fce9f4604a",
          "825a7930a93db6cb0524947e6a42b810adaf3a0da0e9e7b6ca58ec7bbf8d286f"),
+        (["--n", "65536", "--rounds", "2"],
+         "2e78ca4505bc09046442f335ef98a9c9698fc9fba35d9cc716a47c449205d08c",
+         "8f6bb7aaba931e6d60f721e8bfd43473b019a8a6a30aca71a492cd8b926d58ff"),
     ],
-    ids=["n1024", "n16384", "n1024-lambda64"],
+    ids=["n1024", "n16384", "n1024-lambda64", "n65536"],
 )
 def test_run_bytes_pinned_at_fft_sizes(tmp_path, monkeypatch, capsys, argv,
                                        stdout_sha256, rounds_sha256):
     """Every Toeplitz product here takes the FFT path; rounds after the
     first run on keys it produced. The digests were recorded with the exact
     int64 convolution at every size. A given lambda of 64 is the one an
-    unset lambda derives at n = 1024, so it writes the same bytes."""
+    unset lambda derives at n = 1024, so it writes the same bytes. The
+    n = 65536 digests were recorded when a one-round channel draw of
+    65,536 words was computed on two threads; it is one Philox call now."""
     monkeypatch.chdir(tmp_path)
     code, stdout, _ = _run(
         capsys, "run", "--gamma", "0.05", "--seed", "0", "--out", "r.jsonl", *argv
@@ -396,16 +401,21 @@ def test_run_eta_bytes_pinned(tmp_path, monkeypatch, capsys, argv, stdout_sha256
         (["--gamma", "0.05", "--rounds", "40", "--seed", "4"],
          "634737de8df774797eba8b480548f8ff484c39615252fde93b94ea17b21af388",
          "a97bfef31e3c9d853211e4aa4c3516eb3059e5016e7e728f4cef44574eec7e1d"),
+        (["--n", "65536", "--eta", "0.3", "--rounds", "2", "--seed", "7"],
+         "a6ff967ef7102f1869a08ddaad21ae12a14a3cbc3d8e570d3dc650d2bfeeda4f",
+         "ba7a97c036ab5a43ed2fc4968296fda409a4ea586b8311e9078c227f5f7b050b"),
     ],
-    ids=["n64-eta0.3-600", "n1024-gamma0.05-40"],
+    ids=["n64-eta0.3-600", "n1024-gamma0.05-40", "n65536-eta0.3-2"],
 )
 def test_run_bytes_pinned_across_blocks(tmp_path, monkeypatch, capsys, argv, stdout_sha256,
                                         rounds_sha256):
     """A session draws its plaintexts, pads, next feedback keys and channel
     a block of rounds at a time: 237 rounds at n = 64 under intercept-resend
-    and 16 at n = 1024, so each of these runs three blocks, the last one
-    short. The digests were recorded with every draw taken a round at a
-    time."""
+    and 16 at n = 1024, so each of the first two runs three blocks, the
+    last one short. The first two digests were recorded with every draw
+    taken a round at a time. At n = 65536 a block is one round, whose
+    intercept-resend draw of 70,656 words was computed on two threads when
+    its digests were recorded."""
     monkeypatch.chdir(tmp_path)
     code, stdout, _ = _run(capsys, "run", "--out", "r.jsonl", *argv)
     assert code == 0

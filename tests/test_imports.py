@@ -41,17 +41,24 @@ def test_every_exported_name_is_defined():
     assert missing == []
 
 
-def test_import_and_small_draws_start_no_thread():
-    """`import qkr.cli` and a draw below the split size leave
-    `concurrent.futures` unimported: the worker thread and its import come
-    with the first split draw only."""
+def test_import_draws_and_sessions_start_no_thread(tmp_path):
+    """`import qkr.cli`, a `bernoulli` draw of 2^17 words and a one-round
+    session at n = 65536, whose channel block draws 65,536 words, leave
+    `concurrent.futures` unimported: only the tamper fuzz splits its
+    batches onto the worker thread, and its first batch imports the pool."""
     code = (
-        "import sys, qkr.cli\n"
-        "from qkr.primitives import _SPLIT_WORDS, RandomSource\n"
-        "RandomSource(1).bernoulli(0.3, _SPLIT_WORDS - 1)\n"
-        "print('concurrent.futures' in sys.modules)\n"
+        "import contextlib, io, sys, qkr.cli\n"
+        "from qkr.attacks import tamper_fuzz\n"
+        "from qkr.primitives import RandomSource\n"
+        "RandomSource(1).bernoulli(0.3, 1 << 17)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    qkr.cli.main(['run', '--n', '65536', '--rounds', '1', '--out', 'r.jsonl'])\n"
+        "before = 'concurrent.futures' in sys.modules\n"
+        "tamper_fuzz(3, 1)\n"
+        "print(before, 'concurrent.futures' in sys.modules)\n"
     )
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False True"

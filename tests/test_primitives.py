@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkr import primitives
+from qkr.attacks import tamper_fuzz
 from qkr.ecc import CodeKind, CodeSpec, OracleBddCode, Repetition3Code
 from qkr.hashing import hash_F, hash_G, random_f_seed, random_g_seed
 from qkr.primitives import (
@@ -24,7 +26,12 @@ from qkr.primitives import (
 )
 from qkr.qsim import QubitSequence
 
-from oracles import FloatRandomSource, integers_below_column_loop, symbol_strings_equal
+from oracles import (
+    FloatRandomSource,
+    integers_below_column_loop,
+    symbol_strings_equal,
+    tamper_fuzz_sliced,
+)
 
 
 def test_xor_truth_table_examples():
@@ -279,16 +286,17 @@ def test_skip_leaves_the_stream_where_raw_words_does(drawn, count):
     assert np.array_equal(skipped.raw_words(9), read.raw_words(9))
 
 
-_SPLIT = primitives._SPLIT_WORDS
+# Draws of this many words or more were once computed on two threads.
+_SPLIT = 1 << 16
 
 
 @pytest.mark.parametrize("count", [_SPLIT - 1, _SPLIT, _SPLIT + 1, 3 * _SPLIT + 7])
 @pytest.mark.parametrize("p", [0.0, 5e-324, 0.3, 1.0])
 @pytest.mark.parametrize("drawn", [0, 3])
 def test_split_bernoulli_matches_one_thread_compare(drawn, p, count):
-    """A draw at and around the split size, odd sizes included, returns the
-    one-thread float compare's array and leaves the stream at its word; p
-    = 0 and p = 1 still draw the words."""
+    """A draw around 2^16 words, odd sizes included, returns the float
+    compare's array and leaves the stream at its word; p = 0 and p = 1
+    still draw the words."""
     new = RandomSource(5, "split")
     old = FloatRandomSource(5, "split")
     new.raw_words(drawn)
@@ -303,32 +311,50 @@ def test_split_bernoulli_matches_one_thread_compare(drawn, p, count):
 @pytest.mark.parametrize("count", [_SPLIT, 2 * _SPLIT + 2 * primitives._FILL_WORDS + 5])
 @pytest.mark.parametrize("drawn", [0, 1, 2, 3])
 def test_split_raw_words_match_one_thread_words(drawn, count):
-    """From each buffered position, a split draw, whose halves end inside a
-    fill step, returns the one-thread words and is followed by the same
-    words."""
+    """From each buffered position, the two halves of a `_split` stretch,
+    the second drawn on the worker from a copy set ahead, are the
+    one-thread words, and the stream is left at the stretch's end."""
     new = RandomSource(6, "split")
     old = FloatRandomSource(6, "split")
     new.raw_words(drawn)
     old.raw_words(drawn)
-    assert np.array_equal(new.raw_words(count), old.raw_words(count))
+    halves = new._split(count, count // 2, lambda gen, start, stop: gen.random_raw(stop - start),
+                        width=1)
+    assert np.array_equal(np.concatenate(halves), old.raw_words(count))
     assert _position(new) == _position(old)
     assert np.array_equal(new.raw_words(9), old.raw_words(9))
 
 
+def test_split_raises_the_worker_half_exception():
+    """An exception on the worker's half surfaces from `_split`, and the
+    worker still runs the next split: a fuzz after it gives the one-thread
+    report."""
+    raised = []
+
+    def work(gen, start, stop):
+        if start:
+            raised.append(threading.get_ident())
+            raise ArithmeticError(start)
+        return gen.random_raw(stop - start)
+
+    with pytest.raises(ArithmeticError, match="4"):
+        RandomSource(3, "raise")._split(10, 4, work, width=1)
+    assert raised and raised[0] != threading.get_ident()
+    assert tamper_fuzz(5001, 2) == tamper_fuzz_sliced(5001, 2)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_split_draw_in_a_forked_child():
-    """A child forked after a split draw inherits the pool object but not its
-    thread; its own split draw must still finish, with the same words."""
+    """A child forked after a tamper fuzz, whose batch splits, inherits the
+    pool object but not its thread; its own fuzz must still finish, with
+    the parent's report."""
     code = (
         "import os, signal, sys, time\n"
-        "import numpy as np\n"
-        "from qkr.primitives import _SPLIT_WORDS, RandomSource\n"
-        "RandomSource(1).raw_words(_SPLIT_WORDS)\n"
+        "from qkr.attacks import tamper_fuzz\n"
+        "want = tamper_fuzz(5001, 4)\n"
         "pid = os.fork()\n"
         "if pid == 0:\n"
-        "    words = RandomSource(2).raw_words(_SPLIT_WORDS)\n"
-        "    want = RandomSource(2)._gen.random_raw(_SPLIT_WORDS)\n"
-        "    os._exit(0 if np.array_equal(words, want) else 1)\n"
+        "    os._exit(0 if tamper_fuzz(5001, 4) == want else 1)\n"
         "deadline = time.monotonic() + 30\n"
         "while True:\n"
         "    done, status = os.waitpid(pid, os.WNOHANG)\n"
@@ -352,20 +378,19 @@ def test_split_bernoulli_repeats_exactly():
 
 
 def test_concurrent_split_draws_match_one_thread_compares():
-    """Sources drawn from more threads than cores, with the switch interval
-    shortened, each return the one-thread compare's arrays: the shared
-    worker mixes no draws."""
-    count = 2 * _SPLIT + 3
-    want = [FloatRandomSource(seed, "threads").bernoulli(0.3, count) for seed in range(6)]
+    """Tamper fuzzes run from more threads than cores, with the switch
+    interval shortened, each split their batch through the one shared
+    worker and each return the one-thread report: the worker mixes no
+    halves."""
+    want = [tamper_fuzz_sliced(5001, seed) for seed in range(6)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=6) as pool:
-            got = list(pool.map(lambda seed: RandomSource(seed, "threads").bernoulli(0.3, count),
-                                range(6), timeout=60))
+            got = list(pool.map(lambda seed: tamper_fuzz(5001, seed), range(6), timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got == want
 
 
 def test_protocol_params_validation():

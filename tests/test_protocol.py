@@ -416,6 +416,30 @@ def test_noisy_session_above_threshold_rejects_nearly_all():
     assert s.mismatches == 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_feedback_key_after_a_reject_is_the_reservoirs_draw(seed):
+    """The feedback key rotates on Reject: round 0 tags its verdict under
+    the initial k, and every round after a Reject under `MacKey.from_draw`
+    of the tag_bits reservoir bits that the Reject drew after its n mask
+    bits and before its q_bits. The reservoir is replayed from its own
+    stream, so the property needs no recorded digest."""
+    result = run_session(
+        PARAMS, ChannelModel(ChannelKind.IID_FLIP, gamma=0.12), CodeKind.ORACLE, 60, seed=seed
+    )
+    verdicts = [r.omega for r in result.results]
+    # Both verdicts occur, and some Rejects are followed by a round.
+    assert 0 < sum(verdicts) < len(verdicts) - 5 and 0 in verdicts[:-1]
+    reservoir = RandomSource(seed).stream("reservoir")
+    k = KeyState.random(PARAMS, RandomSource(seed).stream("keys")).k
+    for i, r in enumerate(result.results):
+        if i == 0 or not verdicts[i - 1]:
+            assert r.tau_fb == mac_tag(k, BitString([r.omega])), i
+        if not r.omega:
+            reservoir.bits(PARAMS.n)
+            k = MacKey.from_draw(reservoir.bits(PARAMS.tag_bits))
+            reservoir.bits(PARAMS.q_bits)
+
+
 def test_session_reservoir_exhaustion_propagates():
     per_reject = PARAMS.n + PARAMS.tag_bits + PARAMS.q_bits
     result = run_session(
